@@ -47,13 +47,7 @@ from .lp import (
     parse_lp,
     reference_witness,
 )
-from .rational import (
-    Rational,
-    RationalParseError,
-    compare,
-    format_rational,
-    parse_rational,
-)
+from .rational import RationalParseError, format_rational, parse_rational
 from .simplex import (
     CertificateReport,
     SimplexSolution,
@@ -76,7 +70,6 @@ __all__ = [
     "LinearProgram",
     "MassGrid",
     "NBox",
-    "Rational",
     "RationalParseError",
     "Row",
     "RowViolation",
@@ -90,7 +83,6 @@ __all__ = [
     "candidate_pattern",
     "certify",
     "check_assignment",
-    "compare",
     "conjectured_bound",
     "conjectured_box",
     "export_lp",

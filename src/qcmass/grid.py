@@ -430,11 +430,16 @@ def grid_to_json(grid: MassGrid) -> str:
     return json.dumps(grid_payload(grid), indent=2) + "\n"
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def grid_from_json(text: str) -> MassGrid:
     """Parse the grid file format, validating shape, ranges, and rationals."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise GridError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise GridError("grid file must be a JSON object")
@@ -446,7 +451,7 @@ def grid_from_json(text: str) -> MassGrid:
             raise GridError(f"grid file missing key {key!r}")
     dim = payload["dimension"]
     parts_raw = payload["partitions"]
-    if not isinstance(dim, int) or not isinstance(parts_raw, list):
+    if not _is_int(dim) or not isinstance(parts_raw, list):
         raise GridError("malformed dimension or partitions")
     if len(parts_raw) != dim:
         raise GridError(f"dimension is {dim} but {len(parts_raw)} partitions given")
@@ -463,9 +468,7 @@ def grid_from_json(text: str) -> MassGrid:
         if not isinstance(entry, dict) or set(entry) != {"cell", "mass"}:
             raise GridError(f"malformed mass entry: {entry!r}")
         cell_raw = entry["cell"]
-        if not isinstance(cell_raw, list) or not all(
-            isinstance(c, int) for c in cell_raw
-        ):
+        if not isinstance(cell_raw, list) or not all(_is_int(c) for c in cell_raw):
             raise GridError(f"malformed cell index: {cell_raw!r}")
         cell = tuple(cell_raw)
         if cell in masses:

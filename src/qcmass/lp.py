@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .grid import NBox, VertexPattern, ZERO, ONE
 from .rational import format_rational, parse_rational
@@ -247,6 +247,16 @@ def assignment_vector(
     return x
 
 
+def violated_rows(
+    lp: LinearProgram, x: Sequence[Fraction]
+) -> Iterator[tuple[int, Row, Fraction]]:
+    """Exactly test ``x`` against every row; yield ``(k, row, lhs)`` for each violated one."""
+    for k, row in enumerate(lp.rows):
+        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+        if not (lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs):
+            yield k, row, lhs
+
+
 def check_assignment(
     lp: LinearProgram, layout: ExtremalLayout, assignment: VertexAssignment
 ) -> FeasibilityReport:
@@ -256,11 +266,8 @@ def check_assignment(
     for j, value in enumerate(x):
         if value < ZERO:
             violations.append(RowViolation(j, "N", value, ">=", ZERO))
-    for k, row in enumerate(lp.rows):
-        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
-        ok = lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs
-        if not ok:
-            violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
+    for k, row, lhs in violated_rows(lp, x):
+        violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
     return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
 
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, rendering, ordering.
+"""Exact rational scalars: parsing and rendering.
 
 Every numeric quantity in this package is a ``fractions.Fraction``.  Fractions
 are arbitrary precision, always stored in lowest terms with a positive
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 # Accepted forms: "7", "-7", "3/7", "-3/7", "0.25", "-0.25".  No whitespace,
 # no exponent notation, no leading "+", sign only on the numerator.
@@ -34,13 +32,17 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise RationalParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    # Fraction's own string constructor handles decimals exactly.
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    try:
+        # Fraction's own string constructor handles decimals exactly.
+        return Fraction(int(num), int(den)) if den else Fraction(text)
+    except ZeroDivisionError as exc:
+        raise RationalParseError(f"zero denominator: {text!r}") from exc
+    except ValueError as exc:
+        # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise RationalParseError(
+            f"rational literal too long: {len(text)} characters"
+        ) from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -51,12 +53,3 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Exact three-way comparison: -1 if a < b, 0 if a == b, 1 if a > b."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .grid import NBox, ZERO
-from .lp import ExtremalLayout, LinearProgram, LPError, VertexAssignment
+from .lp import ExtremalLayout, LinearProgram, LPError, VertexAssignment, violated_rows
 
 _RULES = ("bland", "dantzig")
 
@@ -301,15 +301,27 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     """Re-derive optimality of a claimed solution from first principles.
 
     Trusts only ``status``, ``objective``, ``assignment``, ``basis`` and
-    ``kept_rows``; the dual vector is recomputed by Gaussian elimination on
-    the claimed basis columns, never read from the solver.  The claim passes
-    when (1) the assignment satisfies every row and bound exactly and matches
-    the claimed objective, and (2) the basis gives a dual vector whose
+    ``kept_rows``; the dual vector ``y`` (one entry per kept row) is
+    recomputed from the claimed basis, never read from the solver.  The claim
+    passes when (1) the assignment satisfies every row and bound exactly and
+    matches the claimed objective, and (2) the basis gives a dual vector whose
     reduced costs have the optimal sign everywhere and vanish on every column
     with a nonzero value (complementary slackness).  Together these pin the
     objective between the claim and every feasible point, so a pass is a
     proof of optimality for the rows that were kept, and of its validity for
     the full program via the direct row check.
+
+    The dual comes from ``G y = c_B`` (one equation per basic column) without
+    forming ``G``.  A basic slack column ``num_vars + i`` meets only row i, so
+    its equation reads ``sigma_i y_i = 0``: kept rows with a basic slack get
+    ``y_i = 0``, and a basic slack of a row that was not kept leaves an
+    all-zero equation, a singular basis.  The unknowns left are ``y`` on the
+    active rows (kept rows whose slack is nonbasic), and the equations left
+    come from the basic structural columns; this square system has at most
+    ``num_vars`` unknowns and is solved by exact elimination.  ``G`` is block
+    triangular over that split, so it is singular exactly when the square
+    system is.  The reduced costs ``d = c - sum of y_i a_i`` then take one
+    sparse pass over the active rows.
     """
     if solution.status != "optimal":
         raise LPError("only optimal solutions can be certified")
@@ -321,11 +333,8 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     for j, value in enumerate(x):
         if value < ZERO:
             failures.append(f"variable {lp.var_names[j]} is negative: {value}")
-    for k, row in enumerate(lp.rows):
-        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
-        ok = lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs
-        if not ok:
-            failures.append(f"row {k} violated: {lhs} {row.relation} {row.rhs}")
+    for k, row, lhs in violated_rows(lp, x):
+        failures.append(f"row {k} violated: {lhs} {row.relation} {row.rhs}")
     claimed = lp.evaluate_objective(x)
     if claimed != solution.objective:
         failures.append(
@@ -335,11 +344,13 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
 
     prepared = _prepared_rows(lp)
     ncols = nv + len(lp.rows)
-    values = list(x) + [ZERO] * len(lp.rows)
+    values = x + [ZERO] * len(lp.rows)
     for i, (coeffs, rhs) in enumerate(prepared):
-        sigma = coeffs[nv + i]
-        residual = rhs - sum((coeffs.get(j, ZERO) * x[j] for j in range(nv)), ZERO)
-        values[nv + i] = residual / sigma
+        slack = nv + i
+        residual = rhs - sum(
+            (coef * x[j] for j, coef in coeffs.items() if j != slack), ZERO
+        )
+        values[slack] = residual / coeffs[slack]
 
     basis = solution.basis
     kept = solution.kept_rows
@@ -353,52 +364,99 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
         return CertificateReport(False, tuple(failures))
 
     costs = _internal_costs(lp, ncols)
-    # Solve G y = c_B where G[k][r] = column basis[k] in kept row r.
-    m = len(kept)
-    G = [[prepared[i][0].get(basis[k], ZERO) for i in kept] for k in range(m)]
-    rhs_vec = [costs[j] for j in basis]
-    y = _gaussian_solve(G, rhs_vec)
+    y = _active_duals(prepared, nv, basis, kept, costs)
     if y is None:
         failures.append("claimed basis matrix is singular")
         return CertificateReport(False, tuple(failures))
 
+    d = list(costs)
+    for i, yi in y.items():
+        for j, coef in prepared[i][0].items():
+            d[j] -= yi * coef
     basic = set(basis)
     for j in range(ncols):
-        d = costs[j] - sum(
-            (y[r] * prepared[i][0].get(j, ZERO) for r, i in enumerate(kept)), ZERO
-        )
         if j in basic:
-            if d != ZERO:
-                failures.append(f"basic column {j} has nonzero reduced cost {d}")
-        else:
-            if d < ZERO:
-                failures.append(f"nonbasic column {j} has negative reduced cost {d}")
-            elif d != ZERO and values[j] != ZERO:
-                failures.append(
-                    f"complementary slackness fails on column {j}: "
-                    f"value {values[j]}, reduced cost {d}"
-                )
+            if d[j] != ZERO:
+                failures.append(f"basic column {j} has nonzero reduced cost {d[j]}")
+        elif d[j] < ZERO:
+            failures.append(f"nonbasic column {j} has negative reduced cost {d[j]}")
+        elif d[j] != ZERO and values[j] != ZERO:
+            failures.append(
+                f"complementary slackness fails on column {j}: "
+                f"value {values[j]}, reduced cost {d[j]}"
+            )
     return CertificateReport(not failures, tuple(failures))
 
 
-def _gaussian_solve(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square exact system; None when the matrix is singular."""
-    m = len(matrix)
-    aug = [list(row) + [rhs[k]] for k, row in enumerate(matrix)]
-    for col in range(m):
-        pivot_row = next((r for r in range(col, m) if aug[r][col] != ZERO), -1)
+def _active_duals(
+    prepared: list[tuple[dict[int, Fraction], Fraction]],
+    nv: int,
+    basis: tuple[int, ...],
+    kept: tuple[int, ...],
+    costs: list[Fraction],
+) -> dict[int, Fraction] | None:
+    """Duals ``{row: y}`` on the active rows; None when ``G`` is singular.
+
+    Every other kept row has ``y = 0``.  The caller has checked that
+    ``basis`` and ``kept`` are in range and that ``basis`` has no repeats.
+    """
+    if len(set(kept)) != len(kept):
+        return None  # a repeated kept row repeats a column of G
+    basic_slack_rows = {j - nv for j in basis if j >= nv}
+    structural = [j for j in basis if j < nv]
+    active = [i for i in kept if i not in basic_slack_rows]
+    # The counts differ exactly when a basic slack belongs to a row that was
+    # not kept, whose equation in G is all zeros.
+    if len(structural) != len(active):
+        return None
+    # Equation for basic column j: sum over active rows i of a_ij y_i = c_j,
+    # one cell per active row plus the right-hand side.
+    position = {i: p for p, i in enumerate(active)}
+    entries: list[list[Fraction]] = [[ZERO] * len(active) + [costs[j]] for j in structural]
+    column = {j: e for j, e in zip(structural, entries)}
+    for i in active:
+        for j, coef in prepared[i][0].items():
+            eq = column.get(j)
+            if eq is not None:
+                eq[position[i]] = coef
+    solution = _integer_solve([_integer_row(eq) for eq in entries])
+    if solution is None:
+        return None
+    return {i: solution[p] for p, i in enumerate(active)}
+
+
+def _integer_row(fractions: list[Fraction]) -> list[int]:
+    """Scale a row of fractions to integers with no common factor."""
+    den = 1
+    for f in fractions:
+        den = lcm(den, f.denominator)
+    return _primitive([int(f * den) for f in fractions])
+
+
+def _primitive(cells: list[int]) -> list[int]:
+    g = gcd(*cells)
+    return [c // g for c in cells] if g > 1 else cells
+
+
+def _integer_solve(rows: list[list[int]]) -> list[Fraction] | None:
+    """Gauss-Jordan on square integer rows ``[a_1 .. a_k, b]``; None when singular.
+
+    Each elimination step is the tableau's integer cross-multiplication
+    followed by a gcd reduction, so every cell stays an integer.
+    """
+    k = len(rows)
+    for col in range(k):
+        pivot_row = next((r for r in range(col, k) if rows[r][col]), -1)
         if pivot_row < 0:
             return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [a / pivot for a in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != ZERO:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        prow = rows[col]
+        pivot = prow[col]
+        for r in range(k):
+            c = rows[r][col]
+            if r != col and c:
+                rows[r] = _primitive([a * pivot - c * b for a, b in zip(rows[r], prow)])
+    return [Fraction(rows[r][k], rows[r][r]) for r in range(k)]
 
 
 def solution_to_assignment(

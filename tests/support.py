@@ -2,7 +2,9 @@
 
 The oracles recompute grid quantities by direct summation over cells. They
 share no code with the prefix-sum node route in qcmass.grid, so agreement
-between the two is a real check rather than a tautology.
+between the two is a real check rather than a tautology.  Likewise
+``dense_certify`` recomputes a certificate's dual by dense elimination over
+every kept row, the route ``qcmass.simplex.certify`` avoids.
 """
 
 from __future__ import annotations
@@ -12,6 +14,13 @@ from fractions import Fraction
 from itertools import product
 
 from qcmass.grid import AxisPartition, MassGrid, NBox, make_grid_qc
+from qcmass.lp import LinearProgram, LPError
+from qcmass.simplex import (
+    CertificateReport,
+    SimplexSolution,
+    _internal_costs,
+    _prepared_rows,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -136,3 +145,101 @@ def random_box(rng: random.Random, grid: MassGrid, denom: int = 24) -> NBox:
         a, b = sorted(Fraction(rng.randint(0, denom), denom) for _ in range(2))
         intervals.append((a, b))
     return NBox(tuple(intervals))
+
+
+def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
+    """Reference certificate: the dual from a dense Gaussian solve of ``G y = c_B``.
+
+    ``G`` is the full m x m matrix of basic columns over kept rows, and the
+    reduced costs are formed over every column and kept row.  Slow, but it
+    shares no reduction with :func:`qcmass.simplex.certify`, which must
+    return the same ``ok`` and ``failures`` on every claim.
+    """
+    if solution.status != "optimal":
+        raise LPError("only optimal solutions can be certified")
+    failures: list[str] = []
+    nv = lp.num_vars
+    if set(solution.assignment) != set(range(nv)):
+        return CertificateReport(False, ("assignment must cover every variable",))
+    x = [Fraction(solution.assignment[j]) for j in range(nv)]
+    for j, value in enumerate(x):
+        if value < ZERO:
+            failures.append(f"variable {lp.var_names[j]} is negative: {value}")
+    for k, row in enumerate(lp.rows):
+        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+        ok = lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs
+        if not ok:
+            failures.append(f"row {k} violated: {lhs} {row.relation} {row.rhs}")
+    claimed = lp.evaluate_objective(x)
+    if claimed != solution.objective:
+        failures.append(
+            f"objective mismatch: assignment gives {claimed}, "
+            f"solution claims {solution.objective}"
+        )
+
+    prepared = _prepared_rows(lp)
+    ncols = nv + len(lp.rows)
+    values = list(x) + [ZERO] * len(lp.rows)
+    for i, (coeffs, rhs) in enumerate(prepared):
+        sigma = coeffs[nv + i]
+        residual = rhs - sum((coeffs.get(j, ZERO) * x[j] for j in range(nv)), ZERO)
+        values[nv + i] = residual / sigma
+
+    basis = solution.basis
+    kept = solution.kept_rows
+    if len(basis) != len(kept) or len(set(basis)) != len(basis):
+        failures.append("basis and kept rows must pair up without repeats")
+        return CertificateReport(False, tuple(failures))
+    if any(not 0 <= j < ncols for j in basis) or any(
+        not 0 <= i < len(lp.rows) for i in kept
+    ):
+        failures.append("basis or kept row index out of range")
+        return CertificateReport(False, tuple(failures))
+
+    costs = _internal_costs(lp, ncols)
+    # Solve G y = c_B where G[k][r] = column basis[k] in kept row r.
+    m = len(kept)
+    G = [[prepared[i][0].get(basis[k], ZERO) for i in kept] for k in range(m)]
+    rhs_vec = [costs[j] for j in basis]
+    y = _gaussian_solve(G, rhs_vec)
+    if y is None:
+        failures.append("claimed basis matrix is singular")
+        return CertificateReport(False, tuple(failures))
+
+    basic = set(basis)
+    for j in range(ncols):
+        d = costs[j] - sum(
+            (y[r] * prepared[i][0].get(j, ZERO) for r, i in enumerate(kept)), ZERO
+        )
+        if j in basic:
+            if d != ZERO:
+                failures.append(f"basic column {j} has nonzero reduced cost {d}")
+        else:
+            if d < ZERO:
+                failures.append(f"nonbasic column {j} has negative reduced cost {d}")
+            elif d != ZERO and values[j] != ZERO:
+                failures.append(
+                    f"complementary slackness fails on column {j}: "
+                    f"value {values[j]}, reduced cost {d}"
+                )
+    return CertificateReport(not failures, tuple(failures))
+
+
+def _gaussian_solve(
+    matrix: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction] | None:
+    """Solve a square exact system; None when the matrix is singular."""
+    m = len(matrix)
+    aug = [list(row) + [rhs[k]] for k, row in enumerate(matrix)]
+    for col in range(m):
+        pivot_row = next((r for r in range(col, m) if aug[r][col] != ZERO), -1)
+        if pivot_row < 0:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [a / pivot for a in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col] != ZERO:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][m] for r in range(m)]

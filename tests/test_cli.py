@@ -144,6 +144,17 @@ def test_verify_rejects_non_json(runner: CliRunner, tmp_path: Path) -> None:
     assert "error: invalid JSON" in result.output
 
 
+def test_verify_rejects_boolean_grid_fields(runner: CliRunner, tmp_path: Path) -> None:
+    target = tmp_path / "bools.json"
+    target.write_text(
+        '{"dimension": true, "partitions": [["0", "1"]], '
+        '"masses": [{"cell": [false], "mass": "1"}]}'
+    )
+    result = invoke(runner, "verify", "--file", str(target))
+    assert result.exit_code == 2
+    assert result.output == "error: malformed dimension or partitions\n"
+
+
 def test_verify_needs_exactly_one_source(runner: CliRunner, tmp_path: Path) -> None:
     assert invoke(runner, "verify").exit_code == 2
     target = tmp_path / "q1.json"
@@ -182,6 +193,13 @@ def test_volume_rejects_bad_boxes(runner: CliRunner, box: str) -> None:
     result = invoke(runner, "volume", "--example", "q1", "--box", box)
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def test_volume_rejects_literal_too_long_to_convert(runner: CliRunner) -> None:
+    box = "0:1/" + "7" * 5000 + ",0:1,0:1,0:1"
+    result = invoke(runner, "volume", "--example", "q1", "--box", box)
+    assert result.exit_code == 2
+    assert result.output == "error: rational literal too long: 5002 characters\n"
 
 
 # ------------------------------------------------------------------- margin

@@ -476,11 +476,22 @@ def test_json_schema_key_tolerated() -> None:
         '"masses": [{"cell": [1], "mass": "1"}]}',
         '{"dimension": 1, "partitions": [["0", "1"]], '
         '"masses": [{"cell": [0, 0], "mass": "1"}]}',
+        # JSON booleans load as Python bools, which are ints
+        '{"dimension": true, "partitions": [["0", "1"]], "masses": []}',
+        '{"dimension": 1, "partitions": [["0", "1"]], '
+        '"masses": [{"cell": [false], "mass": "1"}]}',
+        '{"dimension": 1, "partitions": [["0", "1/2", "1"]], '
+        '"masses": [{"cell": [true], "mass": "1"}]}',
     ],
 )
 def test_json_rejects(text: str) -> None:
     with pytest.raises(GridError):
         grid_from_json(text)
+
+
+def test_json_rejects_integer_too_long_to_convert() -> None:
+    with pytest.raises(GridError, match="invalid JSON"):
+        grid_from_json('{"dimension": ' + "1" * 5000 + ', "partitions": [], "masses": []}')
 
 
 def test_json_cells_sorted_and_zero_free() -> None:

@@ -9,6 +9,8 @@ import pytest
 from qcmass.lp import LinearProgram, LPError, Row, build_extremal_lp, check_assignment
 from qcmass.simplex import certify, solution_to_assignment, solve
 
+from support import dense_certify
+
 F = Fraction
 
 
@@ -213,6 +215,65 @@ def test_certify_rejects_out_of_range_basis() -> None:
     basis[0] = 10**6
     report = certify(lp, replace(solution, basis=tuple(basis)))
     assert not report.ok
+
+
+def _tamper(rng: random.Random, lp: LinearProgram, solution):
+    """One to three random edits of an optimal claim, each of a kind a faulty solver could make."""
+    ncols = lp.num_vars + len(lp.rows)
+    basis = list(solution.basis)
+    kept = list(solution.kept_rows)
+    assignment = dict(solution.assignment)
+    objective = solution.objective
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("basis", "swap", "kept", "drop", "assignment", "objective"))
+        if kind == "basis":
+            basis[rng.randrange(len(basis))] = rng.randrange(ncols)
+        elif kind == "swap":
+            a, b = rng.sample(range(len(basis)), 2)
+            basis[a], basis[b] = basis[b], basis[a]
+        elif kind == "kept":
+            kept[rng.randrange(len(kept))] = rng.randrange(len(lp.rows))
+        elif kind == "drop":
+            del kept[rng.randrange(len(kept))], basis[rng.randrange(len(basis))]
+        elif kind == "assignment":
+            assignment[rng.randrange(lp.num_vars)] += F(rng.randint(-3, 3), rng.randint(1, 7))
+        else:
+            objective += F(rng.choice((-1, 1)), rng.randint(1, 9))
+    return replace(
+        solution,
+        basis=tuple(basis),
+        kept_rows=tuple(kept),
+        assignment=assignment,
+        objective=objective,
+    )
+
+
+@pytest.mark.parametrize("n,sense", [(2, "min"), (2, "max"), (3, "min"), (3, "max")])
+def test_certify_matches_dense_oracle(n: int, sense: str) -> None:
+    # seeded per case, so a failing draw replays from the test id alone
+    rng = random.Random(f"certify-{n}-{sense}")
+    lp, _ = build_extremal_lp(n, sense)
+    solution = solve(lp)
+    claims = [solution] + [_tamper(rng, lp, solution) for _ in range(60)]
+    verdicts = []
+    for claim in claims:
+        fast, dense = certify(lp, claim), dense_certify(lp, claim)
+        assert (fast.ok, fast.failures) == (dense.ok, dense.failures)
+        verdicts.append(fast.ok)
+    assert verdicts[0] and not all(verdicts)
+
+
+def test_certify_rejects_basic_slack_of_dropped_row() -> None:
+    lp, _ = build_extremal_lp(2, "min")
+    solution = solve(lp)
+    # drop a row whose slack stays basic, and one basic structural column
+    basis = list(solution.basis)
+    kept = list(solution.kept_rows)
+    kept.remove(next(j - lp.num_vars for j in basis if j >= lp.num_vars))
+    basis.remove(next(j for j in basis if j < lp.num_vars))
+    claim = replace(solution, basis=tuple(basis), kept_rows=tuple(kept))
+    for report in (certify(lp, claim), dense_certify(lp, claim)):
+        assert report.failures == ("claimed basis matrix is singular",)
 
 
 # ------------------------------------------------------------- extraction
