@@ -22,6 +22,7 @@ from .grid import (
     VertexPattern,
     Violation,
     builtin_example,
+    builtin_grid,
     grid_from_json,
     grid_payload,
     grid_to_json,
@@ -80,6 +81,7 @@ __all__ = [
     "assignment_vector",
     "build_extremal_lp",
     "builtin_example",
+    "builtin_grid",
     "candidate_pattern",
     "certify",
     "check_assignment",

@@ -22,7 +22,7 @@ from .grid import (
     GridQuasiCopula,
     MassGrid,
     NBox,
-    builtin_example,
+    builtin_grid,
     grid_from_json,
     grid_payload,
     make_grid_qc,
@@ -75,12 +75,16 @@ def _guarded(fn, *args, **kwargs) -> None:
     _finish(result)
 
 
-def _load_qc(example: str | None, file: str | None) -> GridQuasiCopula:
+def _load_grid(example: str | None, file: str | None) -> MassGrid:
     if (example is None) == (file is None):
         raise click.UsageError("pass exactly one of --example and --file")
     if example is not None:
-        return builtin_example(example)
-    return make_grid_qc(grid_from_json(Path(file).read_text()))
+        return builtin_grid(example)
+    return grid_from_json(Path(file).read_text())
+
+
+def _load_qc(example: str | None, file: str | None) -> GridQuasiCopula:
+    return make_grid_qc(_load_grid(example, file))
 
 
 def _parse_box(text: str) -> NBox:
@@ -237,12 +241,12 @@ def volume(example: str | None, file: str | None, box_text: str) -> None:
 def run_margin(
     example: str | None, file: str | None, drop_axis: int, fmt: str
 ) -> CommandResult:
-    qc = _load_qc(example, file)
-    if not 1 <= drop_axis <= qc.dimension:
+    grid = _load_grid(example, file)
+    if not 1 <= drop_axis <= grid.dimension:
         raise GridError(
-            f"--drop-axis must be between 1 and {qc.dimension}, got {drop_axis}"
+            f"--drop-axis must be between 1 and {grid.dimension}, got {drop_axis}"
         )
-    margin = marginalize(qc.grid, drop_axis - 1)
+    margin = marginalize(grid, drop_axis - 1)
     if fmt == "json":
         payload = grid_payload(margin)
         payload["schema"] = "qcmass.grid/1"

@@ -15,7 +15,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product, repeat
+from math import lcm, prod
+from operator import add, gt, lt, sub
 from typing import Iterator, Mapping, Sequence
 
 from .rational import format_rational, parse_rational
@@ -125,16 +127,18 @@ class MassGrid:
         object.__setattr__(self, "partitions", parts)
         if not parts:
             raise GridError("grid needs at least one axis")
+        shape = tuple(p.num_cells for p in parts)
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for cell, mass in self.cell_masses.items():
             cell = tuple(cell)
-            if len(cell) != len(parts):
+            if len(cell) != len(shape):
                 raise GridError(f"cell {cell} has wrong arity")
-            for i, c in enumerate(cell):
-                if not 0 <= c < parts[i].num_cells:
-                    raise GridError(f"cell {cell} out of range on axis {i}")
-            mass = Fraction(mass)
-            if mass != ZERO:
+            if min(cell) < 0 or not all(map(lt, cell, shape)):
+                i = next(i for i, c in enumerate(cell) if not 0 <= c < shape[i])
+                raise GridError(f"cell {cell} out of range on axis {i}")
+            if type(mass) is not Fraction:
+                mass = Fraction(mass)
+            if mass:
                 cleaned[cell] = mass
         object.__setattr__(self, "cell_masses", cleaned)
 
@@ -198,17 +202,100 @@ class AxiomReport:
         )
 
 
+# A grid file of a few lines can describe a lattice of 2^40 nodes; anything
+# above this many is refused before a node is allocated.  The largest
+# lattices the tools are meant for have tens of thousands of nodes.
+MAX_LATTICE_NODES = 2**24
+
+
+def _lattice_sizes(grid: MassGrid) -> tuple[int, ...]:
+    """Nodes per axis of ``grid``'s lattice; GridError when it has too many nodes."""
+    sizes = tuple(s + 1 for s in grid.shape)
+    count = prod(sizes)
+    if count > MAX_LATTICE_NODES:
+        raise GridError(
+            f"grid lattice has {count} nodes, more than the limit of {MAX_LATTICE_NODES}"
+        )
+    return sizes
+
+
+class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
+    """Node values as Python integers over one common denominator ``den``.
+
+    ``ints`` is flat and row-major (last axis fastest), so flat order is the
+    lexicographic node order, and node ``v`` sits at ``sum(v_i * strides[i])``.
+    Reading a node builds its :class:`Fraction`; the checks in this module
+    work on ``ints`` directly.
+    """
+
+    __slots__ = ("sizes", "strides", "den", "ints")
+
+    def __init__(self, sizes: tuple[int, ...], den: int, ints: list[int]) -> None:
+        self.sizes = sizes
+        strides = [1] * len(sizes)
+        for i in range(len(sizes) - 1, 0, -1):
+            strides[i - 1] = strides[i] * sizes[i]
+        self.strides = tuple(strides)
+        self.den = den
+        self.ints = ints
+
+    @classmethod
+    def from_mapping(
+        cls, sizes: tuple[int, ...], values: Mapping[tuple[int, ...], Fraction]
+    ) -> "_NodeLattice":
+        try:
+            fracs = [Fraction(values[node]) for node in product(*map(range, sizes))]
+        except KeyError as exc:
+            raise GridError(f"node values lack lattice node {exc.args[0]}") from None
+        den = lcm(*(f.denominator for f in fracs))
+        return cls(sizes, den, [f.numerator * (den // f.denominator) for f in fracs])
+
+    def node(self, k: int) -> tuple[int, ...]:
+        """The node index tuple at flat position ``k``."""
+        coords = []
+        for size in reversed(self.sizes):
+            k, c = divmod(k, size)
+            coords.append(c)
+        return tuple(reversed(coords))
+
+    def __getitem__(self, node: tuple[int, ...]) -> Fraction:
+        if (
+            not isinstance(node, tuple)
+            or len(node) != len(self.sizes)
+            or not all(0 <= c < s for c, s in zip(node, self.sizes))
+        ):
+            raise KeyError(node)
+        k = sum(c * s for c, s in zip(node, self.strides))
+        return Fraction(self.ints[k], self.den)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return product(*map(range, self.sizes))
+
+
 @dataclass(frozen=True)
 class GridQuasiCopula:
     """A mass grid together with the induced function's values at lattice nodes.
 
     ``node_values[v]`` is the total mass of the orthant below lattice node v,
     so it equals Q at that node.  Between nodes Q is multilinear per cell.
-    Build instances with :func:`make_grid_qc`.
+    The values are held as Python integers over one common denominator in a
+    flat row-major list, and every check and evaluation below runs on those
+    integers; a :class:`Fraction` is built only for a value handed out.
+    Build instances with :func:`make_grid_qc`; any other mapping passed as
+    ``node_values`` is converted on construction and must cover every node.
     """
 
     grid: MassGrid
     node_values: Mapping[tuple[int, ...], Fraction]
+
+    def __post_init__(self) -> None:
+        sizes = _lattice_sizes(self.grid)
+        values = self.node_values
+        if not isinstance(values, _NodeLattice) or values.sizes != sizes:
+            object.__setattr__(self, "node_values", _NodeLattice.from_mapping(sizes, values))
 
     @property
     def dimension(self) -> int:
@@ -218,25 +305,25 @@ class GridQuasiCopula:
         """Q at an arbitrary point of [0,1]^n, by per-cell multilinear interpolation."""
         if len(point) != self.dimension:
             raise GridError(f"point has arity {len(point)}, expected {self.dimension}")
-        axis_weights: list[list[tuple[int, Fraction]]] = []
-        for part, u in zip(self.grid.partitions, point):
+        lattice = self.node_values
+        # (flat offset, integer weight) of each surrounding node; the weights
+        # share the denominator `scale`.
+        terms = [(0, 1)]
+        scale = lattice.den
+        for part, u, stride in zip(self.grid.partitions, point, lattice.strides):
             u = Fraction(u)
             j = part.locate(u)
             frac = (u - part.breakpoints[j]) / part.width(j)
-            weights = []
-            if frac != ONE:
-                weights.append((j, ONE - frac))
-            if frac != ZERO:
-                weights.append((j + 1, frac))
-            axis_weights.append(weights)
-        total = ZERO
-        for combo in product(*axis_weights):
-            node = tuple(j for j, _ in combo)
-            w = ONE
-            for _, wi in combo:
-                w *= wi
-            total += w * self.node_values[node]
-        return total
+            p, q = frac.numerator, frac.denominator
+            scale *= q
+            axis_terms = [
+                (offset, w)
+                for offset, w in ((j * stride, q - p), ((j + 1) * stride, p))
+                if w
+            ]
+            terms = [(o + ao, w * aw) for o, w in terms for ao, aw in axis_terms]
+        ints = lattice.ints
+        return Fraction(sum(w * ints[o] for o, w in terms), scale)
 
     def box_volume(self, box: NBox) -> Fraction:
         """Signed mass Q places on ``box``: the inclusion-exclusion sum over corners."""
@@ -272,45 +359,66 @@ class GridQuasiCopula:
           summing cells directly rather than reading the node-value cache.
           The same piecewise-linearity argument grounds Q: on the face
           u_i = 0 the function vanishes everywhere iff it vanishes at nodes.
+
+        Violations are listed grounded, margin, then per axis monotone and
+        Lipschitz, each in lexicographic order of its location.
         """
-        n = self.dimension
-        sizes = self.grid.shape
+        lattice = self.node_values
+        ints, den, count = lattice.ints, lattice.den, len(lattice.ints)
         bad: list[Violation] = []
         grounded_ok = margins_ok = monotone_ok = lipschitz_ok = True
 
-        node_ranges = [range(s + 1) for s in sizes]
-        for node in product(*node_ranges):
-            if any(c == 0 for c in node):
-                v = self.node_values[node]
-                if v != ZERO:
+        # The face u_i = 0 is one stride-long run at the start of each block
+        # of the lattice along axis i.
+        if any(
+            any(ints[b : b + stride])
+            for stride, size in zip(lattice.strides, lattice.sizes)
+            for b in range(0, count, stride * size)
+        ):
+            for k, node in enumerate(lattice):
+                if ints[k] and 0 in node:
                     grounded_ok = False
-                    bad.append(Violation("grounded", node, v, ZERO))
+                    bad.append(Violation("grounded", node, Fraction(ints[k], den), ZERO))
 
-        for axis in range(n):
-            slab_sums = [ZERO] * sizes[axis]
-            for cell, mass in self.grid.cell_masses.items():
+        masses = self.grid.cell_masses
+        mass_den = lcm(*(m.denominator for m in masses.values()))
+        scaled = [
+            (cell, m.numerator * (mass_den // m.denominator)) for cell, m in masses.items()
+        ]
+        for axis, part in enumerate(self.grid.partitions):
+            slab_sums = [0] * part.num_cells
+            for cell, mass in scaled:
                 slab_sums[cell[axis]] += mass
             for j, total in enumerate(slab_sums):
-                width = self.grid.partitions[axis].width(j)
-                if total != width:
+                width = part.width(j)
+                if total * width.denominator != width.numerator * mass_den:
                     margins_ok = False
-                    bad.append(Violation("margin", (axis, j), total, width))
+                    bad.append(Violation("margin", (axis, j), Fraction(total, mass_den), width))
 
-        for axis in range(n):
-            width = self.grid.partitions[axis].width
-            lower_ranges = [
-                range(s + 1) if i != axis else range(s) for i, s in enumerate(sizes)
+        for axis, part in enumerate(self.grid.partitions):
+            stride = lattice.strides[axis]
+            lowers = stride * part.num_cells  # lower nodes of the edges in one block
+            block = lowers + stride
+            # An integer rise exceeds width * den exactly when it exceeds the floor.
+            limits = [
+                lim
+                for w in map(part.width, range(part.num_cells))
+                for lim in repeat(w.numerator * den // w.denominator, stride)
             ]
-            for node in product(*lower_ranges):
-                upper = node[:axis] + (node[axis] + 1,) + node[axis + 1 :]
-                rise = self.node_values[upper] - self.node_values[node]
-                if rise < ZERO:
-                    monotone_ok = False
-                    bad.append(Violation("monotone", (axis,) + node, rise, ZERO))
-                w = width(node[axis])
-                if rise > w:
-                    lipschitz_ok = False
-                    bad.append(Violation("lipschitz", (axis,) + node, rise, w))
+            for b in range(0, count, block):
+                rises = list(map(sub, ints[b + stride : b + block], ints[b : b + lowers]))
+                if min(rises) >= 0 and not any(map(gt, rises, limits)):
+                    continue
+                for t, rise in enumerate(rises):
+                    if rise < 0:
+                        monotone_ok = False
+                        location = (axis,) + lattice.node(b + t)
+                        bad.append(Violation("monotone", location, Fraction(rise, den), ZERO))
+                    elif rise > limits[t]:
+                        lipschitz_ok = False
+                        location = (axis,) + lattice.node(b + t)
+                        width = part.width(t // stride)
+                        bad.append(Violation("lipschitz", location, Fraction(rise, den), width))
 
         return AxiomReport(grounded_ok, margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
 
@@ -322,20 +430,34 @@ class GridQuasiCopula:
         concave, and the lower envelope is convex, so node inequalities push
         through the combination in both directions.
         """
-        n = self.dimension
+        lattice = self.node_values
+        ints, den = lattice.ints, lattice.den
+        parts = self.grid.partitions
+        # Coordinate sums and minima of every node, as integers over `scale`,
+        # in flat node order.
+        scale = lcm(*(t.denominator for p in parts for t in p.breakpoints))
+        sums, mins = [0], [scale]
+        for part in parts:
+            coords = [t.numerator * (scale // t.denominator) for t in part.breakpoints]
+            sums = [s + c for s in sums for c in coords]
+            mins = [m if m < c else c for m in mins for c in coords]
+        excess = (len(parts) - 1) * scale
+        lowers = [s - excess if s > excess else 0 for s in sums]
+        # v/den against x/scale, cross-multiplied.
+        values = [v * scale for v in ints]
+        low_bounds = [x * den for x in lowers]
+        up_bounds = [x * den for x in mins]
+        if not any(map(lt, values, low_bounds)) and not any(map(gt, values, up_bounds)):
+            return ()
         bad: list[Violation] = []
-        node_ranges = [range(s + 1) for s in self.grid.shape]
-        for node in product(*node_ranges):
-            coords = tuple(
-                p.breakpoints[c] for p, c in zip(self.grid.partitions, node)
-            )
-            v = self.node_values[node]
-            lower = max(sum(coords) - (n - 1), ZERO)
-            upper = min(coords)
-            if v < lower:
-                bad.append(Violation("frechet-lower", node, v, lower))
-            if v > upper:
-                bad.append(Violation("frechet-upper", node, v, upper))
+        for k, node in enumerate(lattice):
+            if values[k] < low_bounds[k]:
+                bound, kind = lowers[k], "frechet-lower"
+            elif values[k] > up_bounds[k]:
+                bound, kind = mins[k], "frechet-upper"
+            else:
+                continue
+            bad.append(Violation(kind, node, Fraction(ints[k], den), Fraction(bound, scale)))
         return tuple(bad)
 
     def marginalize(self, axis: int) -> "GridQuasiCopula":
@@ -343,23 +465,31 @@ class GridQuasiCopula:
 
 
 def make_grid_qc(grid: MassGrid) -> GridQuasiCopula:
-    """Accumulate orthant masses into node values via per-axis prefix sums."""
-    sizes = grid.shape
-    node_ranges = [range(s + 1) for s in sizes]
-    values: dict[tuple[int, ...], Fraction] = {
-        node: ZERO for node in product(*node_ranges)
-    }
+    """Accumulate orthant masses into node values via per-axis prefix sums.
+
+    Node values are integers over ``den``, the lcm of the cell-mass
+    denominators.  Each cell's scaled mass is placed on its upper node, and
+    one prefix-sum pass per axis turns those into orthant sums: the last axis
+    is summed along each contiguous row, every other axis by adding each
+    stride-long layer to the next.
+    """
+    sizes = _lattice_sizes(grid)
+    den = lcm(*(m.denominator for m in grid.cell_masses.values()))
+    lattice = _NodeLattice(sizes, den, [0] * prod(sizes))
+    ints, strides = lattice.ints, lattice.strides
     for cell, mass in grid.cell_masses.items():
-        upper = tuple(c + 1 for c in cell)
-        values[upper] += mass
-    for axis in range(grid.dimension):
-        # product() yields nodes in lexicographic order, so the predecessor
-        # along `axis` is always already accumulated for this pass.
-        for node in product(*node_ranges):
-            if node[axis] > 0:
-                prev = node[:axis] + (node[axis] - 1,) + node[axis + 1 :]
-                values[node] += values[prev]
-    return GridQuasiCopula(grid, values)
+        k = sum((c + 1) * s for c, s in zip(cell, strides))
+        ints[k] = mass.numerator * (den // mass.denominator)
+    count = len(ints)
+    for stride, size in zip(strides, sizes):
+        block = stride * size
+        for b in range(0, count, block):
+            if stride == 1:
+                ints[b : b + block] = accumulate(ints[b : b + block])
+            else:
+                for k in range(b + stride, b + block, stride):
+                    ints[k : k + stride] = map(add, ints[k - stride : k], ints[k : k + stride])
+    return GridQuasiCopula(grid, lattice)
 
 
 def marginalize(grid: MassGrid, axis: int) -> MassGrid:
@@ -388,6 +518,11 @@ def builtin_example(name: str) -> GridQuasiCopula:
     6/7, 1} on every axis); ``q2`` places mass 2 on [1/2, 1]^4 (breakpoints
     {0, 1/2, 1}).
     """
+    return make_grid_qc(builtin_grid(name))
+
+
+def builtin_grid(name: str) -> MassGrid:
+    """The mass grid of :func:`builtin_example` ``name``, without its node values."""
     if name == "q1":
         part = AxisPartition((ZERO, Fraction(3, 7), Fraction(6, 7), ONE))
         masses: dict[tuple[int, ...], Fraction] = {}
@@ -397,7 +532,7 @@ def builtin_example(name: str) -> GridQuasiCopula:
             masses[low] = Fraction(3, 7)
             masses[mid] = Fraction(1, 7)
         masses[(1, 1, 1, 1)] = Fraction(-9, 7)
-        return make_grid_qc(MassGrid((part,) * 4, masses))
+        return MassGrid((part,) * 4, masses)
     if name == "q2":
         part = AxisPartition((ZERO, Fraction(1, 2), ONE))
         masses = {(1, 1, 1, 1): Fraction(2)}
@@ -407,7 +542,7 @@ def builtin_example(name: str) -> GridQuasiCopula:
         for axis in range(4):
             cell = tuple(0 if i == axis else 1 for i in range(4))
             masses[cell] = Fraction(-1)
-        return make_grid_qc(MassGrid((part,) * 4, masses))
+        return MassGrid((part,) * 4, masses)
     raise GridError(f"unknown example {name!r} (expected 'q1' or 'q2')")
 
 

@@ -247,12 +247,16 @@ def assignment_vector(
     return x
 
 
+def row_sums(lp: LinearProgram, x: Sequence[Fraction]) -> list[Fraction]:
+    """The exact left-hand side ``sum of coef * x_j`` of every row, in row order."""
+    return [sum((coef * x[j] for j, coef in row.coeffs), ZERO) for row in lp.rows]
+
+
 def violated_rows(
-    lp: LinearProgram, x: Sequence[Fraction]
+    lp: LinearProgram, sums: Sequence[Fraction]
 ) -> Iterator[tuple[int, Row, Fraction]]:
-    """Exactly test ``x`` against every row; yield ``(k, row, lhs)`` for each violated one."""
-    for k, row in enumerate(lp.rows):
-        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+    """Test a point's :func:`row_sums` against the rows; yield ``(k, row, lhs)`` if violated."""
+    for k, (row, lhs) in enumerate(zip(lp.rows, sums)):
         if not (lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs):
             yield k, row, lhs
 
@@ -266,7 +270,7 @@ def check_assignment(
     for j, value in enumerate(x):
         if value < ZERO:
             violations.append(RowViolation(j, "N", value, ">=", ZERO))
-    for k, row, lhs in violated_rows(lp, x):
+    for k, row, lhs in violated_rows(lp, row_sums(lp, x)):
         violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
     return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
 

@@ -30,7 +30,14 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .grid import NBox, ZERO
-from .lp import ExtremalLayout, LinearProgram, LPError, VertexAssignment, violated_rows
+from .lp import (
+    ExtremalLayout,
+    LinearProgram,
+    LPError,
+    VertexAssignment,
+    row_sums,
+    violated_rows,
+)
 
 _RULES = ("bland", "dantzig")
 
@@ -333,7 +340,8 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     for j, value in enumerate(x):
         if value < ZERO:
             failures.append(f"variable {lp.var_names[j]} is negative: {value}")
-    for k, row, lhs in violated_rows(lp, x):
+    sums = row_sums(lp, x)
+    for k, row, lhs in violated_rows(lp, sums):
         failures.append(f"row {k} violated: {lhs} {row.relation} {row.rhs}")
     claimed = lp.evaluate_objective(x)
     if claimed != solution.objective:
@@ -342,15 +350,14 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
             f"solution claims {solution.objective}"
         )
 
+    # A slack's value is the row's gap, which the sign normalization of
+    # _prepared_rows leaves unchanged.
+    values = x + [
+        lhs - row.rhs if row.relation == ">=" else row.rhs - lhs
+        for row, lhs in zip(lp.rows, sums)
+    ]
     prepared = _prepared_rows(lp)
     ncols = nv + len(lp.rows)
-    values = x + [ZERO] * len(lp.rows)
-    for i, (coeffs, rhs) in enumerate(prepared):
-        slack = nv + i
-        residual = rhs - sum(
-            (coef * x[j] for j, coef in coeffs.items() if j != slack), ZERO
-        )
-        values[slack] = residual / coeffs[slack]
 
     basis = solution.basis
     kept = solution.kept_rows

@@ -2,9 +2,12 @@
 
 The oracles recompute grid quantities by direct summation over cells. They
 share no code with the prefix-sum node route in qcmass.grid, so agreement
-between the two is a real check rather than a tautology.  Likewise
-``dense_certify`` recomputes a certificate's dual by dense elimination over
-every kept row, the route ``qcmass.simplex.certify`` avoids.
+between the two is a real check rather than a tautology.  The ``ref_*``
+functions are the node-lattice consumers written plainly over a dict of
+``Fraction`` node values, the reference for the integer lattice in
+qcmass.grid.  Likewise ``dense_certify`` recomputes a certificate's dual by
+dense elimination over every kept row, the route ``qcmass.simplex.certify``
+avoids.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from qcmass.grid import AxisPartition, MassGrid, NBox, make_grid_qc
+from qcmass.grid import (
+    AxiomReport,
+    AxisPartition,
+    MassGrid,
+    NBox,
+    Violation,
+    make_grid_qc,
+    vertex_patterns,
+)
 from qcmass.lp import LinearProgram, LPError
 from qcmass.simplex import (
     CertificateReport,
@@ -108,6 +119,18 @@ def random_valid_qc(rng: random.Random, min_dim: int = 2, max_dim: int = 3, max_
         weights = [ONE, ZERO, ZERO]
     total = sum(weights)
     weights = [w / total for w in weights]
+    return make_grid_qc(MassGrid((part,) * n, mixture_masses((part,) * n, weights)))
+
+
+def mixture_masses(
+    parts: tuple[AxisPartition, ...], weights: list[Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    """Cell masses of ``weights`` . (lower envelope, upper envelope, product) on ``parts``.
+
+    Each cell's mass is the inclusion-exclusion sum of the mixture over the
+    cell's corners.
+    """
+    n = len(parts)
 
     def node_value(coords: tuple[Fraction, ...]) -> Fraction:
         w_val = max(sum(coords) - (n - 1), ZERO)
@@ -118,14 +141,14 @@ def random_valid_qc(rng: random.Random, min_dim: int = 2, max_dim: int = 3, max_
         return weights[0] * w_val + weights[1] * m_val + weights[2] * p_val
 
     masses = {}
-    for cell in product(range(part.num_cells), repeat=n):
+    for cell in product(*(range(p.num_cells) for p in parts)):
         acc = ZERO
         for flags in product((0, 1), repeat=n):
-            corner = tuple(part.breakpoints[j + f] for j, f in zip(cell, flags))
+            corner = tuple(p.breakpoints[j + f] for p, j, f in zip(parts, cell, flags))
             sign = 1 if (n - sum(flags)) % 2 == 0 else -1
             acc += sign * node_value(corner)
         masses[cell] = acc
-    return make_grid_qc(MassGrid((part,) * n, masses))
+    return masses
 
 
 def random_point(rng: random.Random, grid: MassGrid, denom: int = 24) -> tuple[Fraction, ...]:
@@ -145,6 +168,130 @@ def random_box(rng: random.Random, grid: MassGrid, denom: int = 24) -> NBox:
         a, b = sorted(Fraction(rng.randint(0, denom), denom) for _ in range(2))
         intervals.append((a, b))
     return NBox(tuple(intervals))
+
+
+def ref_node_values(grid: MassGrid) -> dict[tuple[int, ...], Fraction]:
+    """Node values as a dict of Fractions, by per-axis prefix sums in lexicographic order."""
+    node_ranges = [range(s + 1) for s in grid.shape]
+    values = {node: ZERO for node in product(*node_ranges)}
+    for cell, mass in grid.cell_masses.items():
+        values[tuple(c + 1 for c in cell)] += mass
+    for axis in range(grid.dimension):
+        # the predecessor along `axis` comes first in lexicographic order
+        for node in product(*node_ranges):
+            if node[axis] > 0:
+                prev = node[:axis] + (node[axis] - 1,) + node[axis + 1 :]
+                values[node] += values[prev]
+    return values
+
+
+def ref_evaluate(grid: MassGrid, values, point) -> Fraction:
+    """Q at ``point`` by multilinear interpolation with Fraction weights."""
+    axis_weights = []
+    for part, u in zip(grid.partitions, point):
+        u = Fraction(u)
+        j = part.locate(u)
+        frac = (u - part.breakpoints[j]) / part.width(j)
+        weights = []
+        if frac != ONE:
+            weights.append((j, ONE - frac))
+        if frac != ZERO:
+            weights.append((j + 1, frac))
+        axis_weights.append(weights)
+    total = ZERO
+    for combo in product(*axis_weights):
+        w = ONE
+        for _, wi in combo:
+            w *= wi
+        total += w * values[tuple(j for j, _ in combo)]
+    return total
+
+
+def ref_box_volume(grid: MassGrid, values, box: NBox) -> Fraction:
+    total = ZERO
+    for pattern in vertex_patterns(grid.dimension):
+        total += pattern.sign * ref_evaluate(grid, values, box.vertex(pattern))
+    return total
+
+
+def ref_verify_axioms(grid: MassGrid, values) -> AxiomReport:
+    """The node and edge checks of ``GridQuasiCopula.verify_axioms``, node by node."""
+    sizes = grid.shape
+    bad: list[Violation] = []
+    grounded_ok = margins_ok = monotone_ok = lipschitz_ok = True
+    for node in product(*(range(s + 1) for s in sizes)):
+        if any(c == 0 for c in node) and values[node] != ZERO:
+            grounded_ok = False
+            bad.append(Violation("grounded", node, values[node], ZERO))
+    for axis in range(grid.dimension):
+        slab_sums = [ZERO] * sizes[axis]
+        for cell, mass in grid.cell_masses.items():
+            slab_sums[cell[axis]] += mass
+        for j, total in enumerate(slab_sums):
+            width = grid.partitions[axis].width(j)
+            if total != width:
+                margins_ok = False
+                bad.append(Violation("margin", (axis, j), total, width))
+    for axis in range(grid.dimension):
+        lower_ranges = [
+            range(s + 1) if i != axis else range(s) for i, s in enumerate(sizes)
+        ]
+        for node in product(*lower_ranges):
+            upper = node[:axis] + (node[axis] + 1,) + node[axis + 1 :]
+            rise = values[upper] - values[node]
+            if rise < ZERO:
+                monotone_ok = False
+                bad.append(Violation("monotone", (axis,) + node, rise, ZERO))
+            w = grid.partitions[axis].width(node[axis])
+            if rise > w:
+                lipschitz_ok = False
+                bad.append(Violation("lipschitz", (axis,) + node, rise, w))
+    return AxiomReport(grounded_ok, margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
+
+
+def ref_frechet_envelope_check(grid: MassGrid, values) -> tuple[Violation, ...]:
+    n = grid.dimension
+    bad: list[Violation] = []
+    for node in product(*(range(s + 1) for s in grid.shape)):
+        coords = [p.breakpoints[c] for p, c in zip(grid.partitions, node)]
+        v = values[node]
+        lower = max(sum(coords) - (n - 1), ZERO)
+        upper = min(coords)
+        if v < lower:
+            bad.append(Violation("frechet-lower", node, v, lower))
+        if v > upper:
+            bad.append(Violation("frechet-upper", node, v, upper))
+    return tuple(bad)
+
+
+def random_mixed_partition(rng: random.Random, max_cells: int) -> AxisPartition:
+    """Breakpoints whose denominators are drawn from a mixed set."""
+    k = rng.randint(1, max_cells)
+    cuts: set[Fraction] = set()
+    while len(cuts) < k - 1:
+        q = rng.choice((2, 3, 5, 7, 12, 60))
+        cuts.add(Fraction(rng.randint(1, q - 1), q))
+    return AxisPartition((ZERO, *sorted(cuts), ONE))
+
+
+def random_signed_grid(rng: random.Random, n: int, max_cells: int = 3) -> MassGrid:
+    """A valid grid on per-axis mixed partitions, then some cells pushed off.
+
+    The valid part is :func:`mixture_masses` of random weights; with no
+    pushed cells the grid passes every check, with a few it fails some, with
+    many it fails most.  Pushes range from large to a fraction of the
+    smallest width, so that some checks fail by a hair.
+    """
+    parts = tuple(random_mixed_partition(rng, max_cells) for _ in range(n))
+    weights = [Fraction(rng.randint(0, 3)) for _ in range(3)]
+    if not any(weights):
+        weights[2] = ONE
+    masses = mixture_masses(parts, [w / sum(weights) for w in weights])
+    cells = list(masses)
+    pushed = min(len(cells), rng.choice((0, 0, 1, 2, len(cells))))
+    for cell in rng.sample(cells, pushed):
+        masses[cell] += Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 11, 420, 840)))
+    return MassGrid(parts, masses)
 
 
 def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +201,43 @@ def test_volume_rejects_literal_too_long_to_convert(runner: CliRunner) -> None:
     result = invoke(runner, "volume", "--example", "q1", "--box", box)
     assert result.exit_code == 2
     assert result.output == "error: rational literal too long: 5002 characters\n"
+
+
+def huge_lattice_file(path: Path) -> Path:
+    """A few hundred bytes describing a lattice of 2^40 nodes (and a single cell)."""
+    target = path / "huge.json"
+    target.write_text(
+        json.dumps({"dimension": 40, "partitions": [["0", "1"]] * 40, "masses": []})
+    )
+    return target
+
+
+@pytest.mark.parametrize(
+    "args", [("verify",), ("volume", "--box", ",".join(["0:1"] * 40))], ids=["verify", "volume"]
+)
+def test_lattice_too_large_to_build_exits_2(
+    runner: CliRunner, tmp_path: Path, args: tuple[str, ...]
+) -> None:
+    target = huge_lattice_file(tmp_path)
+    tracemalloc.start()
+    try:
+        result = invoke(runner, args[0], "--file", str(target), *args[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: grid lattice has 1099511627776 nodes, more than the limit of 16777216\n"
+    )
+    assert peak < 2**22
+
+
+def test_margin_of_lattice_too_large_to_build(runner: CliRunner, tmp_path: Path) -> None:
+    target = huge_lattice_file(tmp_path)
+    result = invoke(runner, "margin", "--file", str(target), "--drop-axis", "1")
+    assert result.exit_code == 0
+    header = ",".join(f"cell_lo_{i},cell_hi_{i}" for i in range(1, 40)) + ",mass\n"
+    assert result.output == header + "0,1," * 39 + "0\n"
 
 
 # ------------------------------------------------------------------- margin

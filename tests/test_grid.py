@@ -1,14 +1,17 @@
 """Mass grids, node values, axiom checks, margins, and the file format."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import support
+from qcmass import grid as grid_module
 from qcmass.grid import (
     AxisPartition,
     GridError,
+    GridQuasiCopula,
     MassGrid,
     NBox,
     VertexPattern,
@@ -181,6 +184,74 @@ def test_make_grid_qc_prefix_sums_by_hand() -> None:
     assert qc.node_values[(0, 2)] == F(0)
 
 
+def test_node_values_must_cover_the_lattice() -> None:
+    qc = make_grid_qc(MassGrid((unit_partition(1),) * 2, {(0, 0): F(1)}))
+    values = dict(qc.node_values)
+    del values[(1, 0)]
+    with pytest.raises(GridError, match=r"lack lattice node \(1, 0\)"):
+        GridQuasiCopula(qc.grid, values)
+    # another grid's lattice is read as a mapping, and lacks nodes here
+    with pytest.raises(GridError, match="lack lattice node"):
+        GridQuasiCopula(MassGrid((unit_partition(2),) * 2, {}), qc.node_values)
+
+
+def test_lattice_node_limit(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(grid_module, "MAX_LATTICE_NODES", 12)
+    fits = MassGrid((unit_partition(2), unit_partition(3)), {})
+    assert len(make_grid_qc(fits).node_values) == 12
+    too_big = MassGrid((unit_partition(3),) * 2, {})
+    with pytest.raises(GridError, match="grid lattice has 16 nodes, more than the limit of 12"):
+        make_grid_qc(too_big)
+    with pytest.raises(GridError, match="more than the limit"):
+        GridQuasiCopula(too_big, {})
+
+
+ALL_KINDS = {"grounded", "margin", "monotone", "lipschitz", "frechet-lower", "frechet-upper"}
+
+
+def _compare_with_reference(qc: GridQuasiCopula, values: dict, rng: random.Random, case) -> set:
+    """Assert the lattice agrees with the Fraction reference; return the violation kinds."""
+    grid = qc.grid
+    assert list(qc.node_values.items()) == list(values.items()), case
+    report = qc.verify_axioms()
+    assert report == support.ref_verify_axioms(grid, values), case
+    envelope = qc.frechet_envelope_check()
+    assert envelope == support.ref_frechet_envelope_check(grid, values), case
+    for _ in range(3):
+        point = support.random_point(rng, grid)
+        assert qc.evaluate(point) == support.ref_evaluate(grid, values, point), (case, point)
+    box = support.random_box(rng, grid)
+    assert qc.box_volume(box) == support.ref_box_volume(grid, values, box), (case, box)
+    return {v.kind for v in report.violations + envelope}
+
+
+def test_lattice_matches_fraction_reference() -> None:
+    """Integer lattice vs the dict-of-Fractions reference on seeded signed grids, n = 1..4.
+
+    Each grid is checked as built and again with a few node values tampered,
+    which is the only way to break groundedness.  Replay a failing case with
+    the seed and the case number in the message.
+    """
+    rng = random.Random(0x1A77)
+    kinds: set[str] = set()
+    passed = 0
+    for case in range(240):
+        grid = support.random_signed_grid(rng, 1 + case % 4)
+        values = support.ref_node_values(grid)
+        qc = make_grid_qc(grid)
+        found = _compare_with_reference(qc, values, rng, case)
+        passed += not found
+        kinds |= found
+        tampered = dict(values)
+        for node in rng.sample(list(tampered), min(len(tampered), rng.randint(1, 3))):
+            tampered[node] += F(rng.randint(-9, 9), rng.choice((1, 4, 13)))
+        kinds |= _compare_with_reference(
+            GridQuasiCopula(grid, tampered), tampered, rng, ("tampered", case)
+        )
+    assert kinds == ALL_KINDS
+    assert passed > 0
+
+
 # ------------------------------------------------------------ evaluation
 
 Q1_BOX = NBox(((F(3, 7), F(6, 7)),) * 4)
@@ -296,6 +367,16 @@ def test_single_cell_overweight_fails_lipschitz() -> None:
     )
 
 
+def test_lipschitz_excess_below_one_lattice_unit() -> None:
+    # node values are integers over 2 and the slab is 1/3 wide: the rise 1/2
+    # exceeds the width by less than 1/2, so no whole unit over the width
+    part = AxisPartition((F(0), F(1, 3), F(1)))
+    report = make_grid_qc(MassGrid((part,), {(0,): HALF, (1,): HALF})).verify_axioms()
+    assert [v for v in report.violations if v.kind == "lipschitz"] == [
+        Violation("lipschitz", (0, 0), HALF, F(1, 3))
+    ]
+
+
 def test_monotone_violation_detected() -> None:
     masses = {(0, 0): F(1), (0, 1): -HALF, (1, 0): -HALF, (1, 1): F(1)}
     report = make_grid_qc(MassGrid((unit_partition(2),) * 2, masses)).verify_axioms()
@@ -319,8 +400,6 @@ def test_grounded_violation_detected() -> None:
     qc = make_grid_qc(MassGrid((unit_partition(1),) * 2, {(0, 0): F(1)}))
     values = dict(qc.node_values)
     values[(1, 0)] = F(1, 5)
-    from qcmass.grid import GridQuasiCopula
-
     tampered = GridQuasiCopula(qc.grid, values)
     report = tampered.verify_axioms()
     assert not report.grounded_ok
