@@ -52,6 +52,7 @@ from .rational import RationalParseError, format_rational, parse_rational
 from .simplex import (
     CertificateReport,
     SimplexSolution,
+    SolveStats,
     certify,
     solution_to_assignment,
     solve,
@@ -75,6 +76,7 @@ __all__ = [
     "Row",
     "RowViolation",
     "SimplexSolution",
+    "SolveStats",
     "VertexAssignment",
     "VertexPattern",
     "Violation",

@@ -13,11 +13,13 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import click
 
 from .grid import (
+    MAX_LATTICE_NODES,
     GridError,
     GridQuasiCopula,
     MassGrid,
@@ -251,6 +253,13 @@ def run_margin(
         payload = grid_payload(margin)
         payload["schema"] = "qcmass.grid/1"
         return CommandResult(0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # csv lists every cell, zeros included; a grid file of a few lines can
+    # ask for 2^39 of them.
+    count = prod(margin.shape)
+    if count > MAX_LATTICE_NODES:
+        raise GridError(
+            f"margin has {count} cells, more than the csv limit of {MAX_LATTICE_NODES}"
+        )
     m = margin.dimension
     header = ",".join(f"cell_lo_{i + 1},cell_hi_{i + 1}" for i in range(m)) + ",mass"
     lines = [header]

@@ -1,9 +1,14 @@
 """Exact two-phase simplex over the rationals, with an independent certificate.
 
-The tableau is kept as integer rows: each row stores one positive integer
-denominator and integer cells (last cell is the right-hand side), so a pivot
-is integer cross-multiplication followed by a gcd reduction.  This is exact
-arithmetic throughout; no floating point enters anywhere.
+The tableau is kept as sparse integer rows: each row stores one positive
+integer denominator, its nonzero integer cells as a ``{column: cell}`` dict,
+and an integer right-hand side.  A pivot is integer cross-multiplication over
+the nonzeros of the row and of the pivot row, followed by a gcd reduction.
+The pivot row is reduced first; when its pivot cell becomes 1 (the common
+case on the extremal programs), each other row just loses a multiple of it
+in place, with no scaling pass.  The objective row stays dense, because the
+entering-column scan reads every column.  This is exact arithmetic
+throughout; no floating point enters anywhere.
 
 Standard form and index conventions, shared by :func:`solve` and
 :func:`certify`:
@@ -43,12 +48,29 @@ _RULES = ("bland", "dantzig")
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What a solve did, as counts that do not depend on the machine.
+
+    ``phase1_pivots`` includes the pivots that move artificials out of the
+    basis, so ``phase1_pivots + phase2_pivots`` is the solution's ``pivots``.
+    ``cells_touched`` counts the cells, right-hand sides included, that the
+    row updates of all pivots write, each cell once per update; the pivot
+    row and the objective row are not counted.
+    """
+
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    rows_dropped: int = 0
+    cells_touched: int = 0
+
+
+@dataclass(frozen=True)
 class SimplexSolution:
     """Outcome of a solve.
 
-    For non-optimal statuses only ``status``, ``pivots`` and
-    ``peak_denominator_bits`` are meaningful.  ``assignment`` covers every
-    structural variable (nonbasic ones at 0).
+    For non-optimal statuses only ``status``, ``pivots``,
+    ``peak_denominator_bits`` and ``stats`` are meaningful.  ``assignment``
+    covers every structural variable (nonbasic ones at 0).
     """
 
     status: str
@@ -59,6 +81,7 @@ class SimplexSolution:
     reduced_costs: Mapping[int, Fraction]
     pivots: int
     peak_denominator_bits: int
+    stats: SolveStats = SolveStats()
 
 
 @dataclass(frozen=True)
@@ -93,13 +116,22 @@ def _internal_costs(lp: LinearProgram, ncols: int) -> list[Fraction]:
     return costs
 
 
-def _normalize(den: int, cells: list[int]) -> tuple[int, list[int]]:
-    g = den
-    for x in cells:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return den, cells
+# A tableau row: (denominator > 0, {column: nonzero cell}, right-hand side).
+_Row = tuple[int, dict[int, int], int]
+
+
+def _normalize(den: int, cells: dict[int, int], rhs: int) -> _Row:
+    """Divide a row by the gcd of its denominator, cells and right-hand side."""
+    if den == 1:
+        return den, cells, rhs
+    g = gcd(den, rhs, *cells.values())
+    if g == 1:
+        return den, cells, rhs
+    return den // g, {j: x // g for j, x in cells.items()}, rhs // g
+
+
+def _normalize_dense(den: int, cells: list[int]) -> tuple[int, list[int]]:
+    g = gcd(den, *cells)
     if g > 1:
         return den // g, [x // g for x in cells]
     return den, cells
@@ -112,55 +144,39 @@ class _Solver:
         self.lp = lp
         self.rule = rule
         self.pivots = 0
-        self.peak_bits = 1
+        self.phase1_pivots = 0
+        self.rows_dropped = 0
+        self.cells_touched = 0
         self.num_vars = lp.num_vars
         self.ncols = lp.num_vars + len(lp.rows)
         self.rowids = list(range(len(lp.rows)))
 
-        prepared = _prepared_rows(lp)
-        artificial_rows = [
-            i for i, (coeffs, _) in enumerate(prepared) if coeffs[lp.num_vars + i] < 0
-        ]
-        self.num_art = len(artificial_rows)
-        total = self.ncols + self.num_art + 1
-        self.rows: list[tuple[int, list[int]]] = []
+        self.rows: list[_Row] = []
         self.basis: list[int] = []
-        next_art = 0
-        for i, (coeffs, rhs) in enumerate(prepared):
-            den = rhs.denominator
-            for coef in coeffs.values():
-                den = den * coef.denominator // gcd(den, coef.denominator)
-            cells = [0] * total
-            for j, coef in coeffs.items():
-                cells[j] = int(coef * den)
-            cells[-1] = int(rhs * den)
+        next_art = self.ncols
+        for i, (coeffs, rhs) in enumerate(_prepared_rows(lp)):
+            den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
+            cells = {j: int(coef * den) for j, coef in coeffs.items()}
             if coeffs[lp.num_vars + i] > 0:
                 self.basis.append(lp.num_vars + i)
             else:
-                cells[self.ncols + next_art] = den
-                self.basis.append(self.ncols + next_art)
+                cells[next_art] = den
+                self.basis.append(next_art)
                 next_art += 1
-            self.rows.append(_normalize(den, cells))
-        self._note_bits()
+            self.rows.append(_normalize(den, cells, int(rhs * den)))
+        self.num_art = next_art - self.ncols
+        self.peak_bits = max((den.bit_length() for den, _, _ in self.rows), default=1)
 
-    def _note_bits(self) -> None:
-        for den, _ in self.rows:
-            if den.bit_length() > self.peak_bits:
-                self.peak_bits = den.bit_length()
-
-    def _reduced_cost_row(self, costs: list[Fraction], width: int) -> tuple[int, list[int]]:
-        """Objective row c_j - sum over rows of c_basic * row, as one integer row."""
+    def _reduced_cost_row(self, costs: list[Fraction]) -> tuple[int, list[int]]:
+        """Objective row c_j - sum over rows of c_basic * row, as one dense integer row."""
         acc = [Fraction(c) for c in costs] + [ZERO]
-        for r, (den, cells) in enumerate(self.rows):
+        for r, (den, cells, rhs) in enumerate(self.rows):
             cb = costs[self.basis[r]] if self.basis[r] < len(costs) else ZERO
             if cb:
-                for j in range(width + 1):
-                    cell = cells[j] if j < width else cells[-1]
-                    if cell:
-                        acc[j] -= cb * Fraction(cell, den)
-        den = 1
-        for f in acc:
-            den = lcm(den, f.denominator)
+                for j, cell in cells.items():
+                    acc[j] -= cb * Fraction(cell, den)
+                acc[-1] -= cb * Fraction(rhs, den)
+        den = lcm(*(f.denominator for f in acc))
         return den, [int(f * den) for f in acc]
 
     def _kernel(self, objrow: tuple[int, list[int]], width: int) -> tuple[str, tuple[int, list[int]]]:
@@ -183,101 +199,141 @@ class _Solver:
                 return "optimal", (oden, ocells)
             leave = -1
             best: tuple[int, int] | None = None
-            for r, (den, cells) in enumerate(self.rows):
-                a = cells[enter]
+            for r, (_, cells, rhs) in enumerate(self.rows):
+                a = cells.get(enter, 0)
                 if a > 0:
                     # ratio rhs/a; the row denominator cancels, so compare
-                    # cells[-1]/a across rows by cross-multiplication.
+                    # rhs/a across rows by cross-multiplication.
                     if best is None:
-                        best, leave = (cells[-1], a), r
+                        best, leave = (rhs, a), r
                     else:
-                        diff = cells[-1] * best[1] - best[0] * a
+                        diff = rhs * best[1] - best[0] * a
                         if diff < 0 or (diff == 0 and self.basis[r] < self.basis[leave]):
-                            best, leave = (cells[-1], a), r
+                            best, leave = (rhs, a), r
             if leave < 0:
                 return "unbounded", (oden, ocells)
             oden, ocells = self._pivot(leave, enter, (oden, ocells))
 
     def _pivot(
-        self, leave: int, enter: int, objrow: tuple[int, list[int]]
-    ) -> tuple[int, list[int]]:
+        self, leave: int, enter: int, objrow: tuple[int, list[int]] | None
+    ) -> tuple[int, list[int]] | None:
+        """Make ``enter`` basic in row ``leave``; every row keeps its exact value."""
         self.pivots += 1
-        _, pcells = self.rows[leave]
+        _, pcells, prhs = self.rows[leave]
         pivot = pcells[enter]
         if pivot < 0:
-            pcells = [-x for x in pcells]
+            pcells = {j: -x for j, x in pcells.items()}
+            prhs = -prhs
             pivot = -pivot
-        self.rows[leave] = _normalize(pivot, pcells)
-        for r, (den, cells) in enumerate(self.rows):
-            if r == leave:
+        # Reduced, the pivot row's denominator equals its pivot cell.  Using
+        # the reduced row below scales every update by a common factor, which
+        # the gcd reduction removes again, so the rows are the same.
+        pivot, pcells, prhs = _normalize(pivot, pcells, prhs)
+        rows = self.rows
+        rows[leave] = (pivot, pcells, prhs)
+        peak = pivot.bit_length()
+        touched = 0
+        pitems = pcells.items()
+        for r, (den, cells, rhs) in enumerate(rows):
+            c = cells.get(enter)
+            if c is None or r == leave:
                 continue
-            c = cells[enter]
+            if pivot == 1:
+                touched += len(pcells) + 1
+            else:
+                touched += len(cells.keys() | pcells.keys()) + 1
+                cells = {j: a * pivot for j, a in cells.items()}
+                rhs *= pivot
+                den *= pivot
+            get = cells.get
+            for j, b in pitems:
+                x = get(j, 0) - c * b
+                if x:
+                    cells[j] = x
+                else:
+                    del cells[j]
+            row = rows[r] = _normalize(den, cells, rhs - c * prhs)
+            if row[0].bit_length() > peak:
+                peak = row[0].bit_length()
+        self.cells_touched += touched
+        if objrow is not None:
+            oden, ocells = objrow
+            c = ocells[enter]
             if c:
-                self.rows[r] = _normalize(
-                    den * pivot, [a * pivot - c * b for a, b in zip(cells, pcells)]
-                )
-        oden, ocells = objrow
-        c = ocells[enter]
-        if c:
-            oden, ocells = _normalize(
-                oden * pivot, [a * pivot - c * b for a, b in zip(ocells, pcells)]
-            )
+                if pivot != 1:
+                    oden *= pivot
+                    ocells = [a * pivot for a in ocells]
+                for j, b in pitems:
+                    ocells[j] -= c * b
+                ocells[-1] -= c * prhs
+                oden, ocells = objrow = _normalize_dense(oden, ocells)
+            if oden.bit_length() > peak:
+                peak = oden.bit_length()
         self.basis[leave] = enter
-        self._note_bits()
-        if oden.bit_length() > self.peak_bits:
-            self.peak_bits = oden.bit_length()
-        return oden, ocells
+        if peak > self.peak_bits:
+            self.peak_bits = peak
+        return objrow
 
     def _phase_one(self) -> bool:
         """Drive artificials to zero; False means the program is infeasible."""
         total = self.ncols + self.num_art
         costs = [ZERO] * self.ncols + [Fraction(1)] * self.num_art
-        status, (oden, ocells) = self._kernel(self._reduced_cost_row(costs, total), total)
+        status, (_, ocells) = self._kernel(self._reduced_cost_row(costs), total)
         assert status == "optimal"  # phase-1 objective is bounded below by 0
-        if Fraction(-ocells[-1], oden) != ZERO:
+        if ocells[-1]:
             return False
         for r in range(len(self.rows)):
             if self.basis[r] < self.ncols:
                 continue
-            den, cells = self.rows[r]
-            enter = next((j for j in range(self.ncols) if cells[j] != 0), -1)
+            cells = self.rows[r][1]
+            enter = min((j for j in cells if j < self.ncols), default=-1)
             if enter >= 0:
                 # The row's value is 0, so pivoting on any nonzero entry
                 # keeps the basis feasible.
-                self._pivot(r, enter, (1, [0] * (total + 1)))
+                self._pivot(r, enter, None)
         keep = [r for r in range(len(self.rows)) if self.basis[r] < self.ncols]
+        self.rows_dropped = len(self.rows) - len(keep)
         self.rows = [self.rows[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
         self.rowids = [self.rowids[r] for r in keep]
-        self.rows = [
-            _normalize(den, cells[: self.ncols] + [cells[-1]]) for den, cells in self.rows
-        ]
         return True
 
-    def run(self) -> SimplexSolution:
-        if self.num_art and not self._phase_one():
-            return SimplexSolution(
-                "infeasible", None, {}, (), (), {}, self.pivots, self.peak_bits
-            )
-        if not self.num_art:
-            self.rows = [
-                _normalize(den, cells[: self.ncols] + [cells[-1]])
-                for den, cells in self.rows
-            ]
-        costs = _internal_costs(self.lp, self.ncols)
-        status, (oden, ocells) = self._kernel(
-            self._reduced_cost_row(costs, self.ncols), self.ncols
+    def _truncate(self) -> None:
+        """Cut every row back to the structural and slack columns."""
+        ncols = self.ncols
+        self.rows = [
+            _normalize(den, {j: a for j, a in cells.items() if j < ncols}, rhs)
+            for den, cells, rhs in self.rows
+        ]
+
+    def _stats(self) -> SolveStats:
+        return SolveStats(
+            self.phase1_pivots,
+            self.pivots - self.phase1_pivots,
+            self.rows_dropped,
+            self.cells_touched,
         )
+
+    def run(self) -> SimplexSolution:
+        feasible = not self.num_art or self._phase_one()
+        self.phase1_pivots = self.pivots
+        if not feasible:
+            return SimplexSolution(
+                "infeasible", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
+            )
+        self._truncate()
+        costs = _internal_costs(self.lp, self.ncols)
+        status, (oden, ocells) = self._kernel(self._reduced_cost_row(costs), self.ncols)
         if status == "unbounded":
             return SimplexSolution(
-                "unbounded", None, {}, (), (), {}, self.pivots, self.peak_bits
+                "unbounded", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
             )
         internal = Fraction(-ocells[-1], oden)
         flip = Fraction(1 if self.lp.sense == "min" else -1)
         assignment = {j: ZERO for j in range(self.num_vars)}
-        for r, (den, cells) in enumerate(self.rows):
+        for r, (den, _, rhs) in enumerate(self.rows):
             if self.basis[r] < self.num_vars:
-                assignment[self.basis[r]] = Fraction(cells[-1], den)
+                assignment[self.basis[r]] = Fraction(rhs, den)
         reduced = {j: flip * Fraction(ocells[j], oden) for j in range(self.ncols)}
         return SimplexSolution(
             "optimal",
@@ -288,6 +344,7 @@ class _Solver:
             reduced,
             self.pivots,
             self.peak_bits,
+            self._stats(),
         )
 
 

@@ -7,7 +7,8 @@ functions are the node-lattice consumers written plainly over a dict of
 ``Fraction`` node values, the reference for the integer lattice in
 qcmass.grid.  Likewise ``dense_certify`` recomputes a certificate's dual by
 dense elimination over every kept row, the route ``qcmass.simplex.certify``
-avoids.
+avoids, and ``dense_solve`` runs the simplex on dense integer rows, the
+reference for the sparse rows of ``qcmass.simplex.solve``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from qcmass.grid import (
     AxiomReport,
@@ -25,10 +27,11 @@ from qcmass.grid import (
     make_grid_qc,
     vertex_patterns,
 )
-from qcmass.lp import LinearProgram, LPError
+from qcmass.lp import LinearProgram, LPError, Row
 from qcmass.simplex import (
     CertificateReport,
     SimplexSolution,
+    SolveStats,
     _internal_costs,
     _prepared_rows,
 )
@@ -390,3 +393,269 @@ def _gaussian_solve(
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [aug[r][m] for r in range(m)]
+
+
+
+def random_small_lp(rng: random.Random) -> LinearProgram:
+    """A small program of any status: optimal, infeasible or unbounded.
+
+    Coefficients are nonzero small integers, halves and thirds; right-hand
+    sides may be negative.  Most programs also repeat a ">=" row, repeat it
+    scaled, or add the sum of two ">=" rows, so that phase 1 often ends with
+    an artificial still basic at value zero and must pivot it out.
+    """
+    nv = rng.randint(1, 4)
+
+    def coef() -> Fraction:
+        return Fraction(rng.choice((-3, -2, -1, 1, 1, 2, 3)), rng.choice((1, 1, 1, 2, 3)))
+
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        support_vars = sorted(rng.sample(range(nv), rng.randint(1, nv)))
+        rhs = Fraction(rng.randint(-4, 6), rng.choice((1, 1, 2, 3)))
+        rows.append(Row("", tuple((j, coef()) for j in support_vars), rng.choice(("<=", ">=", ">=")), rhs))
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        geq = [row for row in rows if row.relation == ">="]
+        if not geq:
+            break
+        a = rng.choice(geq)
+        kind = rng.choice(("copy", "scale", "sum"))
+        if kind == "copy":
+            extra = a
+        elif kind == "scale":
+            k = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            extra = Row("", tuple((j, k * c) for j, c in a.coeffs), ">=", k * a.rhs)
+        else:
+            b = rng.choice(geq)
+            summed = dict(a.coeffs)
+            for j, c in b.coeffs:
+                summed[j] = summed.get(j, ZERO) + c
+            if not any(summed.values()):
+                continue
+            extra = Row("", tuple(sorted(summed.items())), ">=", a.rhs + b.rhs)
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+    objective = tuple((j, coef()) for j in range(nv) if rng.random() < 0.8)
+    return LinearProgram(
+        nv, tuple(f"x{j}" for j in range(nv)), rng.choice(("min", "max")), objective, tuple(rows)
+    )
+
+# ------------------------------------------------------- dense simplex oracle
+
+
+def dense_solve(lp: LinearProgram, rule: str = "bland") -> SimplexSolution:
+    """Reference solve: the two-phase simplex on dense integer rows.
+
+    Every row stores all its cells, zeros included, and each pivot rebuilds
+    every row with a nonzero in the entering column across the full width.
+    The pivots, arithmetic and tie-breaks are those :func:`qcmass.simplex.solve`
+    promises, so every field of the two solutions must be equal, except that
+    ``stats.cells_touched`` here counts the full width of each updated row.
+    """
+    return _DenseSolver(lp, rule).run()
+
+
+def _normalize_dense(den: int, cells: list[int]) -> tuple[int, list[int]]:
+    g = den
+    for x in cells:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return den, cells
+    if g > 1:
+        return den // g, [x // g for x in cells]
+    return den, cells
+
+
+class _DenseSolver:
+    """One dense solve in progress; rows never reorder, so positions track rowids."""
+
+    def __init__(self, lp: LinearProgram, rule: str) -> None:
+        self.lp = lp
+        self.rule = rule
+        self.pivots = 0
+        self.phase1_pivots = 0
+        self.rows_dropped = 0
+        self.cells_touched = 0
+        self.peak_bits = 1
+        self.num_vars = lp.num_vars
+        self.ncols = lp.num_vars + len(lp.rows)
+        self.rowids = list(range(len(lp.rows)))
+
+        prepared = _prepared_rows(lp)
+        artificial_rows = [
+            i for i, (coeffs, _) in enumerate(prepared) if coeffs[lp.num_vars + i] < 0
+        ]
+        self.num_art = len(artificial_rows)
+        total = self.ncols + self.num_art + 1
+        self.rows: list[tuple[int, list[int]]] = []
+        self.basis: list[int] = []
+        next_art = 0
+        for i, (coeffs, rhs) in enumerate(prepared):
+            den = rhs.denominator
+            for coef in coeffs.values():
+                den = den * coef.denominator // gcd(den, coef.denominator)
+            cells = [0] * total
+            for j, coef in coeffs.items():
+                cells[j] = int(coef * den)
+            cells[-1] = int(rhs * den)
+            if coeffs[lp.num_vars + i] > 0:
+                self.basis.append(lp.num_vars + i)
+            else:
+                cells[self.ncols + next_art] = den
+                self.basis.append(self.ncols + next_art)
+                next_art += 1
+            self.rows.append(_normalize_dense(den, cells))
+        self._note_bits()
+
+    def _note_bits(self) -> None:
+        for den, _ in self.rows:
+            if den.bit_length() > self.peak_bits:
+                self.peak_bits = den.bit_length()
+
+    def _reduced_cost_row(self, costs: list[Fraction], width: int) -> tuple[int, list[int]]:
+        acc = [Fraction(c) for c in costs] + [ZERO]
+        for r, (den, cells) in enumerate(self.rows):
+            cb = costs[self.basis[r]] if self.basis[r] < len(costs) else ZERO
+            if cb:
+                for j in range(width + 1):
+                    cell = cells[j] if j < width else cells[-1]
+                    if cell:
+                        acc[j] -= cb * Fraction(cell, den)
+        den = 1
+        for f in acc:
+            den = lcm(den, f.denominator)
+        return den, [int(f * den) for f in acc]
+
+    def _kernel(self, objrow: tuple[int, list[int]], width: int) -> tuple[str, tuple[int, list[int]]]:
+        oden, ocells = objrow
+        while True:
+            enter = -1
+            if self.rule == "bland":
+                for j in range(width):
+                    if ocells[j] < 0:
+                        enter = j
+                        break
+            else:
+                best_cell = 0
+                for j in range(width):
+                    if ocells[j] < best_cell:
+                        best_cell = ocells[j]
+                        enter = j
+            if enter < 0:
+                return "optimal", (oden, ocells)
+            leave = -1
+            best: tuple[int, int] | None = None
+            for r, (den, cells) in enumerate(self.rows):
+                a = cells[enter]
+                if a > 0:
+                    if best is None:
+                        best, leave = (cells[-1], a), r
+                    else:
+                        diff = cells[-1] * best[1] - best[0] * a
+                        if diff < 0 or (diff == 0 and self.basis[r] < self.basis[leave]):
+                            best, leave = (cells[-1], a), r
+            if leave < 0:
+                return "unbounded", (oden, ocells)
+            oden, ocells = self._pivot(leave, enter, (oden, ocells))
+
+    def _pivot(
+        self, leave: int, enter: int, objrow: tuple[int, list[int]]
+    ) -> tuple[int, list[int]]:
+        self.pivots += 1
+        _, pcells = self.rows[leave]
+        pivot = pcells[enter]
+        if pivot < 0:
+            pcells = [-x for x in pcells]
+            pivot = -pivot
+        self.rows[leave] = _normalize_dense(pivot, pcells)
+        for r, (den, cells) in enumerate(self.rows):
+            if r == leave:
+                continue
+            c = cells[enter]
+            if c:
+                self.cells_touched += len(cells)
+                self.rows[r] = _normalize_dense(
+                    den * pivot, [a * pivot - c * b for a, b in zip(cells, pcells)]
+                )
+        oden, ocells = objrow
+        c = ocells[enter]
+        if c:
+            oden, ocells = _normalize_dense(
+                oden * pivot, [a * pivot - c * b for a, b in zip(ocells, pcells)]
+            )
+        self.basis[leave] = enter
+        self._note_bits()
+        if oden.bit_length() > self.peak_bits:
+            self.peak_bits = oden.bit_length()
+        return oden, ocells
+
+    def _phase_one(self) -> bool:
+        total = self.ncols + self.num_art
+        costs = [ZERO] * self.ncols + [Fraction(1)] * self.num_art
+        status, (oden, ocells) = self._kernel(self._reduced_cost_row(costs, total), total)
+        assert status == "optimal"
+        if Fraction(-ocells[-1], oden) != ZERO:
+            return False
+        for r in range(len(self.rows)):
+            if self.basis[r] < self.ncols:
+                continue
+            den, cells = self.rows[r]
+            enter = next((j for j in range(self.ncols) if cells[j] != 0), -1)
+            if enter >= 0:
+                self._pivot(r, enter, (1, [0] * (total + 1)))
+        keep = [r for r in range(len(self.rows)) if self.basis[r] < self.ncols]
+        self.rows_dropped = len(self.rows) - len(keep)
+        self.rows = [self.rows[r] for r in keep]
+        self.basis = [self.basis[r] for r in keep]
+        self.rowids = [self.rowids[r] for r in keep]
+        self.rows = [
+            _normalize_dense(den, cells[: self.ncols] + [cells[-1]]) for den, cells in self.rows
+        ]
+        return True
+
+    def _stats(self) -> SolveStats:
+        return SolveStats(
+            self.phase1_pivots,
+            self.pivots - self.phase1_pivots,
+            self.rows_dropped,
+            self.cells_touched,
+        )
+
+    def run(self) -> SimplexSolution:
+        feasible = not self.num_art or self._phase_one()
+        self.phase1_pivots = self.pivots
+        if not feasible:
+            return SimplexSolution(
+                "infeasible", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
+            )
+        if not self.num_art:
+            self.rows = [
+                _normalize_dense(den, cells[: self.ncols] + [cells[-1]])
+                for den, cells in self.rows
+            ]
+        costs = _internal_costs(self.lp, self.ncols)
+        status, (oden, ocells) = self._kernel(
+            self._reduced_cost_row(costs, self.ncols), self.ncols
+        )
+        if status == "unbounded":
+            return SimplexSolution(
+                "unbounded", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
+            )
+        internal = Fraction(-ocells[-1], oden)
+        flip = Fraction(1 if self.lp.sense == "min" else -1)
+        assignment = {j: ZERO for j in range(self.num_vars)}
+        for r, (den, cells) in enumerate(self.rows):
+            if self.basis[r] < self.num_vars:
+                assignment[self.basis[r]] = Fraction(cells[-1], den)
+        reduced = {j: flip * Fraction(ocells[j], oden) for j in range(self.ncols)}
+        return SimplexSolution(
+            "optimal",
+            flip * internal,
+            assignment,
+            tuple(self.basis),
+            tuple(self.rowids),
+            reduced,
+            self.pivots,
+            self.peak_bits,
+            self._stats(),
+        )

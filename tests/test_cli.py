@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -238,6 +239,37 @@ def test_margin_of_lattice_too_large_to_build(runner: CliRunner, tmp_path: Path)
     assert result.exit_code == 0
     header = ",".join(f"cell_lo_{i},cell_hi_{i}" for i in range(1, 40)) + ",mass\n"
     assert result.output == header + "0,1," * 39 + "0\n"
+
+
+def wide_margin_file(path: Path) -> Path:
+    """40 axes halved and no masses: its margin has 2^39 cells, all zero."""
+    target = path / "wide.json"
+    target.write_text(
+        json.dumps({"dimension": 40, "partitions": [["0", "1/2", "1"]] * 40, "masses": []})
+    )
+    return target
+
+
+def test_margin_csv_too_large_exits_2(runner: CliRunner, tmp_path: Path) -> None:
+    target = wide_margin_file(tmp_path)
+    start = time.perf_counter()
+    result = invoke(runner, "margin", "--file", str(target), "--drop-axis", "1")
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: margin has 549755813888 cells, more than the csv limit of 16777216\n"
+    )
+
+
+def test_margin_json_of_wide_grid(runner: CliRunner, tmp_path: Path) -> None:
+    target = wide_margin_file(tmp_path)
+    result = invoke(
+        runner, "margin", "--file", str(target), "--drop-axis", "1", "--format", "json"
+    )
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["dimension"] == 39
+    assert payload["masses"] == []
 
 
 # ------------------------------------------------------------------- margin

@@ -3,13 +3,15 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from qcmass import simplex
 from qcmass.lp import LinearProgram, LPError, Row, build_extremal_lp, check_assignment
 from qcmass.simplex import certify, solution_to_assignment, solve
 
-from support import dense_certify
+from support import dense_certify, dense_solve, random_small_lp
 
 F = Fraction
 
@@ -112,6 +114,20 @@ def test_dantzig_rule_reaches_same_optimum(n: int, sense: str) -> None:
     assert solution.objective == KNOWN[(n, sense)][0]
 
 
+def test_extremal_optima_n6() -> None:
+    for sense, objective, pivots in (("min", F(-75, 16), 982), ("max", F(11, 2), 874)):
+        lp, layout = build_extremal_lp(6, sense)
+        solution = solve(lp)
+        assert solution.status == "optimal"
+        assert solution.objective == objective
+        # both counts were confirmed once against the dense oracle
+        assert solution.pivots == pivots
+        assert certify(lp, solution).ok
+        report = check_assignment(lp, layout, solution_to_assignment(layout, solution))
+        assert report.feasible
+        assert report.objective_value == objective
+
+
 def test_denominators_stay_small() -> None:
     # exact pivoting keeps every tableau entry's denominator far below the
     # 64-bit line on the whole family up to dimension 5
@@ -147,6 +163,60 @@ def test_row_shuffle_dimension_four(seed: int) -> None:
     solution = solve(shuffled)
     assert solution.objective == F(-9, 7)
     assert certify(shuffled, solution).ok
+
+
+# ---------------------------------------------------- dense oracle agreement
+
+
+def solve_checked(lp: LinearProgram, rule: str):
+    """``solve`` by hand, then check that every final row is primitive with no zero cell."""
+    solver = simplex._Solver(lp, rule)
+    solution = solver.run()
+    for den, cells, rhs in solver.rows:
+        assert den > 0 and all(cells.values())
+        assert gcd(den, rhs, *cells.values()) == 1
+    return solution
+
+
+def assert_matches_dense(lp: LinearProgram, rule: str):
+    """Every field equal to the dense oracle's; the sparse rows touch no more cells."""
+    sparse, dense = solve_checked(lp, rule), dense_solve(lp, rule)
+    assert sparse.stats.cells_touched <= dense.stats.cells_touched
+    assert replace(sparse, stats=replace(sparse.stats, cells_touched=0)) == replace(
+        dense, stats=replace(dense.stats, cells_touched=0)
+    )
+    assert sparse.stats.phase1_pivots + sparse.stats.phase2_pivots == sparse.pivots
+    return sparse
+
+
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_extremal_solve_matches_dense_oracle(n: int, sense: str, rule: str) -> None:
+    lp, _ = build_extremal_lp(n, sense)
+    assert assert_matches_dense(lp, rule).status == "optimal"
+    rows = list(lp.rows)
+    random.Random(f"shuffle-{n}-{sense}-{rule}").shuffle(rows)
+    shuffled = LinearProgram(lp.num_vars, lp.var_names, lp.sense, lp.objective, tuple(rows))
+    assert assert_matches_dense(shuffled, rule).status == "optimal"
+
+
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+def test_random_solve_matches_dense_oracle(rule: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    # seeded per rule, so a failing draw replays from the test id alone
+    rng = random.Random(f"random-lp-{rule}")
+    pivot_outs = []
+    pivot = simplex._Solver._pivot
+
+    def counting_pivot(self, leave, enter, objrow):
+        if objrow is None:  # an artificial left basic at zero after phase 1
+            pivot_outs.append(leave)
+        return pivot(self, leave, enter, objrow)
+
+    monkeypatch.setattr(simplex._Solver, "_pivot", counting_pivot)
+    statuses = [assert_matches_dense(random_small_lp(rng), rule).status for _ in range(300)]
+    assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 30
+    assert pivot_outs
 
 
 # ------------------------------------------------------------- certificates
