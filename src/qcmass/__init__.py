@@ -19,16 +19,15 @@ from .grid import (
     GridQuasiCopula,
     MassGrid,
     NBox,
-    VertexPattern,
     Violation,
     builtin_example,
     builtin_grid,
+    corner_sign,
     grid_from_json,
     grid_payload,
     grid_to_json,
     make_grid_qc,
     marginalize,
-    vertex_patterns,
 )
 from .lp import (
     ExtremalLayout,
@@ -78,7 +77,6 @@ __all__ = [
     "SimplexSolution",
     "SolveStats",
     "VertexAssignment",
-    "VertexPattern",
     "Violation",
     "assignment_vector",
     "build_extremal_lp",
@@ -89,6 +87,7 @@ __all__ = [
     "check_assignment",
     "conjectured_bound",
     "conjectured_box",
+    "corner_sign",
     "export_lp",
     "format_rational",
     "grid_from_json",
@@ -101,5 +100,4 @@ __all__ = [
     "reference_witness",
     "solution_to_assignment",
     "solve",
-    "vertex_patterns",
 ]

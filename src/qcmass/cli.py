@@ -333,12 +333,14 @@ _RECORDED_OPTIMA = {"min": Fraction(-9, 7), "max": Fraction(2)}
 
 
 def run_check_witness(dimension: int, direction: str) -> CommandResult:
-    lp, layout = build_extremal_lp(dimension, "min")
     directions = ["min", "max"] if direction == "both" else [direction]
+    # Look the witnesses up first: an unrecorded dimension is refused before
+    # the program, whose size doubles with each step in dimension, is built.
+    witnesses = [reference_witness(dimension, sense) for sense in directions]
+    lp, layout = build_extremal_lp(dimension, "min")
     lines = []
     all_ok = True
-    for sense in directions:
-        witness = reference_witness(dimension, sense)
+    for sense, witness in zip(directions, witnesses):
         report = check_assignment(lp, layout, witness)
         expected = _RECORDED_OPTIMA[sense]
         lines.append(f"direction {sense}")

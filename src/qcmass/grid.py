@@ -81,34 +81,18 @@ class NBox:
     def dimension(self) -> int:
         return len(self.intervals)
 
-    def vertex(self, pattern: "VertexPattern") -> tuple[Fraction, ...]:
-        return tuple(
-            iv[1] if up else iv[0]
-            for iv, up in zip(self.intervals, pattern.upper_flags)
-        )
+    def vertex(self, flags: tuple[bool, ...]) -> tuple[Fraction, ...]:
+        """The corner picking, per axis, the upper end where ``flags`` is True."""
+        return tuple(iv[1] if up else iv[0] for iv, up in zip(self.intervals, flags))
 
 
-@dataclass(frozen=True)
-class VertexPattern:
-    """One corner of a box: per axis, False picks the lower end, True the upper."""
+def corner_sign(flags: tuple[bool, ...]) -> int:
+    """+1 when the corner has an even number of lower ends (False flags), else -1.
 
-    upper_flags: tuple[bool, ...]
-
-    @property
-    def sign(self) -> int:
-        """+1 when the number of lower ends is even, else -1.
-
-        These are the signs of the inclusion-exclusion sum whose value is the
-        mass a distribution function assigns to the box.
-        """
-        lowers = len(self.upper_flags) - sum(self.upper_flags)
-        return 1 if lowers % 2 == 0 else -1
-
-
-def vertex_patterns(n: int) -> Iterator[VertexPattern]:
-    """All 2^n corner patterns, in lexicographic flag order (last axis fastest)."""
-    for flags in product((False, True), repeat=n):
-        yield VertexPattern(flags)
+    These are the signs of the inclusion-exclusion sum whose value is the
+    mass a distribution function assigns to the box.
+    """
+    return -1 if (len(flags) - sum(flags)) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -330,8 +314,8 @@ class GridQuasiCopula:
         if box.dimension != self.dimension:
             raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
         total = ZERO
-        for pattern in vertex_patterns(self.dimension):
-            total += pattern.sign * self.evaluate(box.vertex(pattern))
+        for flags in product((False, True), repeat=self.dimension):
+            total += corner_sign(flags) * self.evaluate(box.vertex(flags))
         return total
 
     def verify_axioms(self) -> AxiomReport:
@@ -590,6 +574,9 @@ def grid_from_json(text: str) -> MassGrid:
         raise GridError("malformed dimension or partitions")
     if len(parts_raw) != dim:
         raise GridError(f"dimension is {dim} but {len(parts_raw)} partitions given")
+    # A string or object would iterate as breakpoints ("01" as 0, 1).
+    if not all(isinstance(axis, list) for axis in parts_raw):
+        raise GridError("each partition must be a list of breakpoints")
     try:
         partitions = tuple(
             AxisPartition(tuple(parse_rational(t) for t in axis)) for axis in parts_raw

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .grid import NBox, VertexPattern, ZERO, ONE
+from .grid import NBox, ZERO, ONE, corner_sign
 from .rational import format_rational, parse_rational
 
 _RELATIONS = ("<=", ">=")
@@ -148,7 +148,7 @@ class VertexAssignment:
         """The inclusion-exclusion sum these corner values give the box."""
         total = ZERO
         for flags, value in self.values.items():
-            total += VertexPattern(flags).sign * value
+            total += corner_sign(flags) * value
         return total
 
 
@@ -223,7 +223,7 @@ def build_extremal_lp(
             rows.append(Row("F", tuple(upper), "<=", ZERO))
 
     objective = tuple(
-        (vertex_vars[v], Fraction(VertexPattern(v).sign)) for v in flags_list
+        (vertex_vars[v], Fraction(corner_sign(v))) for v in flags_list
     )
     lp = LinearProgram(2 * n + len(flags_list), tuple(names), sense, objective, tuple(rows))
     return lp, ExtremalLayout(n, corner_vars, length_vars, vertex_vars)

@@ -2,13 +2,17 @@
 
 The tableau is kept as sparse integer rows: each row stores one positive
 integer denominator, its nonzero integer cells as a ``{column: cell}`` dict,
-and an integer right-hand side.  A pivot is integer cross-multiplication over
-the nonzeros of the row and of the pivot row, followed by a gcd reduction.
-The pivot row is reduced first; when its pivot cell becomes 1 (the common
-case on the extremal programs), each other row just loses a multiple of it
-in place, with no scaling pass.  The objective row stays dense, because the
-entering-column scan reads every column.  This is exact arithmetic
-throughout; no floating point enters anywhere.
+and an integer right-hand side.  One routine, :func:`_eliminate`, does every
+exact elimination in the module: it makes a column a unit column by integer
+cross-multiplication over the nonzeros of the pivot row and of each row it
+meets, followed by a gcd reduction.  The simplex pivots through it, and so
+does the Gauss-Jordan solve behind :func:`certify`.  The pivot row is reduced
+first; when its pivot cell becomes 1 (the common case on the extremal
+programs), each other row just loses a multiple of it in place, with no
+scaling pass.  The objective row stays dense, because the entering-column
+scan reads every column.  This is exact arithmetic throughout; no floating
+point enters anywhere.  The entering column is always chosen by Bland's rule
+(lowest eligible index), which terminates on every input.
 
 Standard form and index conventions, shared by :func:`solve` and
 :func:`certify`:
@@ -18,9 +22,8 @@ Standard form and index conventions, shared by :func:`solve` and
   relation), then column ``num_vars + i`` holds the slack of row i, with
   coefficient +1 when the normalized relation is "<=" and -1 when it is ">=";
 * phase 1 introduces artificial variables only for normalized ">=" rows
-  (their slack starts negative at the origin); rows whose artificial cannot
-  be pivoted out are linearly dependent and are dropped, which is recorded in
-  ``kept_rows``;
+  (their slack starts negative at the origin), and ends with every
+  artificial pivoted out of the basis, so every row is kept;
 * ``basis`` and ``reduced_costs`` use these column indices; maximization is
   solved by negating the objective, and reduced costs are reported for the
   problem as posed, so at an optimum they are >= 0 for "min" programs and
@@ -44,8 +47,6 @@ from .lp import (
     violated_rows,
 )
 
-_RULES = ("bland", "dantzig")
-
 
 @dataclass(frozen=True)
 class SolveStats:
@@ -60,7 +61,6 @@ class SolveStats:
 
     phase1_pivots: int = 0
     phase2_pivots: int = 0
-    rows_dropped: int = 0
     cells_touched: int = 0
 
 
@@ -70,7 +70,10 @@ class SimplexSolution:
 
     For non-optimal statuses only ``status``, ``pivots``,
     ``peak_denominator_bits`` and ``stats`` are meaningful.  ``assignment``
-    covers every structural variable (nonbasic ones at 0).
+    covers every structural variable (nonbasic ones at 0).  ``kept_rows`` is
+    the row index paired with each basis entry; the solver keeps every row,
+    so it is ``0 .. len(rows) - 1``, but :func:`certify` reads it as part of
+    the claim rather than assuming it.
     """
 
     status: str
@@ -137,19 +140,62 @@ def _normalize_dense(den: int, cells: list[int]) -> tuple[int, list[int]]:
     return den, cells
 
 
-class _Solver:
-    """One solve in progress; rows never reorder, so positions track rowids."""
+def _eliminate(rows: list[_Row], leave: int, enter: int) -> tuple[int, int]:
+    """Make ``enter`` a unit column with its one in row ``leave``, in place.
 
-    def __init__(self, lp: LinearProgram, rule: str) -> None:
+    Row ``leave`` is reduced so that its denominator equals its ``enter``
+    cell; every other row with a nonzero in column ``enter`` loses the
+    multiple of it that clears that cell.  Each row keeps its exact value.
+    Returns the cells written (right-hand sides included, the pivot row not)
+    and the bit length of the largest denominator left in the touched rows.
+    """
+    _, pcells, prhs = rows[leave]
+    pivot = pcells[enter]
+    if pivot < 0:
+        pcells = {j: -x for j, x in pcells.items()}
+        prhs = -prhs
+        pivot = -pivot
+    # Reduced, the pivot row's denominator equals its pivot cell.  Using
+    # the reduced row below scales every update by a common factor, which
+    # the gcd reduction removes again, so the rows are the same.
+    pivot, pcells, prhs = rows[leave] = _normalize(pivot, pcells, prhs)
+    peak = pivot.bit_length()
+    touched = 0
+    pitems = pcells.items()
+    for r, (den, cells, rhs) in enumerate(rows):
+        c = cells.get(enter)
+        if c is None or r == leave:
+            continue
+        if pivot == 1:
+            touched += len(pcells) + 1
+        else:
+            touched += len(cells.keys() | pcells.keys()) + 1
+            cells = {j: a * pivot for j, a in cells.items()}
+            rhs *= pivot
+            den *= pivot
+        get = cells.get
+        for j, b in pitems:
+            x = get(j, 0) - c * b
+            if x:
+                cells[j] = x
+            else:
+                del cells[j]
+        row = rows[r] = _normalize(den, cells, rhs - c * prhs)
+        if row[0].bit_length() > peak:
+            peak = row[0].bit_length()
+    return touched, peak
+
+
+class _Solver:
+    """One solve in progress; rows never reorder or drop, so row r is row r of the program."""
+
+    def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
-        self.rule = rule
         self.pivots = 0
         self.phase1_pivots = 0
-        self.rows_dropped = 0
         self.cells_touched = 0
         self.num_vars = lp.num_vars
         self.ncols = lp.num_vars + len(lp.rows)
-        self.rowids = list(range(len(lp.rows)))
 
         self.rows: list[_Row] = []
         self.basis: list[int] = []
@@ -180,21 +226,10 @@ class _Solver:
         return den, [int(f * den) for f in acc]
 
     def _kernel(self, objrow: tuple[int, list[int]], width: int) -> tuple[str, tuple[int, list[int]]]:
-        """Pivot until optimal or unbounded; columns 0..width-1 may enter."""
+        """Pivot by Bland's rule until optimal or unbounded; columns 0..width-1 may enter."""
         oden, ocells = objrow
         while True:
-            enter = -1
-            if self.rule == "bland":
-                for j in range(width):
-                    if ocells[j] < 0:
-                        enter = j
-                        break
-            else:
-                best_cell = 0
-                for j in range(width):
-                    if ocells[j] < best_cell:
-                        best_cell = ocells[j]
-                        enter = j
+            enter = next((j for j in range(width) if ocells[j] < 0), -1)
             if enter < 0:
                 return "optimal", (oden, ocells)
             leave = -1
@@ -217,53 +252,19 @@ class _Solver:
     def _pivot(
         self, leave: int, enter: int, objrow: tuple[int, list[int]] | None
     ) -> tuple[int, list[int]] | None:
-        """Make ``enter`` basic in row ``leave``; every row keeps its exact value."""
+        """Make ``enter`` basic in row ``leave`` and update the objective row to match."""
         self.pivots += 1
-        _, pcells, prhs = self.rows[leave]
-        pivot = pcells[enter]
-        if pivot < 0:
-            pcells = {j: -x for j, x in pcells.items()}
-            prhs = -prhs
-            pivot = -pivot
-        # Reduced, the pivot row's denominator equals its pivot cell.  Using
-        # the reduced row below scales every update by a common factor, which
-        # the gcd reduction removes again, so the rows are the same.
-        pivot, pcells, prhs = _normalize(pivot, pcells, prhs)
-        rows = self.rows
-        rows[leave] = (pivot, pcells, prhs)
-        peak = pivot.bit_length()
-        touched = 0
-        pitems = pcells.items()
-        for r, (den, cells, rhs) in enumerate(rows):
-            c = cells.get(enter)
-            if c is None or r == leave:
-                continue
-            if pivot == 1:
-                touched += len(pcells) + 1
-            else:
-                touched += len(cells.keys() | pcells.keys()) + 1
-                cells = {j: a * pivot for j, a in cells.items()}
-                rhs *= pivot
-                den *= pivot
-            get = cells.get
-            for j, b in pitems:
-                x = get(j, 0) - c * b
-                if x:
-                    cells[j] = x
-                else:
-                    del cells[j]
-            row = rows[r] = _normalize(den, cells, rhs - c * prhs)
-            if row[0].bit_length() > peak:
-                peak = row[0].bit_length()
+        touched, peak = _eliminate(self.rows, leave, enter)
         self.cells_touched += touched
         if objrow is not None:
+            pivot, pcells, prhs = self.rows[leave]
             oden, ocells = objrow
             c = ocells[enter]
             if c:
                 if pivot != 1:
                     oden *= pivot
                     ocells = [a * pivot for a in ocells]
-                for j, b in pitems:
+                for j, b in pcells.items():
                     ocells[j] -= c * b
                 ocells[-1] -= c * prhs
                 oden, ocells = objrow = _normalize_dense(oden, ocells)
@@ -285,17 +286,12 @@ class _Solver:
         for r in range(len(self.rows)):
             if self.basis[r] < self.ncols:
                 continue
+            # An artificial still basic, at value 0.  Every row owns its own
+            # slack column, so [A | +-I] has full row rank and this row has a
+            # nonzero structural or slack cell; pivoting on any nonzero cell
+            # keeps the basis feasible because the row's value is 0.
             cells = self.rows[r][1]
-            enter = min((j for j in cells if j < self.ncols), default=-1)
-            if enter >= 0:
-                # The row's value is 0, so pivoting on any nonzero entry
-                # keeps the basis feasible.
-                self._pivot(r, enter, None)
-        keep = [r for r in range(len(self.rows)) if self.basis[r] < self.ncols]
-        self.rows_dropped = len(self.rows) - len(keep)
-        self.rows = [self.rows[r] for r in keep]
-        self.basis = [self.basis[r] for r in keep]
-        self.rowids = [self.rowids[r] for r in keep]
+            self._pivot(r, min(j for j in cells if j < self.ncols), None)
         return True
 
     def _truncate(self) -> None:
@@ -308,10 +304,7 @@ class _Solver:
 
     def _stats(self) -> SolveStats:
         return SolveStats(
-            self.phase1_pivots,
-            self.pivots - self.phase1_pivots,
-            self.rows_dropped,
-            self.cells_touched,
+            self.phase1_pivots, self.pivots - self.phase1_pivots, self.cells_touched
         )
 
     def run(self) -> SimplexSolution:
@@ -340,7 +333,7 @@ class _Solver:
             flip * internal,
             assignment,
             tuple(self.basis),
-            tuple(self.rowids),
+            tuple(range(len(self.rows))),
             reduced,
             self.pivots,
             self.peak_bits,
@@ -348,17 +341,15 @@ class _Solver:
         )
 
 
-def solve(lp: LinearProgram, rule: str = "bland") -> SimplexSolution:
+def solve(lp: LinearProgram) -> SimplexSolution:
     """Solve ``lp`` exactly.
 
-    ``rule`` picks the entering column: "bland" (lowest eligible index, the
-    default; terminates on every input) or "dantzig" (most negative reduced
-    cost, ties to the lowest index).  The leaving row is always the smallest
-    exact ratio, ties broken by the lowest basic variable index.
+    The entering column is the lowest index with a negative reduced cost
+    (Bland's rule); the leaving row is the smallest exact ratio, ties broken
+    by the lowest basic variable index.  Bland's rule cannot cycle, so every
+    input ends optimal, infeasible or unbounded.
     """
-    if rule not in _RULES:
-        raise LPError(f"unknown pivot rule {rule!r}")
-    return _Solver(lp, rule).run()
+    return _Solver(lp).run()
 
 
 def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
@@ -382,10 +373,13 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     all-zero equation, a singular basis.  The unknowns left are ``y`` on the
     active rows (kept rows whose slack is nonbasic), and the equations left
     come from the basic structural columns; this square system has at most
-    ``num_vars`` unknowns and is solved by exact elimination.  ``G`` is block
-    triangular over that split, so it is singular exactly when the square
-    system is.  The reduced costs ``d = c - sum of y_i a_i`` then take one
-    sparse pass over the active rows.
+    ``num_vars`` unknowns and is solved by Gauss-Jordan through the solver's
+    own :func:`_eliminate`.  ``G`` is block triangular over that split, so it
+    is singular exactly when the square system is.  The reduced costs
+    ``d = c - sum of y_i a_i`` then take one sparse pass over the active rows.
+    Sharing the elimination with the solver does not weaken the check: ``d``
+    must vanish on every basic column, which is ``G y = c_B`` itself, so a
+    wrong ``y`` can only fail a claim, never pass one.
     """
     if solution.status != "optimal":
         raise LPError("only optimal solutions can be certified")
@@ -474,53 +468,30 @@ def _active_duals(
     if len(structural) != len(active):
         return None
     # Equation for basic column j: sum over active rows i of a_ij y_i = c_j,
-    # one cell per active row plus the right-hand side.
-    position = {i: p for p, i in enumerate(active)}
-    entries: list[list[Fraction]] = [[ZERO] * len(active) + [costs[j]] for j in structural]
-    column = {j: e for j, e in zip(structural, entries)}
-    for i in active:
+    # as a tableau row whose column p is the unknown y of active row p.
+    equations: dict[int, dict[int, Fraction]] = {j: {} for j in structural}
+    for p, i in enumerate(active):
         for j, coef in prepared[i][0].items():
-            eq = column.get(j)
+            eq = equations.get(j)
             if eq is not None:
-                eq[position[i]] = coef
-    solution = _integer_solve([_integer_row(eq) for eq in entries])
-    if solution is None:
-        return None
-    return {i: solution[p] for p, i in enumerate(active)}
-
-
-def _integer_row(fractions: list[Fraction]) -> list[int]:
-    """Scale a row of fractions to integers with no common factor."""
-    den = 1
-    for f in fractions:
-        den = lcm(den, f.denominator)
-    return _primitive([int(f * den) for f in fractions])
-
-
-def _primitive(cells: list[int]) -> list[int]:
-    g = gcd(*cells)
-    return [c // g for c in cells] if g > 1 else cells
-
-
-def _integer_solve(rows: list[list[int]]) -> list[Fraction] | None:
-    """Gauss-Jordan on square integer rows ``[a_1 .. a_k, b]``; None when singular.
-
-    Each elimination step is the tableau's integer cross-multiplication
-    followed by a gcd reduction, so every cell stays an integer.
-    """
-    k = len(rows)
-    for col in range(k):
-        pivot_row = next((r for r in range(col, k) if rows[r][col]), -1)
-        if pivot_row < 0:
+                eq[p] = coef
+    rows: list[_Row] = []
+    for j, eq in equations.items():
+        den = lcm(costs[j].denominator, *(coef.denominator for coef in eq.values()))
+        cells = {p: int(coef * den) for p, coef in eq.items()}
+        rows.append(_normalize(den, cells, int(costs[j] * den)))
+    # Gauss-Jordan: make each unknown a unit column in a row not used yet.
+    # An unknown with no such row leaves the system rank-deficient.
+    owner: list[int] = []
+    free = set(range(len(rows)))
+    for p in range(len(active)):
+        r = min((r for r in free if p in rows[r][1]), default=-1)
+        if r < 0:
             return None
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        prow = rows[col]
-        pivot = prow[col]
-        for r in range(k):
-            c = rows[r][col]
-            if r != col and c:
-                rows[r] = _primitive([a * pivot - c * b for a, b in zip(rows[r], prow)])
-    return [Fraction(rows[r][k], rows[r][r]) for r in range(k)]
+        _eliminate(rows, r, p)
+        free.remove(r)
+        owner.append(r)
+    return {i: Fraction(rows[r][2], rows[r][0]) for i, r in zip(active, owner)}
 
 
 def solution_to_assignment(

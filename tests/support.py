@@ -24,8 +24,8 @@ from qcmass.grid import (
     MassGrid,
     NBox,
     Violation,
+    corner_sign,
     make_grid_qc,
-    vertex_patterns,
 )
 from qcmass.lp import LinearProgram, LPError, Row
 from qcmass.simplex import (
@@ -212,8 +212,8 @@ def ref_evaluate(grid: MassGrid, values, point) -> Fraction:
 
 def ref_box_volume(grid: MassGrid, values, box: NBox) -> Fraction:
     total = ZERO
-    for pattern in vertex_patterns(grid.dimension):
-        total += pattern.sign * ref_evaluate(grid, values, box.vertex(pattern))
+    for flags in product((False, True), repeat=grid.dimension):
+        total += corner_sign(flags) * ref_evaluate(grid, values, box.vertex(flags))
     return total
 
 
@@ -442,7 +442,7 @@ def random_small_lp(rng: random.Random) -> LinearProgram:
 # ------------------------------------------------------- dense simplex oracle
 
 
-def dense_solve(lp: LinearProgram, rule: str = "bland") -> SimplexSolution:
+def dense_solve(lp: LinearProgram) -> SimplexSolution:
     """Reference solve: the two-phase simplex on dense integer rows.
 
     Every row stores all its cells, zeros included, and each pivot rebuilds
@@ -450,8 +450,11 @@ def dense_solve(lp: LinearProgram, rule: str = "bland") -> SimplexSolution:
     The pivots, arithmetic and tie-breaks are those :func:`qcmass.simplex.solve`
     promises, so every field of the two solutions must be equal, except that
     ``stats.cells_touched`` here counts the full width of each updated row.
+    Unlike the solver, the oracle still drops a row whose artificial has no
+    nonzero cell to pivot on after phase 1; equal ``kept_rows`` show that this
+    never happens.
     """
-    return _DenseSolver(lp, rule).run()
+    return _DenseSolver(lp).run()
 
 
 def _normalize_dense(den: int, cells: list[int]) -> tuple[int, list[int]]:
@@ -469,12 +472,10 @@ def _normalize_dense(den: int, cells: list[int]) -> tuple[int, list[int]]:
 class _DenseSolver:
     """One dense solve in progress; rows never reorder, so positions track rowids."""
 
-    def __init__(self, lp: LinearProgram, rule: str) -> None:
+    def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
-        self.rule = rule
         self.pivots = 0
         self.phase1_pivots = 0
-        self.rows_dropped = 0
         self.cells_touched = 0
         self.peak_bits = 1
         self.num_vars = lp.num_vars
@@ -530,17 +531,10 @@ class _DenseSolver:
         oden, ocells = objrow
         while True:
             enter = -1
-            if self.rule == "bland":
-                for j in range(width):
-                    if ocells[j] < 0:
-                        enter = j
-                        break
-            else:
-                best_cell = 0
-                for j in range(width):
-                    if ocells[j] < best_cell:
-                        best_cell = ocells[j]
-                        enter = j
+            for j in range(width):
+                if ocells[j] < 0:
+                    enter = j
+                    break
             if enter < 0:
                 return "optimal", (oden, ocells)
             leave = -1
@@ -604,7 +598,6 @@ class _DenseSolver:
             if enter >= 0:
                 self._pivot(r, enter, (1, [0] * (total + 1)))
         keep = [r for r in range(len(self.rows)) if self.basis[r] < self.ncols]
-        self.rows_dropped = len(self.rows) - len(keep)
         self.rows = [self.rows[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
         self.rowids = [self.rowids[r] for r in keep]
@@ -615,10 +608,7 @@ class _DenseSolver:
 
     def _stats(self) -> SolveStats:
         return SolveStats(
-            self.phase1_pivots,
-            self.pivots - self.phase1_pivots,
-            self.rows_dropped,
-            self.cells_touched,
+            self.phase1_pivots, self.pivots - self.phase1_pivots, self.cells_touched
         )
 
     def run(self) -> SimplexSolution:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from qcmass import cli
 from qcmass.cli import main
 from qcmass.grid import MassGrid, builtin_example, grid_from_json, grid_to_json, marginalize
 from qcmass.lp import build_extremal_lp, export_lp
@@ -383,10 +384,19 @@ def test_check_witness_single_direction(runner: CliRunner) -> None:
     )
 
 
-def test_check_witness_unrecorded_dimension(runner: CliRunner) -> None:
-    result = invoke(runner, "check-witness", "-n", "3")
-    assert result.exit_code == 2
-    assert "dimension 4" in result.output
+def test_check_witness_unrecorded_dimension(
+    runner: CliRunner, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the dimension is refused before any program is built; at n=40 the
+    # program would have 2^40 corner variables
+    def no_build(*args):
+        raise AssertionError("extremal program built for an unrecorded dimension")
+
+    monkeypatch.setattr(cli, "build_extremal_lp", no_build)
+    for n in ("3", "40"):
+        result = invoke(runner, "check-witness", "-n", n)
+        assert result.exit_code == 2
+        assert "dimension 4" in result.output
 
 
 # ------------------------------------------------------------- determinism

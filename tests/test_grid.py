@@ -14,14 +14,13 @@ from qcmass.grid import (
     GridQuasiCopula,
     MassGrid,
     NBox,
-    VertexPattern,
     Violation,
     builtin_example,
+    corner_sign,
     grid_from_json,
     grid_to_json,
     make_grid_qc,
     marginalize,
-    vertex_patterns,
 )
 
 F = Fraction
@@ -77,8 +76,8 @@ def test_locate() -> None:
 def test_box_basics() -> None:
     box = NBox(((F(3, 7), F(6, 7)), (HALF, HALF)))
     assert box.dimension == 2
-    assert box.vertex(VertexPattern((False, True))) == (F(3, 7), HALF)
-    assert box.vertex(VertexPattern((True, False))) == (F(6, 7), HALF)
+    assert box.vertex((False, True)) == (F(3, 7), HALF)
+    assert box.vertex((True, False)) == (F(6, 7), HALF)
 
 
 @pytest.mark.parametrize(
@@ -95,22 +94,19 @@ def test_box_rejects(intervals: tuple) -> None:
         NBox(intervals)
 
 
-def test_vertex_pattern_signs() -> None:
-    assert VertexPattern((True, True)).sign == 1
-    assert VertexPattern((False, True)).sign == -1
-    assert VertexPattern((False, False)).sign == 1
-    assert VertexPattern((False, False, False, False)).sign == 1
-    assert VertexPattern((True, False, False, False)).sign == -1
-    assert VertexPattern((True, True, False, False)).sign == 1
-    assert VertexPattern((True, True, True, True)).sign == 1
-
-
-def test_vertex_patterns_enumeration() -> None:
-    pats = list(vertex_patterns(3))
-    assert len(pats) == 8
-    assert pats[0].upper_flags == (False, False, False)
-    assert pats[-1].upper_flags == (True, True, True)
-    assert sum(p.sign for p in pats) == 0
+def test_corner_sign() -> None:
+    assert corner_sign((True, True)) == 1
+    assert corner_sign((False, True)) == -1
+    assert corner_sign((False, False)) == 1
+    assert corner_sign((False, False, False, False)) == 1
+    assert corner_sign((True, False, False, False)) == -1
+    assert corner_sign((True, True, False, False)) == 1
+    assert corner_sign((True, True, True, True)) == 1
+    corners = list(product((False, True), repeat=3))
+    assert len(corners) == 8
+    assert corners[0] == (False, False, False)
+    assert corners[-1] == (True, True, True)
+    assert sum(corner_sign(flags) for flags in corners) == 0
 
 
 # ------------------------------------------------------------------ grids
@@ -260,18 +256,16 @@ Q2_BOX = NBox(((HALF, F(1)),) * 4)
 
 def test_q1_corner_values() -> None:
     qc = builtin_example("q1")
-    for pattern in vertex_patterns(4):
-        uppers = sum(pattern.upper_flags)
-        want = F(3, 7) if uppers >= 3 else F(0)
-        assert qc.evaluate(Q1_BOX.vertex(pattern)) == want, pattern
+    for flags in product((False, True), repeat=4):
+        want = F(3, 7) if sum(flags) >= 3 else F(0)
+        assert qc.evaluate(Q1_BOX.vertex(flags)) == want, flags
 
 
 def test_q2_corner_values() -> None:
     qc = builtin_example("q2")
-    for pattern in vertex_patterns(4):
-        uppers = sum(pattern.upper_flags)
-        want = {0: F(0), 1: F(0), 2: HALF, 3: HALF, 4: F(1)}[uppers]
-        assert qc.evaluate(Q2_BOX.vertex(pattern)) == want, pattern
+    for flags in product((False, True), repeat=4):
+        want = {0: F(0), 1: F(0), 2: HALF, 3: HALF, 4: F(1)}[sum(flags)]
+        assert qc.evaluate(Q2_BOX.vertex(flags)) == want, flags
 
 
 def test_q1_margins_are_identity_on_top_edge() -> None:
@@ -561,6 +555,10 @@ def test_json_schema_key_tolerated() -> None:
         '"masses": [{"cell": [false], "mass": "1"}]}',
         '{"dimension": 1, "partitions": [["0", "1/2", "1"]], '
         '"masses": [{"cell": [true], "mass": "1"}]}',
+        # a string or object partition would iterate as breakpoints 0, 1
+        '{"dimension": 1, "partitions": ["01"], "masses": [{"cell": [0], "mass": "1"}]}',
+        '{"dimension": 1, "partitions": [{"0": 0, "1": 1}], '
+        '"masses": [{"cell": [0], "mass": "1"}]}',
     ],
 )
 def test_json_rejects(text: str) -> None:
