@@ -21,7 +21,6 @@ import click
 from .grid import (
     MAX_LATTICE_NODES,
     GridError,
-    GridQuasiCopula,
     MassGrid,
     NBox,
     builtin_grid,
@@ -83,10 +82,6 @@ def _load_grid(example: str | None, file: str | None) -> MassGrid:
     if example is not None:
         return builtin_grid(example)
     return grid_from_json(Path(file).read_text())
-
-
-def _load_qc(example: str | None, file: str | None) -> GridQuasiCopula:
-    return make_grid_qc(_load_grid(example, file))
 
 
 def _parse_box(text: str) -> NBox:
@@ -181,7 +176,7 @@ _CHECK_KINDS = (
 
 
 def run_verify(example: str | None, file: str | None) -> CommandResult:
-    qc = _load_qc(example, file)
+    qc = make_grid_qc(_load_grid(example, file))
     report = qc.verify_axioms()
     violations = list(report.violations) + list(qc.frechet_envelope_check())
     lines = []
@@ -218,9 +213,9 @@ def verify(example: str | None, file: str | None) -> None:
 
 
 def run_volume(example: str | None, file: str | None, box_text: str) -> CommandResult:
-    qc = _load_qc(example, file)
+    grid = _load_grid(example, file)
     box = _parse_box(box_text)
-    return CommandResult(0, format_rational(qc.box_volume(box)) + "\n")
+    return CommandResult(0, format_rational(grid.box_volume(box)) + "\n")
 
 
 @main.command()

@@ -150,6 +150,41 @@ class MassGrid:
         for cell in product(*(range(s) for s in self.shape)):
             yield cell, self.cell_masses.get(cell, ZERO)
 
+    def box_volume(self, box: NBox) -> Fraction:
+        """Signed mass on ``box``: the sum over cells of m_c * prod_i |B_i & slab_i| / width_i.
+
+        Each cell spreads its mass uniformly, so the part inside the box is
+        the product of the per-axis covered fractions of its slabs.  That is
+        the inclusion-exclusion sum of the induced function over the box's
+        corners, read off the cells without building a node lattice.  The
+        fractions are integers over one denominator per axis and the masses
+        integers over the lcm of theirs, so the sum is one integer.
+        """
+        if box.dimension != self.dimension:
+            raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
+        weights: list[list[int]] = []
+        scale = 1
+        for part, (lo, hi) in zip(self.partitions, box.intervals):
+            pts = part.breakpoints
+            covered = [
+                (min(hi, b) - max(lo, a)) / (b - a) if lo < b and a < hi else ZERO
+                for a, b in zip(pts, pts[1:])
+            ]
+            den = lcm(*(f.denominator for f in covered))
+            scale *= den
+            weights.append([f.numerator * (den // f.denominator) for f in covered])
+        masses = self.cell_masses
+        mass_den = lcm(*(m.denominator for m in masses.values()))
+        total = 0
+        for cell, mass in masses.items():
+            w = mass.numerator * (mass_den // mass.denominator)
+            for axis_weights, c in zip(weights, cell):
+                w *= axis_weights[c]
+                if not w:
+                    break
+            total += w
+        return Fraction(total, mass_den * scale)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -270,6 +305,8 @@ class GridQuasiCopula:
     integers; a :class:`Fraction` is built only for a value handed out.
     Build instances with :func:`make_grid_qc`; any other mapping passed as
     ``node_values`` is converted on construction and must cover every node.
+    Node values that disagree with ``grid`` change :meth:`evaluate` and the
+    checks, but not :meth:`box_volume`, which reads the cells.
     """
 
     grid: MassGrid
@@ -310,13 +347,12 @@ class GridQuasiCopula:
         return Fraction(sum(w * ints[o] for o, w in terms), scale)
 
     def box_volume(self, box: NBox) -> Fraction:
-        """Signed mass Q places on ``box``: the inclusion-exclusion sum over corners."""
-        if box.dimension != self.dimension:
-            raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
-        total = ZERO
-        for flags in product((False, True), repeat=self.dimension):
-            total += corner_sign(flags) * self.evaluate(box.vertex(flags))
-        return total
+        """Signed mass Q places on ``box``, the inclusion-exclusion sum over its corners.
+
+        That sum equals the mass the cells put inside the box, so this is
+        :meth:`MassGrid.box_volume` of ``grid``; the node values are not read.
+        """
+        return self.grid.box_volume(box)
 
     def verify_axioms(self) -> AxiomReport:
         """Decide whether the induced function is an n-quasi-copula.
@@ -549,18 +585,19 @@ def grid_to_json(grid: MassGrid) -> str:
     return json.dumps(grid_payload(grid), indent=2) + "\n"
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def grid_from_json(text: str) -> MassGrid:
-    """Parse the grid file format, validating shape, ranges, and rationals."""
+    """Parse the grid file format, validating shape, ranges, and rationals.
+
+    JSON types are tested with ``type(x) is ...``: ``true`` and ``false``
+    load as bool, a subclass of int, and must not pass as cell indices or a
+    dimension.  Each distinct mass literal is parsed once, however many cells
+    share it.  Cell arity and range are left to :class:`MassGrid`.
+    """
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also an integer literal too long to convert
         raise GridError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise GridError("grid file must be a JSON object")
     extra = set(payload) - {"dimension", "partitions", "masses", "schema"}
     if extra:
@@ -570,12 +607,12 @@ def grid_from_json(text: str) -> MassGrid:
             raise GridError(f"grid file missing key {key!r}")
     dim = payload["dimension"]
     parts_raw = payload["partitions"]
-    if not _is_int(dim) or not isinstance(parts_raw, list):
+    if type(dim) is not int or type(parts_raw) is not list:
         raise GridError("malformed dimension or partitions")
     if len(parts_raw) != dim:
         raise GridError(f"dimension is {dim} but {len(parts_raw)} partitions given")
     # A string or object would iterate as breakpoints ("01" as 0, 1).
-    if not all(isinstance(axis, list) for axis in parts_raw):
+    if not all(type(axis) is list for axis in parts_raw):
         raise GridError("each partition must be a list of breakpoints")
     try:
         partitions = tuple(
@@ -583,20 +620,34 @@ def grid_from_json(text: str) -> MassGrid:
         )
     except (TypeError, ValueError) as exc:
         raise GridError(f"malformed partition: {exc}") from exc
-    masses: dict[tuple[int, ...], Fraction] = {}
-    if not isinstance(payload["masses"], list):
+    entries = payload["masses"]
+    if type(entries) is not list:
         raise GridError("masses must be a list")
-    for entry in payload["masses"]:
-        if not isinstance(entry, dict) or set(entry) != {"cell", "mass"}:
+    masses: dict[tuple[int, ...], Fraction] = {}
+    parsed: dict[str, Fraction] = {}
+    for entry in entries:
+        # Two keys, both of them present: exactly "cell" and "mass".
+        if (
+            type(entry) is not dict
+            or len(entry) != 2
+            or "cell" not in entry
+            or "mass" not in entry
+        ):
             raise GridError(f"malformed mass entry: {entry!r}")
         cell_raw = entry["cell"]
-        if not isinstance(cell_raw, list) or not all(_is_int(c) for c in cell_raw):
+        if type(cell_raw) is not list or not all(type(c) is int for c in cell_raw):
             raise GridError(f"malformed cell index: {cell_raw!r}")
         cell = tuple(cell_raw)
         if cell in masses:
             raise GridError(f"duplicate cell {cell}")
-        try:
-            masses[cell] = parse_rational(entry["mass"])
-        except ValueError as exc:
-            raise GridError(f"malformed mass for cell {cell}: {exc}") from exc
+        literal = entry["mass"]
+        mass = parsed.get(literal) if type(literal) is str else None
+        if mass is None:
+            try:
+                mass = parse_rational(literal)
+            except ValueError as exc:
+                raise GridError(f"malformed mass for cell {cell}: {exc}") from exc
+            # parse_rational accepts only strings, so `literal` is one here.
+            parsed[literal] = mass
+        masses[cell] = mass
     return MassGrid(partitions, masses)

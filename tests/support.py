@@ -8,11 +8,15 @@ functions are the node-lattice consumers written plainly over a dict of
 qcmass.grid.  Likewise ``dense_certify`` recomputes a certificate's dual by
 dense elimination over every kept row, the route ``qcmass.simplex.certify``
 avoids, and ``dense_solve`` runs the simplex on dense integer rows, the
-reference for the sparse rows of ``qcmass.simplex.solve``.
+reference for the sparse rows of ``qcmass.simplex.solve``.  ``ref_box_volume``
+reads a box's mass off the node lattice, the reference for the cell sum of
+``MassGrid.box_volume``, and ``ref_grid_from_json`` parses every literal of
+a grid file afresh, the reference for ``qcmass.grid.grid_from_json``.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -21,13 +25,16 @@ from math import gcd, lcm
 from qcmass.grid import (
     AxiomReport,
     AxisPartition,
+    GridError,
     MassGrid,
     NBox,
     Violation,
     corner_sign,
+    grid_from_json,
     make_grid_qc,
 )
 from qcmass.lp import LinearProgram, LPError, Row
+from qcmass.rational import parse_rational
 from qcmass.simplex import (
     CertificateReport,
     SimplexSolution,
@@ -265,6 +272,76 @@ def ref_frechet_envelope_check(grid: MassGrid, values) -> tuple[Violation, ...]:
         if v > upper:
             bad.append(Violation("frechet-upper", node, v, upper))
     return tuple(bad)
+
+
+def _is_json_int(value: object) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def ref_grid_from_json(text: str) -> MassGrid:
+    """The grid file loader, parsing every literal and checking every entry afresh."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # also an integer literal too long to convert
+        raise GridError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise GridError("grid file must be a JSON object")
+    extra = set(payload) - {"dimension", "partitions", "masses", "schema"}
+    if extra:
+        raise GridError(f"unknown grid file keys: {sorted(extra)}")
+    for key in ("dimension", "partitions", "masses"):
+        if key not in payload:
+            raise GridError(f"grid file missing key {key!r}")
+    dim = payload["dimension"]
+    parts_raw = payload["partitions"]
+    if not _is_json_int(dim) or not isinstance(parts_raw, list):
+        raise GridError("malformed dimension or partitions")
+    if len(parts_raw) != dim:
+        raise GridError(f"dimension is {dim} but {len(parts_raw)} partitions given")
+    if not all(isinstance(axis, list) for axis in parts_raw):
+        raise GridError("each partition must be a list of breakpoints")
+    try:
+        partitions = tuple(
+            AxisPartition(tuple(parse_rational(t) for t in axis)) for axis in parts_raw
+        )
+    except (TypeError, ValueError) as exc:
+        raise GridError(f"malformed partition: {exc}") from exc
+    masses: dict[tuple[int, ...], Fraction] = {}
+    if not isinstance(payload["masses"], list):
+        raise GridError("masses must be a list")
+    for entry in payload["masses"]:
+        if not isinstance(entry, dict) or set(entry) != {"cell", "mass"}:
+            raise GridError(f"malformed mass entry: {entry!r}")
+        cell_raw = entry["cell"]
+        if not isinstance(cell_raw, list) or not all(_is_json_int(c) for c in cell_raw):
+            raise GridError(f"malformed cell index: {cell_raw!r}")
+        cell = tuple(cell_raw)
+        if cell in masses:
+            raise GridError(f"duplicate cell {cell}")
+        try:
+            masses[cell] = parse_rational(entry["mass"])
+        except ValueError as exc:
+            raise GridError(f"malformed mass for cell {cell}: {exc}") from exc
+    return MassGrid(partitions, masses)
+
+
+def assert_loaders_agree(text: str) -> MassGrid | None:
+    """``grid_from_json`` and :func:`ref_grid_from_json` return equal grids or both refuse.
+
+    Returns the grid, or None when both raised :class:`GridError`.  Any other
+    exception propagates from either loader.
+    """
+    try:
+        want = ref_grid_from_json(text)
+    except GridError:
+        want = None
+    try:
+        got = grid_from_json(text)
+    except GridError:
+        got = None
+    assert got == want, text[:300]
+    return got
 
 
 def random_mixed_partition(rng: random.Random, max_cells: int) -> AxisPartition:

@@ -214,23 +214,61 @@ def huge_lattice_file(path: Path) -> Path:
     return target
 
 
-@pytest.mark.parametrize(
-    "args", [("verify",), ("volume", "--box", ",".join(["0:1"] * 40))], ids=["verify", "volume"]
-)
+def _traced_invoke(runner: CliRunner, *args: str):
+    """The command's result and the peak traced allocation while it ran."""
+    tracemalloc.start()
+    try:
+        result = invoke(runner, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("args", [("verify",)], ids=["verify"])
 def test_lattice_too_large_to_build_exits_2(
     runner: CliRunner, tmp_path: Path, args: tuple[str, ...]
 ) -> None:
     target = huge_lattice_file(tmp_path)
-    tracemalloc.start()
-    try:
-        result = invoke(runner, args[0], "--file", str(target), *args[1:])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = _traced_invoke(runner, args[0], "--file", str(target), *args[1:])
     assert result.exit_code == 2
     assert result.output == (
         "error: grid lattice has 1099511627776 nodes, more than the limit of 16777216\n"
     )
+    assert peak < 2**22
+
+
+def test_volume_of_lattice_too_large_to_build(runner: CliRunner, tmp_path: Path) -> None:
+    """volume reads only the cells, so a 2^40-node lattice is no obstacle."""
+    target = huge_lattice_file(tmp_path)
+    box = ",".join(["0:1"] * 40)
+    result, peak = _traced_invoke(runner, "volume", "--file", str(target), "--box", box)
+    assert result.exit_code == 0
+    assert result.output == "0\n"
+    assert peak < 2**22
+
+
+@pytest.mark.parametrize(
+    "interval,expected", [("0:1/2", "1\n"), ("0:1/4", "1/1099511627776\n")]
+)
+def test_volume_of_wide_single_cell_grid(
+    runner: CliRunner, tmp_path: Path, interval: str, expected: str
+) -> None:
+    """40 halved axes, unit mass on the corner cell: [0,1/4]^40 covers half of it per axis."""
+    target = tmp_path / "corner.json"
+    target.write_text(
+        json.dumps(
+            {
+                "dimension": 40,
+                "partitions": [["0", "1/2", "1"]] * 40,
+                "masses": [{"cell": [0] * 40, "mass": "1"}],
+            }
+        )
+    )
+    box = ",".join([interval] * 40)
+    result, peak = _traced_invoke(runner, "volume", "--file", str(target), "--box", box)
+    assert result.exit_code == 0
+    assert result.output == expected
     assert peak < 2**22
 
 

@@ -1,10 +1,12 @@
 """The exit-code contract under generated malformed input.
 
 Every malformed box, grid file or dimension option must end in exit code 2
-with an ``error:`` line (or click's usage text), never in a traceback.  Each
-strategy below only draws inputs that are malformed by construction, so a
-zero or one exit is a fault, not bad luck.  The draws are derandomized, so a
-failure replays from the test id alone.
+with an ``error:`` line (or click's usage text), never in a traceback.  The
+strategies for malformed input draw only inputs that are malformed by
+construction, so a zero or one exit is a fault, not bad luck.  Wide grid
+files of up to 40 axes, on the other hand, are valid: ``volume`` must answer
+on them with one rational line whatever the size of their node lattice.
+The draws are derandomized, so a failure replays from the test id alone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from qcmass import cli
 from qcmass.grid import builtin_grid, grid_payload
+from qcmass.rational import parse_rational
 
 SEEDED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -163,6 +167,87 @@ def test_grid_commands_reject_malformed_file(grid_file, text: str, command: str)
     extra = {"verify": (), "volume": ("--box", Q1_BOX), "margin": ("--drop-axis", "1")}
     args = (command, "--file", str(grid_file), *extra[command])
     assert_usage_error(run(*args), (args[0], text[:200]))
+
+
+@settings(SEEDED, max_examples=150)
+@given(text=malformed_grid_texts())
+def test_loader_refuses_malformed_file_like_reference(text: str) -> None:
+    assert support.assert_loaders_agree(text) is None
+
+
+# -------------------------------------------------------------- wide grids
+
+BREAKS = ["1/2", "1/3", "2/3", "1/7", "0.25"]
+ENDS = ["0", "1/4", "1/3", "1/2", "5/7", "1"]
+
+
+@st.composite
+def wide_grids(draw) -> dict:
+    """A grid file payload of up to 40 axes, 2-3 breakpoints each, and 0-3 cells."""
+    n = draw(st.integers(1, 40))
+    parts = [
+        ["0", *draw(st.lists(st.sampled_from(BREAKS), max_size=1)), "1"] for _ in range(n)
+    ]
+    cells = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, len(axis) - 2) for axis in parts)),
+            max_size=3,
+            unique=True,
+        )
+    )
+    masses = [
+        {"cell": list(cell), "mass": draw(st.sampled_from(["1", "-1/3", "7/2", "0", "0.125"]))}
+        for cell in cells
+    ]
+    return {"dimension": n, "partitions": parts, "masses": masses}
+
+
+def _wide_box(draw, n: int) -> str:
+    """``n`` intervals, all [0, 1] but up to three, so that many answers are nonzero."""
+    pieces = ["0:1"] * n
+    for axis in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        lo, hi = sorted((draw(st.sampled_from(ENDS)) for _ in range(2)), key=parse_rational)
+        pieces[axis] = f"{lo}:{hi}"
+    return ",".join(pieces)
+
+
+@st.composite
+def wide_volume_queries(draw) -> tuple[dict, str]:
+    payload = draw(wide_grids())
+    return payload, _wide_box(draw, payload["dimension"])
+
+
+@st.composite
+def wide_arity_mismatches(draw) -> tuple[dict, str]:
+    payload = draw(wide_grids())
+    n = payload["dimension"]
+    arity = draw(st.integers(1, 41).filter(lambda k: k != n))
+    return payload, _wide_box(draw, arity)
+
+
+@SEEDED
+@given(query=wide_volume_queries())
+def test_volume_answers_on_wide_grids(grid_file, query) -> None:
+    payload, box = query
+    grid_file.write_text(json.dumps(payload))
+    result = run("volume", "--file", str(grid_file), "--box", box)
+    assert result.exit_code == 0, (box, result.output, result.exception)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and result.output.endswith("\n"), result.output
+    grid = support.assert_loaders_agree(json.dumps(payload))
+    want = support.box_mass_direct(grid, cli._parse_box(box))
+    assert parse_rational(lines[0]) == want, (box, result.output)
+
+
+@SEEDED
+@given(query=wide_arity_mismatches())
+def test_volume_rejects_box_of_wrong_arity_on_wide_grids(grid_file, query) -> None:
+    payload, box = query
+    grid_file.write_text(json.dumps(payload))
+    args = ("volume", "--file", str(grid_file), "--box", box)
+    result = run(*args)
+    assert_usage_error(result, args)
+    assert result.output.startswith("error: box has arity"), result.output
 
 
 # ------------------------------------------------------- dimension options

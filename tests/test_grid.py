@@ -1,5 +1,6 @@
 """Mass grids, node values, axiom checks, margins, and the file format."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -217,7 +218,8 @@ def _compare_with_reference(qc: GridQuasiCopula, values: dict, rng: random.Rando
         point = support.random_point(rng, grid)
         assert qc.evaluate(point) == support.ref_evaluate(grid, values, point), (case, point)
     box = support.random_box(rng, grid)
-    assert qc.box_volume(box) == support.ref_box_volume(grid, values, box), (case, box)
+    # box_volume reads the cells, never the node values, tampered or not.
+    assert qc.box_volume(box) == support.box_mass_direct(grid, box), (case, box)
     return {v.kind for v in report.violations + envelope}
 
 
@@ -310,8 +312,59 @@ def test_box_volume_whole_cube_and_degenerate() -> None:
 
 
 def test_box_volume_arity_check() -> None:
-    with pytest.raises(GridError):
-        builtin_example("q1").box_volume(NBox(((F(0), F(1)),) * 3))
+    for grid in (builtin_example("q1"), builtin_example("q1").grid):
+        with pytest.raises(GridError, match="box has arity 3, expected 4"):
+            grid.box_volume(NBox(((F(0), F(1)),) * 3))
+
+
+def _oracle_boxes(rng: random.Random, grid: MassGrid) -> list[tuple[str, NBox]]:
+    """One box of each kind: breakpoint-aligned, interior, degenerate, whole, edge-touching."""
+    parts = grid.partitions
+
+    def random_interval() -> tuple[Fraction, Fraction]:
+        a, b = sorted(F(rng.randint(0, 48), 48) for _ in range(2))
+        return a, b
+
+    aligned = tuple(tuple(sorted(rng.sample(p.breakpoints, 2))) for p in parts)
+    interior = tuple(random_interval() for _ in parts)
+    flat_axis = rng.randrange(len(parts))
+    degenerate = list(interior)
+    u = rng.choice((F(rng.randint(0, 48), 48), rng.choice(parts[flat_axis].breakpoints)))
+    degenerate[flat_axis] = (u, u)
+    # Each interval runs from a breakpoint, 0 or 1 to a random point, or back.
+    touching = []
+    for p in parts:
+        t, v = rng.choice(p.breakpoints), F(rng.randint(0, 48), 48)
+        touching.append((min(t, v), max(t, v)))
+    return [
+        ("aligned", NBox(aligned)),
+        ("interior", NBox(interior)),
+        ("degenerate", NBox(tuple(degenerate))),
+        ("whole", NBox(((F(0), F(1)),) * len(parts))),
+        ("touching", NBox(tuple(touching))),
+    ]
+
+
+def test_cell_volume_matches_lattice_oracle() -> None:
+    """Cell-sum box_volume vs the node-lattice and direct-summation oracles, n = 1..5.
+
+    Seeded signed grids on mixed-denominator partitions, valid and not; replay
+    a failing case from the seed and the case number in the message.
+    """
+    assert builtin_example("q1").grid.box_volume(Q1_BOX) == F(-9, 7)
+    assert builtin_example("q2").grid.box_volume(Q2_BOX) == F(2)
+    rng = random.Random(0xCE11B0)
+    for case in range(300):
+        grid = support.random_signed_grid(rng, 1 + case % 5)
+        values = support.ref_node_values(grid)
+        for kind, box in _oracle_boxes(rng, grid):
+            got = grid.box_volume(box)
+            assert got == support.ref_box_volume(grid, values, box), (case, kind, box)
+            assert got == support.box_mass_direct(grid, box), (case, kind, box)
+            if kind == "whole":
+                assert got == grid.total_mass(), case
+            elif kind == "degenerate":
+                assert got == 0, case
 
 
 # ----------------------------------------------------------- axiom checks
@@ -523,47 +576,105 @@ def test_json_schema_key_tolerated() -> None:
     assert grid.cell_masses == {(0,): F(1)}
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        "[]",
-        '{"dimension": 1, "partitions": [["0", "1"]]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], "masses": [], "bogus": 1}',
-        '{"dimension": "1", "partitions": [["0", "1"]], "masses": []}',
-        '{"dimension": 2, "partitions": [["0", "1"]], "masses": []}',
-        '{"dimension": 1, "partitions": [["0", "0.5"]], "masses": []}',
-        '{"dimension": 1, "partitions": [["0", "x", "1"]], "masses": []}',
-        '{"dimension": 1, "partitions": [["0", "1"]], "masses": 3}',
-        '{"dimension": 1, "partitions": [["0", "1"]], "masses": [7]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], "masses": [{"cell": [0]}]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": 0, "mass": "1"}]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": ["0"], "mass": "1"}]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": [0], "mass": "1"}, {"cell": [0], "mass": "2"}]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": [0], "mass": "1/0"}]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": [1], "mass": "1"}]}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": [0, 0], "mass": "1"}]}',
-        # JSON booleans load as Python bools, which are ints
-        '{"dimension": true, "partitions": [["0", "1"]], "masses": []}',
-        '{"dimension": 1, "partitions": [["0", "1"]], '
-        '"masses": [{"cell": [false], "mass": "1"}]}',
-        '{"dimension": 1, "partitions": [["0", "1/2", "1"]], '
-        '"masses": [{"cell": [true], "mass": "1"}]}',
-        # a string or object partition would iterate as breakpoints 0, 1
-        '{"dimension": 1, "partitions": ["01"], "masses": [{"cell": [0], "mass": "1"}]}',
-        '{"dimension": 1, "partitions": [{"0": 0, "1": 1}], '
-        '"masses": [{"cell": [0], "mass": "1"}]}',
-    ],
-)
+JSON_REJECTS = [
+    "not json",
+    "[]",
+    '{"dimension": 1, "partitions": [["0", "1"]]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], "masses": [], "bogus": 1}',
+    '{"dimension": "1", "partitions": [["0", "1"]], "masses": []}',
+    '{"dimension": 2, "partitions": [["0", "1"]], "masses": []}',
+    '{"dimension": 1, "partitions": [["0", "0.5"]], "masses": []}',
+    '{"dimension": 1, "partitions": [["0", "x", "1"]], "masses": []}',
+    '{"dimension": 1, "partitions": [["0", "1"]], "masses": 3}',
+    '{"dimension": 1, "partitions": [["0", "1"]], "masses": [7]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], "masses": [{"cell": [0]}]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": 0, "mass": "1"}]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": ["0"], "mass": "1"}]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": [0], "mass": "1"}, {"cell": [0], "mass": "2"}]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": [0], "mass": "1/0"}]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": [1], "mass": "1"}]}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": [0, 0], "mass": "1"}]}',
+    # JSON booleans load as Python bools, which are ints
+    '{"dimension": true, "partitions": [["0", "1"]], "masses": []}',
+    '{"dimension": 1, "partitions": [["0", "1"]], '
+    '"masses": [{"cell": [false], "mass": "1"}]}',
+    '{"dimension": 1, "partitions": [["0", "1/2", "1"]], '
+    '"masses": [{"cell": [true], "mass": "1"}]}',
+    # a string or object partition would iterate as breakpoints 0, 1
+    '{"dimension": 1, "partitions": ["01"], "masses": [{"cell": [0], "mass": "1"}]}',
+    '{"dimension": 1, "partitions": [{"0": 0, "1": 1}], '
+    '"masses": [{"cell": [0], "mass": "1"}]}',
+]
+
+
+@pytest.mark.parametrize("text", JSON_REJECTS)
 def test_json_rejects(text: str) -> None:
     with pytest.raises(GridError):
         grid_from_json(text)
+
+
+def test_loader_matches_reference_loader() -> None:
+    """grid_from_json against the parse-everything reference on valid and rejected files."""
+    for text in JSON_REJECTS:
+        assert support.assert_loaders_agree(text) is None, text
+    rng = random.Random(0x10AD)
+    for case in range(120):
+        grid = support.random_signed_grid(rng, 1 + case % 4)
+        text = grid_to_json(grid)
+        assert support.assert_loaders_agree(text) == grid, case
+        # Break one entry of the same file in one way or another.
+        payload = json.loads(text)
+        if not payload["masses"]:
+            continue
+        entry = rng.choice(payload["masses"])
+        fault = rng.choice(["literal", "bool", "arity", "range", "duplicate", "key", "extra"])
+        if fault == "literal":
+            entry["mass"] = rng.choice(["1/0", "x", "", 3, None, ["1"]])
+        elif fault == "bool":
+            entry["cell"][0] = rng.choice([True, False])
+        elif fault == "arity":
+            entry["cell"].append(0)
+        elif fault == "range":
+            entry["cell"][-1] = rng.choice([-1, grid.shape[-1]])
+        elif fault == "duplicate":
+            payload["masses"].append(dict(entry))
+        elif fault == "key":
+            entry[rng.choice(["cells", "weight"])] = entry.pop(rng.choice(["cell", "mass"]))
+        else:
+            entry[rng.choice(["cells", "weight"])] = "1"
+        assert support.assert_loaders_agree(json.dumps(payload)) is None, (case, fault)
+
+
+def test_loader_parses_each_mass_literal_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls: list[str] = []
+    parse = grid_module.parse_rational
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(grid_module, "parse_rational", counted)
+    axis = [f"{i}/8" for i in range(9)]
+    cells = list(product(range(8), repeat=3))[:500]
+    text = json.dumps(
+        {
+            "dimension": 3,
+            "partitions": [axis] * 3,
+            "masses": [{"cell": list(cell), "mass": "1/500"} for cell in cells],
+        }
+    )
+    grid = grid_from_json(text)
+    assert len(grid.cell_masses) == 500 and grid.total_mass() == 1
+    assert len(calls) <= 1 + 3 * len(axis)
+    assert calls.count("1/500") == 1
+    monkeypatch.undo()
+    assert support.ref_grid_from_json(text) == grid
 
 
 def test_json_rejects_integer_too_long_to_convert() -> None:
