@@ -81,7 +81,8 @@ def _load_grid(example: str | None, file: str | None) -> MassGrid:
         raise click.UsageError("pass exactly one of --example and --file")
     if example is not None:
         return builtin_grid(example)
-    return grid_from_json(Path(file).read_text())
+    # Bytes, so that a file that is not text fails as invalid JSON, not a traceback.
+    return grid_from_json(Path(file).read_bytes())
 
 
 def _parse_box(text: str) -> NBox:

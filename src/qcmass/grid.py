@@ -585,8 +585,12 @@ def grid_to_json(grid: MassGrid) -> str:
     return json.dumps(grid_payload(grid), indent=2) + "\n"
 
 
-def grid_from_json(text: str) -> MassGrid:
+def grid_from_json(text: str | bytes) -> MassGrid:
     """Parse the grid file format, validating shape, ranges, and rationals.
+
+    ``text`` may be the raw bytes of a file: :func:`json.loads` decodes them
+    as UTF-8, -16 or -32, and bytes that decode as none of these are invalid
+    JSON.
 
     JSON types are tested with ``type(x) is ...``: ``true`` and ``false``
     load as bool, a subclass of int, and must not pass as cell indices or a
@@ -595,7 +599,7 @@ def grid_from_json(text: str) -> MassGrid:
     """
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # also an integer literal too long to convert
+    except ValueError as exc:  # also undecodable bytes, or an integer literal too long
         raise GridError(f"invalid JSON: {exc}") from exc
     if type(payload) is not dict:
         raise GridError("grid file must be a JSON object")

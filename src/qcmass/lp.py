@@ -278,34 +278,24 @@ def check_assignment(
 def reference_witness(n: int, sense: str) -> VertexAssignment:
     """The known optimal assignments at dimension 4.
 
-    Minimizing: box [3/7, 6/7]^4 with corner value 3/7 wherever at least three
-    coordinates sit at the upper end, 0 elsewhere; the box mass is -9/7.
+    Minimizing: :func:`candidate_pattern` at n = 4, the box [3/7, 6/7]^4 with
+    corner value 3/7 wherever at least three coordinates sit at the upper end,
+    0 elsewhere; the box mass is -9/7.
     Maximizing: box [1/2, 1]^4 with value 1 at the top corner, 1/2 at corners
     with two or three upper ends, 0 below; the box mass is 2.
     """
     if n != 4:
         raise LPError("reference witnesses are recorded for dimension 4 only")
     if sense == "min":
-        lo, width, peak = Fraction(3, 7), Fraction(3, 7), Fraction(3, 7)
-
-        def value(ups: int) -> Fraction:
-            return peak if ups >= 3 else ZERO
-
-    elif sense == "max":
-        lo, width = Fraction(1, 2), Fraction(1, 2)
-
-        def value(ups: int) -> Fraction:
-            if ups == 4:
-                return ONE
-            return Fraction(1, 2) if ups >= 2 else ZERO
-
-    else:
+        return candidate_pattern(4)
+    if sense != "max":
         raise LPError(f"sense must be 'min' or 'max', got {sense!r}")
-    box = NBox(((lo, lo + width),) * 4)
+    half = Fraction(1, 2)
     values = {
-        flags: value(sum(flags)) for flags in product((False, True), repeat=4)
+        flags: ONE if sum(flags) == 4 else half if sum(flags) >= 2 else ZERO
+        for flags in product((False, True), repeat=4)
     }
-    return VertexAssignment(box, values)
+    return VertexAssignment(NBox(((half, ONE),) * 4), values)
 
 
 def conjectured_bound(n: int) -> Fraction:
@@ -328,8 +318,7 @@ def candidate_pattern(n: int) -> VertexAssignment:
 
     Value (n-1)/(2n-1) wherever at least n-1 coordinates sit at the upper end,
     0 elsewhere.  Feasible for every n >= 2, with box mass equal to
-    :func:`conjectured_bound`; at n = 4 it coincides with the recorded
-    minimizing witness.
+    :func:`conjectured_bound`; at n = 4 it is the recorded minimizing witness.
     """
     box = conjectured_box(n)
     peak = Fraction(n - 1, 2 * n - 1)

@@ -1,18 +1,20 @@
 """Exact two-phase simplex over the rationals, with an independent certificate.
 
-The tableau is kept as sparse integer rows: each row stores one positive
-integer denominator, its nonzero integer cells as a ``{column: cell}`` dict,
-and an integer right-hand side.  One routine, :func:`_eliminate`, does every
-exact elimination in the module: it makes a column a unit column by integer
-cross-multiplication over the nonzeros of the pivot row and of each row it
-meets, followed by a gcd reduction.  The simplex pivots through it, and so
-does the Gauss-Jordan solve behind :func:`certify`.  The pivot row is reduced
-first; when its pivot cell becomes 1 (the common case on the extremal
-programs), each other row just loses a multiple of it in place, with no
-scaling pass.  The objective row stays dense, because the entering-column
-scan reads every column.  This is exact arithmetic throughout; no floating
-point enters anywhere.  The entering column is always chosen by Bland's rule
-(lowest eligible index), which terminates on every input.
+The tableau, objective row included, is kept as sparse integer rows: each row
+stores one positive integer denominator, its nonzero integer cells as a
+``{column: cell}`` dict, and an integer right-hand side, with no common factor.
+:func:`_integer_row` is the one conversion into that form from rational
+coefficients.  One row update, :func:`_clear`, does every exact elimination in
+the module: it clears the pivot column of a row by integer cross-multiplication
+over the nonzeros of the reduced pivot row, then a gcd reduction.
+:func:`_eliminate` applies it to the constraint rows, both for the simplex
+pivots and for the Gauss-Jordan solve behind :func:`certify`; the objective row
+takes it after each pivot, and is built by it from the cost row by clearing
+every basic column.  When the reduced pivot cell is 1 (the common case on the
+extremal programs), a row just loses a multiple of the pivot row in place, with
+no scaling pass.  This is exact arithmetic throughout; no floating point enters
+anywhere.  The entering column is always chosen by Bland's rule (lowest
+index with a negative reduced cost), which terminates on every input.
 
 Standard form and index conventions, shared by :func:`solve` and
 :func:`certify`:
@@ -55,8 +57,10 @@ class SolveStats:
     ``phase1_pivots`` includes the pivots that move artificials out of the
     basis, so ``phase1_pivots + phase2_pivots`` is the solution's ``pivots``.
     ``cells_touched`` counts the cells, right-hand sides included, that the
-    row updates of all pivots write, each cell once per update; the pivot
-    row and the objective row are not counted.
+    row updates of all pivots write in the constraint rows other than the
+    pivot row, each cell once per update: the pivot row's nonzeros when the
+    reduced pivot cell is 1, and the union of both rows' nonzeros when the
+    row is scaled first.  The objective row's update is not counted.
     """
 
     phase1_pivots: int = 0
@@ -133,54 +137,61 @@ def _normalize(den: int, cells: dict[int, int], rhs: int) -> _Row:
     return den // g, {j: x // g for j, x in cells.items()}, rhs // g
 
 
-def _normalize_dense(den: int, cells: list[int]) -> tuple[int, list[int]]:
-    g = gcd(den, *cells)
-    if g > 1:
-        return den // g, [x // g for x in cells]
-    return den, cells
+def _integer_row(coeffs: Mapping[int, Fraction], rhs: Fraction) -> _Row:
+    """A rational row as one primitive integer row over a common denominator."""
+    den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
+    return _normalize(den, {j: int(coef * den) for j, coef in coeffs.items()}, int(rhs * den))
+
+
+def _clear(row: _Row, c: int, pivot_row: _Row) -> _Row:
+    """Clear the pivot column of ``row``, whose cell there is ``c``.
+
+    ``pivot_row`` is reduced: its denominator equals its pivot cell.  The
+    row loses the multiple of it that zeroes that cell and keeps its exact
+    value otherwise; when the pivot cell is 1 its cells are updated in place.
+    """
+    pivot, pcells, prhs = pivot_row
+    den, cells, rhs = row
+    if pivot != 1:
+        cells = {j: a * pivot for j, a in cells.items()}
+        rhs *= pivot
+        den *= pivot
+    get = cells.get
+    for j, b in pcells.items():
+        x = get(j, 0) - c * b
+        if x:
+            cells[j] = x
+        else:
+            del cells[j]
+    return _normalize(den, cells, rhs - c * prhs)
 
 
 def _eliminate(rows: list[_Row], leave: int, enter: int) -> tuple[int, int]:
     """Make ``enter`` a unit column with its one in row ``leave``, in place.
 
     Row ``leave`` is reduced so that its denominator equals its ``enter``
-    cell; every other row with a nonzero in column ``enter`` loses the
-    multiple of it that clears that cell.  Each row keeps its exact value.
+    cell; :func:`_clear` then clears column ``enter`` in every other row.
     Returns the cells written (right-hand sides included, the pivot row not)
     and the bit length of the largest denominator left in the touched rows.
     """
     _, pcells, prhs = rows[leave]
-    pivot = pcells[enter]
-    if pivot < 0:
+    if pcells[enter] < 0:
         pcells = {j: -x for j, x in pcells.items()}
         prhs = -prhs
-        pivot = -pivot
     # Reduced, the pivot row's denominator equals its pivot cell.  Using
-    # the reduced row below scales every update by a common factor, which
-    # the gcd reduction removes again, so the rows are the same.
-    pivot, pcells, prhs = rows[leave] = _normalize(pivot, pcells, prhs)
+    # the reduced row scales every update by a common factor, which the gcd
+    # reduction removes again, so the rows are the same.
+    pivot_row = rows[leave] = _normalize(pcells[enter], pcells, prhs)
+    pivot, pcells, _ = pivot_row
     peak = pivot.bit_length()
     touched = 0
-    pitems = pcells.items()
-    for r, (den, cells, rhs) in enumerate(rows):
-        c = cells.get(enter)
+    for r, row in enumerate(rows):
+        c = row[1].get(enter)
         if c is None or r == leave:
             continue
-        if pivot == 1:
-            touched += len(pcells) + 1
-        else:
-            touched += len(cells.keys() | pcells.keys()) + 1
-            cells = {j: a * pivot for j, a in cells.items()}
-            rhs *= pivot
-            den *= pivot
-        get = cells.get
-        for j, b in pitems:
-            x = get(j, 0) - c * b
-            if x:
-                cells[j] = x
-            else:
-                del cells[j]
-        row = rows[r] = _normalize(den, cells, rhs - c * prhs)
+        # A unit pivot writes only the pivot row's cells; any other scales every cell.
+        touched += 1 + (len(pcells) if pivot == 1 else len(row[1].keys() | pcells.keys()))
+        row = rows[r] = _clear(row, c, pivot_row)
         if row[0].bit_length() > peak:
             peak = row[0].bit_length()
     return touched, peak
@@ -201,37 +212,35 @@ class _Solver:
         self.basis: list[int] = []
         next_art = self.ncols
         for i, (coeffs, rhs) in enumerate(_prepared_rows(lp)):
-            den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
-            cells = {j: int(coef * den) for j, coef in coeffs.items()}
+            row = _integer_row(coeffs, rhs)
             if coeffs[lp.num_vars + i] > 0:
                 self.basis.append(lp.num_vars + i)
             else:
-                cells[next_art] = den
+                row[1][next_art] = row[0]  # a cell equal to the denominator is a 1
                 self.basis.append(next_art)
                 next_art += 1
-            self.rows.append(_normalize(den, cells, int(rhs * den)))
+            self.rows.append(row)
         self.num_art = next_art - self.ncols
         self.peak_bits = max((den.bit_length() for den, _, _ in self.rows), default=1)
 
-    def _reduced_cost_row(self, costs: list[Fraction]) -> tuple[int, list[int]]:
-        """Objective row c_j - sum over rows of c_basic * row, as one dense integer row."""
-        acc = [Fraction(c) for c in costs] + [ZERO]
-        for r, (den, cells, rhs) in enumerate(self.rows):
-            cb = costs[self.basis[r]] if self.basis[r] < len(costs) else ZERO
-            if cb:
-                for j, cell in cells.items():
-                    acc[j] -= cb * Fraction(cell, den)
-                acc[-1] -= cb * Fraction(rhs, den)
-        den = lcm(*(f.denominator for f in acc))
-        return den, [int(f * den) for f in acc]
+    def _reduced_cost_row(self, costs: list[Fraction]) -> _Row:
+        """Objective row c - sum over rows of c_basic * row; its right-hand side is -objective.
 
-    def _kernel(self, objrow: tuple[int, list[int]], width: int) -> tuple[str, tuple[int, list[int]]]:
-        """Pivot by Bland's rule until optimal or unbounded; columns 0..width-1 may enter."""
-        oden, ocells = objrow
+        A basic column's cell equals its row's denominator, so clearing it takes c_basic * row.
+        """
+        objrow = _integer_row({j: c for j, c in enumerate(costs) if c}, ZERO)
+        for r, b in enumerate(self.basis):
+            c = objrow[1].get(b)
+            if c:
+                objrow = _clear(objrow, c, self.rows[r])
+        return objrow
+
+    def _kernel(self, objrow: _Row) -> tuple[str, _Row]:
+        """Pivot by Bland's rule until optimal or unbounded; any column of ``objrow`` may enter."""
         while True:
-            enter = next((j for j in range(width) if ocells[j] < 0), -1)
+            enter = min((j for j, x in objrow[1].items() if x < 0), default=-1)
             if enter < 0:
-                return "optimal", (oden, ocells)
+                return "optimal", objrow
             leave = -1
             best: tuple[int, int] | None = None
             for r, (_, cells, rhs) in enumerate(self.rows):
@@ -246,42 +255,29 @@ class _Solver:
                         if diff < 0 or (diff == 0 and self.basis[r] < self.basis[leave]):
                             best, leave = (rhs, a), r
             if leave < 0:
-                return "unbounded", (oden, ocells)
-            oden, ocells = self._pivot(leave, enter, (oden, ocells))
+                return "unbounded", objrow
+            objrow = self._pivot(leave, enter, objrow)
 
-    def _pivot(
-        self, leave: int, enter: int, objrow: tuple[int, list[int]] | None
-    ) -> tuple[int, list[int]] | None:
+    def _pivot(self, leave: int, enter: int, objrow: _Row | None) -> _Row | None:
         """Make ``enter`` basic in row ``leave`` and update the objective row to match."""
         self.pivots += 1
         touched, peak = _eliminate(self.rows, leave, enter)
         self.cells_touched += touched
         if objrow is not None:
-            pivot, pcells, prhs = self.rows[leave]
-            oden, ocells = objrow
-            c = ocells[enter]
+            c = objrow[1].get(enter)
             if c:
-                if pivot != 1:
-                    oden *= pivot
-                    ocells = [a * pivot for a in ocells]
-                for j, b in pcells.items():
-                    ocells[j] -= c * b
-                ocells[-1] -= c * prhs
-                oden, ocells = objrow = _normalize_dense(oden, ocells)
-            if oden.bit_length() > peak:
-                peak = oden.bit_length()
+                objrow = _clear(objrow, c, self.rows[leave])
+            peak = max(peak, objrow[0].bit_length())
         self.basis[leave] = enter
-        if peak > self.peak_bits:
-            self.peak_bits = peak
+        self.peak_bits = max(self.peak_bits, peak)
         return objrow
 
     def _phase_one(self) -> bool:
         """Drive artificials to zero; False means the program is infeasible."""
-        total = self.ncols + self.num_art
         costs = [ZERO] * self.ncols + [Fraction(1)] * self.num_art
-        status, (_, ocells) = self._kernel(self._reduced_cost_row(costs), total)
+        status, (_, _, orhs) = self._kernel(self._reduced_cost_row(costs))
         assert status == "optimal"  # phase-1 objective is bounded below by 0
-        if ocells[-1]:
+        if orhs:
             return False
         for r in range(len(self.rows)):
             if self.basis[r] < self.ncols:
@@ -314,20 +310,20 @@ class _Solver:
             return SimplexSolution(
                 "infeasible", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
             )
-        self._truncate()
+        self._truncate()  # so no artificial column can enter in phase 2
         costs = _internal_costs(self.lp, self.ncols)
-        status, (oden, ocells) = self._kernel(self._reduced_cost_row(costs), self.ncols)
+        status, (oden, ocells, orhs) = self._kernel(self._reduced_cost_row(costs))
         if status == "unbounded":
             return SimplexSolution(
                 "unbounded", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
             )
-        internal = Fraction(-ocells[-1], oden)
+        internal = Fraction(-orhs, oden)
         flip = Fraction(1 if self.lp.sense == "min" else -1)
         assignment = {j: ZERO for j in range(self.num_vars)}
         for r, (den, _, rhs) in enumerate(self.rows):
             if self.basis[r] < self.num_vars:
                 assignment[self.basis[r]] = Fraction(rhs, den)
-        reduced = {j: flip * Fraction(ocells[j], oden) for j in range(self.ncols)}
+        reduced = {j: flip * Fraction(ocells.get(j, 0), oden) for j in range(self.ncols)}
         return SimplexSolution(
             "optimal",
             flip * internal,
@@ -475,11 +471,7 @@ def _active_duals(
             eq = equations.get(j)
             if eq is not None:
                 eq[p] = coef
-    rows: list[_Row] = []
-    for j, eq in equations.items():
-        den = lcm(costs[j].denominator, *(coef.denominator for coef in eq.values()))
-        cells = {p: int(coef * den) for p, coef in eq.items()}
-        rows.append(_normalize(den, cells, int(costs[j] * den)))
+    rows = [_integer_row(eq, costs[j]) for j, eq in equations.items()]
     # Gauss-Jordan: make each unknown a unit column in a row not used yet.
     # An unknown with no such row leaves the system rank-deficient.
     owner: list[int] = []

@@ -160,13 +160,30 @@ def grid_file(tmp_path_factory):
     return tmp_path_factory.mktemp("grids") / "grid.json"
 
 
+GRID_ARGS = {"verify": (), "volume": ("--box", Q1_BOX), "margin": ("--drop-axis", "1")}
+
+
 @settings(SEEDED, max_examples=150)
-@given(text=malformed_grid_texts(), command=st.sampled_from(["verify", "volume", "margin"]))
+@given(text=malformed_grid_texts(), command=st.sampled_from(list(GRID_ARGS)))
 def test_grid_commands_reject_malformed_file(grid_file, text: str, command: str) -> None:
     grid_file.write_text(text)
-    extra = {"verify": (), "volume": ("--box", Q1_BOX), "margin": ("--drop-axis", "1")}
-    args = (command, "--file", str(grid_file), *extra[command])
+    args = (command, "--file", str(grid_file), *GRID_ARGS[command])
     assert_usage_error(run(*args), (args[0], text[:200]))
+
+
+# Files that are not text: a UTF-16 byte-order mark followed by bytes that
+# are no JSON, a lone UTF-8 continuation byte, and a truncated UTF-8 sequence.
+UNDECODABLE = [b"\xff\xfe\x00{", b"\x80", b'{"dimension": 1\xc3}']
+
+
+@pytest.mark.parametrize("data", UNDECODABLE)
+@pytest.mark.parametrize("command", list(GRID_ARGS))
+def test_grid_commands_reject_undecodable_file(grid_file, data: bytes, command: str) -> None:
+    grid_file.write_bytes(data)
+    args = (command, "--file", str(grid_file), *GRID_ARGS[command])
+    result = run(*args)
+    assert_usage_error(result, (command, data))
+    assert result.output.startswith("error: invalid JSON"), result.output
 
 
 @settings(SEEDED, max_examples=150)

@@ -295,7 +295,13 @@ def test_candidate_pattern_feasible_at_conjectured_value(n: int) -> None:
 
 
 def test_candidate_pattern_matches_reference_at_4() -> None:
-    assert candidate_pattern(4) == reference_witness(4, "min")
+    # the recorded minimizer: 3/7 wherever at least three coordinates are up
+    values = {
+        flags: F(3, 7) if sum(flags) >= 3 else F(0)
+        for flags in product((False, True), repeat=4)
+    }
+    recorded = VertexAssignment(NBox(((F(3, 7), F(6, 7)),) * 4), values)
+    assert candidate_pattern(4) == reference_witness(4, "min") == recorded
 
 
 # -------------------------------------------------------------- text format

@@ -101,6 +101,33 @@ def test_extremal_optima(n: int, sense: str) -> None:
     assert report.objective_value == objective
 
 
+# (phase1_pivots, phase2_pivots, cells_touched, peak_denominator_bits): all
+# four are machine-independent, so a change to the row arithmetic that keeps
+# the pivots but writes more cells or grows denominators shows here.
+KNOWN_STATS = {
+    (2, "min"): (0, 7, 603, 2),
+    (2, "max"): (0, 4, 206, 1),
+    (3, "min"): (0, 13, 3136, 3),
+    (3, "max"): (0, 14, 3383, 2),
+    (4, "min"): (0, 67, 70786, 4),
+    (4, "max"): (0, 38, 30217, 3),
+    (5, "min"): (0, 140, 463795, 4),
+    (5, "max"): (0, 170, 466342, 4),
+}
+
+
+@pytest.mark.parametrize("n,sense", sorted(KNOWN_STATS))
+def test_extremal_solve_stats(n: int, sense: str) -> None:
+    solution = solve(build_extremal_lp(n, sense)[0])
+    stats = solution.stats
+    assert (
+        stats.phase1_pivots,
+        stats.phase2_pivots,
+        stats.cells_touched,
+        solution.peak_denominator_bits,
+    ) == KNOWN_STATS[(n, sense)]
+
+
 def test_extremal_optima_n6() -> None:
     for sense, objective, pivots in (("min", F(-75, 16), 982), ("max", F(11, 2), 874)):
         lp, layout = build_extremal_lp(6, sense)
