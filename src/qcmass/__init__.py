@@ -39,13 +39,17 @@ from .lp import (
     VertexAssignment,
     assignment_vector,
     build_extremal_lp,
+    build_symmetric_lp,
     candidate_pattern,
     check_assignment,
+    check_point,
     conjectured_bound,
     conjectured_box,
     export_lp,
+    lift_symmetric,
     parse_lp,
     reference_witness,
+    symmetric_candidate,
 )
 from .rational import RationalParseError, format_rational, parse_rational
 from .simplex import (
@@ -80,11 +84,13 @@ __all__ = [
     "Violation",
     "assignment_vector",
     "build_extremal_lp",
+    "build_symmetric_lp",
     "builtin_example",
     "builtin_grid",
     "candidate_pattern",
     "certify",
     "check_assignment",
+    "check_point",
     "conjectured_bound",
     "conjectured_box",
     "corner_sign",
@@ -93,6 +99,7 @@ __all__ = [
     "grid_from_json",
     "grid_payload",
     "grid_to_json",
+    "lift_symmetric",
     "make_grid_qc",
     "marginalize",
     "parse_lp",
@@ -100,4 +107,5 @@ __all__ = [
     "reference_witness",
     "solution_to_assignment",
     "solve",
+    "symmetric_candidate",
 ]

@@ -12,6 +12,14 @@ linear conditions every quasi-copula satisfies on those corners:
 Extremizing the inclusion-exclusion objective over this polytope bounds
 V_Q(B) over all quasi-copulas and boxes at once; the bounds are tight for
 n = 4 (-9/7 and 2), with witnesses reproduced by :func:`reference_witness`.
+
+The program is unchanged when the axes are permuted, so it has an optimum
+with every a_i equal, every s_i equal, and q depending only on how many
+coordinates of a corner sit at the upper end.  :func:`build_symmetric_lp`
+poses the program on such points alone: n + 3 variables and 5n + 2 rows
+instead of 2n + 2^n and n + (2n+1) 2^n, with the same optimum (the argument
+is in its docstring).  :func:`lift_symmetric` turns a point of it back into
+corner values of the full program.
 """
 
 from __future__ import annotations
@@ -171,6 +179,11 @@ class FeasibilityReport:
     violations: tuple[RowViolation, ...]
 
 
+# The dimension-n program has n + (2n+1) 2^n rows; one with more than this
+# many (dimension 16 and up) is refused before anything of size 2^n exists.
+MAX_PROGRAM_ROWS = 2**20
+
+
 def build_extremal_lp(
     n: int, sense: str
 ) -> tuple[LinearProgram, ExtremalLayout]:
@@ -183,6 +196,13 @@ def build_extremal_lp(
     """
     if n < 2:
         raise LPError("extremal program needs dimension >= 2")
+    # 2^n alone passes the limit once n reaches the limit's bit length, so
+    # n is compared first and 2^n is only formed for small n.
+    if n >= MAX_PROGRAM_ROWS.bit_length() or n + (2 * n + 1) * 2**n > MAX_PROGRAM_ROWS:
+        raise LPError(
+            f"extremal program at dimension {n} would have more than "
+            f"{MAX_PROGRAM_ROWS} rows"
+        )
     if n > 8:
         warnings.warn(
             f"extremal program at dimension {n} has {2 * n + 2**n} variables "
@@ -229,6 +249,77 @@ def build_extremal_lp(
     return lp, ExtremalLayout(n, corner_vars, length_vars, vertex_vars)
 
 
+def build_symmetric_lp(n: int, sense: str) -> LinearProgram:
+    """The axis-symmetric form of the dimension-n extremal program.
+
+    Variables, in order: the common box corner ``a``, the common edge length
+    ``s``, and ``q_0 .. q_n``, where q_k stands for the value at every corner
+    with k upper ends; n + 3 in all.  Rows, in order:
+
+      D  a + s <= 1
+      E  for k = 0 .. n-1:  q_{k+1} - q_k >= 0,  then  q_{k+1} - q_k - s <= 0
+      F  for k = 0 .. n:    q_k - n a - k s >= -(n-1),  then  q_k - a <= 0
+                            if k < n,  then  q_k - a - s <= 0  if k > 0
+
+    that is 5n + 2 rows.  The objective sum_k (-1)^(n-k) C(n,k) q_k is the
+    inclusion-exclusion sum with the C(n,k) corners of each level gathered.
+
+    Its optimum is that of ``build_extremal_lp(n, sense)``.  Call a full
+    point symmetric when every a_i is a, every s_i is s, and every corner
+    value with k upper ends is q_k.  At a symmetric point every full row
+    takes the value of one reduced row: an E row leaving a corner with k
+    upper ends is the E row for k, and an F row at such a corner is the F
+    row for k (its upper row by whether its axis sits at the lower or the
+    upper end); every reduced row is met this way.  So a reduced point is
+    feasible exactly when its lift (:func:`lift_symmetric`) is, with the
+    same objective.  Conversely, permuting the axes maps the full program
+    onto itself, so the average of the n! permuted copies of a full optimum
+    is feasible (the feasible set is convex), has the same objective, and is
+    symmetric: the lift of a feasible reduced point.  The two optima are
+    therefore equal (Bödi, Herr & Joswig, "Algorithms for highly symmetric
+    linear and integer programs", Math. Program. 2013).
+    """
+    if n < 2:
+        raise LPError("extremal program needs dimension >= 2")
+    one = ONE
+    a, s = 0, 1
+    names = ["a", "s"] + [f"q_{k}" for k in range(n + 1)]
+    rows = [Row("D", ((a, one), (s, one)), "<=", one)]
+    for k in range(n):
+        lower, upper = k + 2, k + 3
+        rows.append(Row("E", ((upper, one), (lower, -one)), ">=", ZERO))
+        rows.append(Row("E", ((s, -one), (upper, one), (lower, -one)), "<=", ZERO))
+    for k in range(n + 1):
+        q = k + 2
+        rows.append(
+            Row("F", ((a, Fraction(-n)), (s, Fraction(-k)), (q, one)), ">=", Fraction(-(n - 1)))
+        )
+        if k < n:
+            rows.append(Row("F", ((a, -one), (q, one)), "<=", ZERO))
+        if k > 0:
+            rows.append(Row("F", ((a, -one), (s, -one), (q, one)), "<=", ZERO))
+    objective = []
+    binomial = 1  # C(n, k)
+    for k in range(n + 1):
+        objective.append((k + 2, Fraction((-1) ** (n - k) * binomial)))
+        binomial = binomial * (n - k) // (k + 1)
+    return LinearProgram(n + 3, tuple(names), sense, tuple(objective), tuple(rows))
+
+
+def lift_symmetric(n: int, x: Sequence[Fraction]) -> VertexAssignment:
+    """The symmetric full-program point of a point of :func:`build_symmetric_lp`.
+
+    ``x`` is ``(a, s, q_0 .. q_n)``, as a sequence or as a solution's
+    assignment; the box is [a, a + s]^n and every corner with k upper ends
+    takes q_k.  It has 2^n corner values, so it is meant for small n.
+    """
+    if len(x) != n + 3:
+        raise LPError(f"symmetric point at dimension {n} needs {n + 3} values, got {len(x)}")
+    a, s = Fraction(x[0]), Fraction(x[1])
+    values = {flags: x[2 + sum(flags)] for flags in product((False, True), repeat=n)}
+    return VertexAssignment(NBox(((a, a + s),) * n), values)
+
+
 def assignment_vector(
     layout: ExtremalLayout, assignment: VertexAssignment
 ) -> list[Fraction]:
@@ -265,7 +356,13 @@ def check_assignment(
     lp: LinearProgram, layout: ExtremalLayout, assignment: VertexAssignment
 ) -> FeasibilityReport:
     """Exactly test an assignment against every row and the implicit bounds x >= 0."""
-    x = assignment_vector(layout, assignment)
+    return check_point(lp, assignment_vector(layout, assignment))
+
+
+def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
+    """Exactly test a variable vector against every row and the implicit bounds x >= 0."""
+    if len(x) != lp.num_vars:
+        raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
     violations: list[RowViolation] = []
     for j, value in enumerate(x):
         if value < ZERO:
@@ -327,6 +424,16 @@ def candidate_pattern(n: int) -> VertexAssignment:
         for flags in product((False, True), repeat=n)
     }
     return VertexAssignment(box, values)
+
+
+def symmetric_candidate(n: int) -> list[Fraction]:
+    """:func:`candidate_pattern` as a point ``(a, s, q_0 .. q_n)`` of :func:`build_symmetric_lp`.
+
+    a = s = (n-1)/(2n-1), and q_k = a for k >= n-1, 0 below; the pattern is
+    symmetric, so it is feasible exactly when this point is.
+    """
+    lo, hi = conjectured_box(n).intervals[0]
+    return [lo, hi - lo] + [lo if k >= n - 1 else ZERO for k in range(n + 1)]
 
 
 def export_lp(lp: LinearProgram) -> str:

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 from qcmass import cli
 from qcmass.cli import main
 from qcmass.grid import MassGrid, builtin_example, grid_from_json, grid_to_json, marginalize
-from qcmass.lp import build_extremal_lp, export_lp
+from qcmass.lp import MAX_PROGRAM_ROWS, build_extremal_lp, export_lp
+from qcmass.simplex import CertificateReport
 
 F = Fraction
 Q1_BOX_TEXT = "3/7:6/7,3/7:6/7,3/7:6/7,3/7:6/7"
@@ -93,6 +94,20 @@ def test_extremize_rejects_dimension_one(runner: CliRunner) -> None:
     result = invoke(runner, "extremize", "-n", "1", "--direction", "min")
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize(
+    "n", ["16", "40", "100000", "9" * 4000], ids=["16", "40", "100000", "4000-digits"]
+)
+def test_extremize_refuses_oversized_dimension(runner: CliRunner, n: str) -> None:
+    # n = 15 has 1015823 rows, the last dimension under the limit.  Above it
+    # the refusal comes from n alone, before 2^n corners (or 2^n) are formed.
+    assert 15 + 31 * 2**15 <= MAX_PROGRAM_ROWS < 16 + 33 * 2**16
+    start = time.monotonic()
+    result = invoke(runner, "extremize", "-n", n, "--direction", "min")
+    assert result.exit_code == 2
+    assert "more than 1048576 rows" in result.output
+    assert time.monotonic() - start < 1.0
 
 
 # ------------------------------------------------------------------- verify
@@ -391,6 +406,58 @@ def test_conjecture_table(runner: CliRunner) -> None:
 def test_conjecture_rejects_low_dim(runner: CliRunner) -> None:
     result = invoke(runner, "conjecture", "--max-dim", "1")
     assert result.exit_code == 2
+
+
+def readme_block(command: str) -> str:
+    """The output shown under ``$ <command>`` in README.md, up to the closing fence."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    start = text.index(f"$ {command}\n") + len(command) + 3
+    return text[start : text.index("```", start)]
+
+
+def test_conjecture_matches_readme_byte_for_byte() -> None:
+    table = readme_block("qcmass conjecture --max-dim 5")
+    assert cli.run_conjecture(5).output == table
+    # every shorter run prints a prefix of the same table
+    lines = table.splitlines(keepends=True)
+    for max_dim in (2, 3, 4):
+        assert cli.run_conjecture(max_dim).output == "".join(lines[: max_dim])
+
+
+def test_conjecture_to_thirty(runner: CliRunner) -> None:
+    start = time.monotonic()
+    result = invoke(runner, "conjecture", "--max-dim", "30")
+    elapsed = time.monotonic() - start
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == 30
+    assert lines[-1] == "30,-197318609/4,-841/59,29/59:58/59,true,below"
+    assert elapsed < 10.0
+
+
+def test_conjecture_certifies_every_dimension(monkeypatch: pytest.MonkeyPatch) -> None:
+    real = cli.certify
+    dimensions = []
+
+    def counting(lp, solution):
+        dimensions.append(lp.num_vars - 3)
+        return real(lp, solution)
+
+    monkeypatch.setattr(cli, "certify", counting)
+    assert cli.run_conjecture(5).exit_code == 0
+    assert dimensions == [2, 3, 4, 5]
+
+
+def test_conjecture_failed_certificate_exits_1(monkeypatch: pytest.MonkeyPatch) -> None:
+    failed = CertificateReport(False, ("row 3 violated: 1 <= 0", "objective mismatch"))
+    monkeypatch.setattr(cli, "certify", lambda lp, solution: failed)
+    result = cli.run_conjecture(3)
+    assert result.exit_code == 1
+    assert result.output == ""
+    assert result.error == (
+        "certificate failed at n=2: row 3 violated: 1 <= 0\n"
+        "certificate failed at n=2: objective mismatch\n"
+    )
 
 
 # ------------------------------------------------------------ check-witness

@@ -1,6 +1,9 @@
 """Construction and checking of the extremal programs."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from pathlib import Path
 
@@ -14,14 +17,19 @@ from qcmass.lp import (
     VertexAssignment,
     assignment_vector,
     build_extremal_lp,
+    build_symmetric_lp,
     candidate_pattern,
     check_assignment,
+    check_point,
     conjectured_bound,
     conjectured_box,
     export_lp,
+    lift_symmetric,
     parse_lp,
     reference_witness,
+    symmetric_candidate,
 )
+from qcmass.simplex import certify, solve
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -302,6 +310,180 @@ def test_candidate_pattern_matches_reference_at_4() -> None:
     }
     recorded = VertexAssignment(NBox(((F(3, 7), F(6, 7)),) * 4), values)
     assert candidate_pattern(4) == reference_witness(4, "min") == recorded
+
+
+# ------------------------------------------------------- symmetric program
+
+
+def test_symmetric_program_shape() -> None:
+    for n in range(2, 9):
+        lp = build_symmetric_lp(n, "min")
+        assert lp.num_vars == n + 3
+        assert len(lp.rows) == 5 * n + 2
+        families = [r.family for r in lp.rows]
+        assert (families.count("D"), families.count("E"), families.count("F")) == (
+            1, 2 * n, 3 * n + 1
+        )
+    lp = build_symmetric_lp(2, "max")
+    assert lp.var_names == ("a", "s", "q_0", "q_1", "q_2")
+    assert lp.objective == ((2, F(1)), (3, F(-2)), (4, F(1)))
+    assert dict(build_symmetric_lp(5, "min").objective) == {
+        2: F(-1), 3: F(5), 4: F(-10), 5: F(10), 6: F(-5), 7: F(1)
+    }
+    with pytest.raises(LPError):
+        build_symmetric_lp(1, "min")
+
+
+def row_gaps(lp: LinearProgram, x: list[Fraction]) -> set[tuple]:
+    """The distinct ``(family, relation, lhs - rhs)`` of ``lp``'s rows at ``x``."""
+    return {
+        (row.family, row.relation, sum(c * x[j] for j, c in row.coeffs) - row.rhs)
+        for row in lp.rows
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetric_rows_are_the_full_rows_at_symmetric_points(n: int) -> None:
+    # The docstring's claim: at a symmetric point every full row takes the
+    # value of one reduced row, and every reduced row is met.
+    rng = random.Random(f"symmetric-rows-{n}")
+    full, layout = build_extremal_lp(n, "min")
+    reduced = build_symmetric_lp(n, "min")
+    for _ in range(20):
+        x = [F(rng.randint(0, 12), 24), F(rng.randint(0, 12), 24)]
+        x += [F(rng.randint(0, 30), 30) for _ in range(n + 1)]
+        lifted = assignment_vector(layout, lift_symmetric(n, x))
+        assert row_gaps(full, lifted) == row_gaps(reduced, x)
+        assert full.evaluate_objective(lifted) == reduced.evaluate_objective(x)
+
+
+# Full optima: solved here up to n = 5; the n = 6 solve takes seconds, so its
+# values are the ones test_simplex.py::test_extremal_optima_n6 pins.
+FULL_N6 = {"min": F(-75, 16), "max": F(11, 2)}
+CROSS_CASES = [(n, sense) for n in range(2, 7) for sense in ("min", "max")]
+
+
+@cache
+def full_program(n: int, sense: str):
+    lp, layout = build_extremal_lp(n, sense)
+    optimum = FULL_N6[sense] if n == 6 else solve(lp).objective
+    return lp, layout, optimum
+
+
+def cross_check(n: int, sense: str, reduced: LinearProgram) -> str | None:
+    """Why ``reduced`` disagrees with the full program at ``(n, sense)``; None if it agrees."""
+    lp, layout, optimum = full_program(n, sense)
+    solution = solve(reduced)
+    if solution.status != "optimal":
+        return solution.status
+    if not certify(reduced, solution).ok:
+        return "certificate fails"
+    if solution.objective != optimum:
+        return f"optimum {solution.objective}, full program {optimum}"
+    report = check_assignment(lp, layout, lift_symmetric(n, solution.assignment))
+    if not report.feasible:
+        return f"lift violates {len(report.violations)} full rows"
+    if report.objective_value != optimum:
+        return f"lift gives {report.objective_value}"
+    return None
+
+
+@pytest.mark.parametrize("n,sense", CROSS_CASES)
+def test_symmetric_program_matches_full_program(n: int, sense: str) -> None:
+    assert cross_check(n, sense, build_symmetric_lp(n, sense)) is None
+
+
+def _drop_e_row(lp: LinearProgram, p: int) -> LinearProgram | None:
+    """``lp`` without its p-th E row, or None when it has no p-th E row."""
+    e_rows = [k for k, row in enumerate(lp.rows) if row.family == "E"]
+    if p >= len(e_rows):
+        return None
+    k = e_rows[p]
+    return replace(lp, rows=lp.rows[:k] + lp.rows[k + 1 :])
+
+
+def _flip_sign(lp: LinearProgram, p: int) -> LinearProgram | None:
+    """``lp`` with the sign of its p-th objective term flipped, or None past the last."""
+    if p >= len(lp.objective):
+        return None
+    terms = list(lp.objective)
+    j, coef = terms[p]
+    terms[p] = (j, -coef)
+    return replace(lp, objective=tuple(terms))
+
+
+# E rows 0..10 and every objective term.  E row 11 exists only at n = 6,
+# where it is the top Lipschitz row q_6 - q_5 - s <= 0; at every n = 2..6
+# dropping the top Lipschitz row leaves the optima and feasible lifts, so no
+# dimension here can tell it is missing.
+@pytest.mark.parametrize(
+    "mutate,p",
+    [pytest.param(_drop_e_row, p, id=f"drop-E-row-{p}") for p in range(11)]
+    + [pytest.param(_flip_sign, p, id=f"flip-q_{p}") for p in range(7)],
+)
+def test_cross_check_catches_a_mutated_symmetric_program(mutate, p: int) -> None:
+    # Each single dropped E row and each single flipped binomial sign must
+    # fail the cross-check for at least one dimension and sense.
+    findings = []
+    for n, sense in CROSS_CASES:
+        mutated = mutate(build_symmetric_lp(n, sense), p)
+        if mutated is not None:
+            findings.append(cross_check(n, sense, mutated))
+    assert findings and any(findings), findings
+
+
+# (min, pivots, max, pivots) of the symmetric program; the pivot counts are
+# regression data for the deterministic pivot rule.
+SYMMETRIC_OPTIMA = {
+    2: (F(-1, 3), 4, F(1), 3),
+    3: (F(-4, 5), 5, F(1), 5),
+    4: (F(-9, 7), 9, F(2), 8),
+    5: (F(-32, 13), 9, F(7, 2), 12),
+    6: (F(-75, 16), 13, F(11, 2), 13),
+    7: (F(-19, 2), 14, F(31, 3), 16),
+    8: (F(-55, 3), 17, F(19), 17),
+    9: (F(-37), 18, F(71, 2), 20),
+    10: (F(-209, 3), 22, F(211, 3), 20),
+    11: (F(-251, 2), 22, F(421, 3), 24),
+    12: (F(-791, 3), 25, F(793, 3), 25),
+    30: (F(-197318609, 4), 61, F(197318611, 4), 61),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SYMMETRIC_OPTIMA))
+def test_symmetric_optima_pinned(n: int) -> None:
+    low, low_pivots, high, high_pivots = SYMMETRIC_OPTIMA[n]
+    for sense, objective, pivots in (("min", low, low_pivots), ("max", high, high_pivots)):
+        lp = build_symmetric_lp(n, sense)
+        solution = solve(lp)
+        assert solution.status == "optimal"
+        assert (solution.objective, solution.pivots) == (objective, pivots)
+        assert certify(lp, solution).ok
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_symmetric_candidate_decides_candidate_pattern(n: int) -> None:
+    lp, layout = build_extremal_lp(n, "min")
+    reduced = build_symmetric_lp(n, "min")
+    point = symmetric_candidate(n)
+    assert lift_symmetric(n, point) == candidate_pattern(n)
+    # the verdicts agree on the candidate and on two symmetric edits of it:
+    # the top corner raised to 1, and every corner value raised by 1/(2n-1)
+    bump = F(1, 2 * n - 1)
+    for x in (point, point[:-1] + [F(1)], point[:2] + [q + bump for q in point[2:]]):
+        verdict = check_point(reduced, x)
+        full = check_assignment(lp, layout, lift_symmetric(n, x))
+        assert verdict.feasible == full.feasible
+        assert verdict.objective_value == full.objective_value
+    assert check_point(reduced, point).feasible
+    assert not check_point(reduced, point[:-1] + [F(1)]).feasible
+
+
+def test_lift_and_check_point_reject_wrong_length() -> None:
+    with pytest.raises(LPError):
+        lift_symmetric(3, [F(0)] * 5)
+    with pytest.raises(LPError):
+        check_point(build_symmetric_lp(3, "min"), [F(0)] * 5)
 
 
 # -------------------------------------------------------------- text format
