@@ -1,20 +1,34 @@
 """Exact two-phase simplex over the rationals, with an independent certificate.
 
-The tableau, objective row included, is kept as sparse integer rows: each row
+Tableau rows, objective row included, are sparse integer rows: each row
 stores one positive integer denominator, its nonzero integer cells as a
 ``{column: cell}`` dict, and an integer right-hand side, with no common factor.
 :func:`_integer_row` is the one conversion into that form from rational
 coefficients.  One row update, :func:`_clear`, does every exact elimination in
 the module: it clears the pivot column of a row by integer cross-multiplication
-over the nonzeros of the reduced pivot row, then a gcd reduction.
-:func:`_eliminate` applies it to the constraint rows, both for the simplex
-pivots and for the Gauss-Jordan solve behind :func:`certify`; the objective row
-takes it after each pivot, and is built by it from the cost row by clearing
-every basic column.  When the reduced pivot cell is 1 (the common case on the
-extremal programs), a row just loses a multiple of the pivot row in place, with
-no scaling pass.  This is exact arithmetic throughout; no floating point enters
-anywhere.  The entering column is always chosen by Bland's rule (lowest
-index with a negative reduced cost), which terminates on every input.
+over the nonzeros of the reduced pivot row, then a gcd reduction.  When the
+reduced pivot cell is 1 (the common case on the extremal programs), a row just
+loses a multiple of the pivot row in place, with no scaling pass.  This is
+exact arithmetic throughout; no floating point enters anywhere.  The entering
+column is always chosen by Bland's rule (lowest index with a negative reduced
+cost), which terminates on every input.
+
+The solver holds a tableau row only where the basic column is structural, so
+at most ``num_vars`` rows however many rows the program has (at n=5 the
+extremal program has 357 rows and 42 variables).  Every other basic column is
+the logical column l (slack or artificial) of its own program row i, whose
+coefficient a_il there is +-1.  Since the tableau is B^-1 A and row i of B
+meets only the structural basics and l, that row of the tableau is
+
+    T_l = (a_i - sum over basic structural j of a_ij * T_j) / a_il,
+
+with T_j the held row of j.  It is rebuilt by :func:`_clear` only when it is
+needed whole: as the pivot row, in the reduced-cost set-up, or to pivot an
+artificial out after phase 1.  The ratio test needs only its cell in the
+entering column and its right-hand side, and computes both from the same
+formula as integers.  The held rows are exactly the rows a full tableau would
+have at those positions, and the ratios are exact, so the pivots, basis and
+every reported number are those of the full-tableau simplex.
 
 Standard form and index conventions, shared by :func:`solve` and
 :func:`certify`:
@@ -56,11 +70,16 @@ class SolveStats:
 
     ``phase1_pivots`` includes the pivots that move artificials out of the
     basis, so ``phase1_pivots + phase2_pivots`` is the solution's ``pivots``.
-    ``cells_touched`` counts the cells, right-hand sides included, that the
-    row updates of all pivots write in the constraint rows other than the
-    pivot row, each cell once per update: the pivot row's nonzeros when the
-    reduced pivot cell is 1, and the union of both rows' nonzeros when the
-    row is scaled first.  The objective row's update is not counted.
+    ``cells_touched`` counts the cells, right-hand sides included, that
+    :func:`_clear` writes in the constraint rows the solver holds: the held
+    rows other than the pivot row at each pivot, and each logical row as it
+    is rebuilt.  Each cell counts once per update: the other row's nonzeros
+    when the reduced pivot cell is 1, and the union of both rows' nonzeros
+    when the row is scaled first.  The objective row's update is not counted.
+    The solution's ``peak_denominator_bits`` is the largest denominator, in
+    bits, of the rows the solver holds: the program rows, the held rows,
+    rebuilt rows, pivot rows and the objective row.  Logical rows that are
+    never rebuilt are not seen, so a full tableau can peak higher.
     """
 
     phase1_pivots: int = 0
@@ -143,6 +162,15 @@ def _integer_row(coeffs: Mapping[int, Fraction], rhs: Fraction) -> _Row:
     return _normalize(den, {j: int(coef * den) for j, coef in coeffs.items()}, int(rhs * den))
 
 
+def _reduce(row: _Row, col: int) -> _Row:
+    """``row`` divided by its cell in ``col``, so that cell equals the denominator."""
+    _, cells, rhs = row
+    if cells[col] < 0:
+        cells = {j: -x for j, x in cells.items()}
+        rhs = -rhs
+    return _normalize(cells[col], cells, rhs)
+
+
 def _clear(row: _Row, c: int, pivot_row: _Row) -> _Row:
     """Clear the pivot column of ``row``, whose cell there is ``c``.
 
@@ -166,62 +194,96 @@ def _clear(row: _Row, c: int, pivot_row: _Row) -> _Row:
     return _normalize(den, cells, rhs - c * prhs)
 
 
-def _eliminate(rows: list[_Row], leave: int, enter: int) -> tuple[int, int]:
-    """Make ``enter`` a unit column with its one in row ``leave``, in place.
+def _written(row: _Row, pivot_row: _Row) -> int:
+    """Cells, right-hand side included, that :func:`_clear` writes in ``row``.
 
-    Row ``leave`` is reduced so that its denominator equals its ``enter``
-    cell; :func:`_clear` then clears column ``enter`` in every other row.
-    Returns the cells written (right-hand sides included, the pivot row not)
-    and the bit length of the largest denominator left in the touched rows.
+    A unit pivot writes only the pivot row's cells; any other scales every cell.
     """
-    _, pcells, prhs = rows[leave]
-    if pcells[enter] < 0:
-        pcells = {j: -x for j, x in pcells.items()}
-        prhs = -prhs
-    # Reduced, the pivot row's denominator equals its pivot cell.  Using
-    # the reduced row scales every update by a common factor, which the gcd
-    # reduction removes again, so the rows are the same.
-    pivot_row = rows[leave] = _normalize(pcells[enter], pcells, prhs)
-    pivot, pcells, _ = pivot_row
-    peak = pivot.bit_length()
-    touched = 0
+    if pivot_row[0] == 1:
+        return 1 + len(pivot_row[1])
+    return 1 + len(row[1].keys() | pivot_row[1].keys())
+
+
+def _eliminate(rows: list[_Row], leave: int, enter: int) -> None:
+    """Make ``enter`` a unit column with its one in row ``leave``, in place."""
+    pivot_row = rows[leave] = _reduce(rows[leave], enter)
     for r, row in enumerate(rows):
         c = row[1].get(enter)
-        if c is None or r == leave:
-            continue
-        # A unit pivot writes only the pivot row's cells; any other scales every cell.
-        touched += 1 + (len(pcells) if pivot == 1 else len(row[1].keys() | pcells.keys()))
-        row = rows[r] = _clear(row, c, pivot_row)
-        if row[0].bit_length() > peak:
-            peak = row[0].bit_length()
-    return touched, peak
+        if c is not None and r != leave:
+            rows[r] = _clear(row, c, pivot_row)
 
 
 class _Solver:
-    """One solve in progress; rows never reorder or drop, so row r is row r of the program."""
+    """One solve in progress.
+
+    Position r of the basis starts as row r of the program with its slack or
+    artificial basic; positions never reorder or drop.  ``rows`` holds the
+    tableau row of each position whose basic column is structural, so never
+    more than ``num_vars`` rows.  A position whose basic column is the logical
+    column (slack or artificial) of program row i holds nothing: its row is
+    rebuilt from ``originals[i]`` when it is needed whole, and the ratio test
+    computes only its entering cell and right-hand side.
+    """
 
     def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
         self.pivots = 0
         self.phase1_pivots = 0
         self.cells_touched = 0
-        self.num_vars = lp.num_vars
-        self.ncols = lp.num_vars + len(lp.rows)
+        nv = self.num_vars = lp.num_vars
+        ncols = self.ncols = nv + len(lp.rows)
 
-        self.rows: list[_Row] = []
+        # Program row i in integer form with its slack and artificial cells.
+        self.originals: list[_Row] = []
         self.basis: list[int] = []
-        next_art = self.ncols
+        self.art_rows: list[int] = []  # artificial column ncols + k belongs to row art_rows[k]
         for i, (coeffs, rhs) in enumerate(_prepared_rows(lp)):
             row = _integer_row(coeffs, rhs)
-            if coeffs[lp.num_vars + i] > 0:
-                self.basis.append(lp.num_vars + i)
+            if coeffs[nv + i] > 0:
+                self.basis.append(nv + i)
             else:
-                row[1][next_art] = row[0]  # a cell equal to the denominator is a 1
-                self.basis.append(next_art)
-                next_art += 1
-            self.rows.append(row)
-        self.num_art = next_art - self.ncols
-        self.peak_bits = max((den.bit_length() for den, _, _ in self.rows), default=1)
+                art = ncols + len(self.art_rows)
+                row[1][art] = row[0]  # a cell equal to the denominator is a 1
+                self.basis.append(art)
+                self.art_rows.append(i)
+            self.originals.append(row)
+        self.num_art = len(self.art_rows)
+        # Column j of the program rows, as (row, cell) pairs.
+        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols + self.num_art)]
+        for i, (_, cells, _) in enumerate(self.originals):
+            for j, a in cells.items():
+                self.columns[j].append((i, a))
+        self.rows: dict[int, _Row] = {}  # position -> tableau row, for structural basics
+        self.position: dict[int, int] = {}  # structural basic column -> its position
+        self.logical: dict[int, int] = {i: i for i in range(len(lp.rows))}  # row -> position
+        self.peak_bits = max((den.bit_length() for den, _, _ in self.originals), default=1)
+
+    def _owner(self, col: int) -> int:
+        """The program row of a logical column."""
+        return col - self.num_vars if col < self.ncols else self.art_rows[col - self.ncols]
+
+    def _tableau_row(self, r: int) -> _Row:
+        """The tableau row at position ``r``, reduced on its basic column.
+
+        A held row is returned as it is.  Otherwise the basic column is the
+        logical column of program row i, whose coefficient there is +-1, and the
+        row is program row i less, for each structural basic j, its cell in j
+        times the held row of j: that clears every basic column but its own.
+        """
+        row = self.rows.get(r)
+        if row is not None:
+            return row
+        den, cells, rhs = self.originals[self._owner(self.basis[r])]
+        row = den, dict(cells), rhs  # a copy: _clear may update its cells in place
+        for j in cells:
+            p = self.position.get(j)
+            if p is not None:
+                held = self.rows[p]
+                self.cells_touched += _written(row, held)
+                row = _clear(row, row[1][j], held)
+        row = _reduce(row, self.basis[r])
+        self.peak_bits = max(self.peak_bits, row[0].bit_length())
+        return row
 
     def _reduced_cost_row(self, costs: list[Fraction]) -> _Row:
         """Objective row c - sum over rows of c_basic * row; its right-hand side is -objective.
@@ -232,8 +294,59 @@ class _Solver:
         for r, b in enumerate(self.basis):
             c = objrow[1].get(b)
             if c:
-                objrow = _clear(objrow, c, self.rows[r])
+                objrow = _clear(objrow, c, self._tableau_row(r))
         return objrow
+
+    def _leaving(self, enter: int) -> int:
+        """The position that leaves when ``enter`` enters, or -1 if none bounds it.
+
+        The least ratio rhs / cell over the rows with a positive cell in
+        ``enter``, ties going to the lowest basic column.  A held row's ratio
+        is read off it.  For the logical row of program row i, both its cell
+        and its right-hand side are a_i - sum over held rows j of a_ij * T_j,
+        taken in one column, times +-1; here they are integers over
+        L = lcm of the held denominators, with the cells gathered from the
+        program columns of the held rows that meet ``enter``.
+        """
+        basis = self.basis
+        leave, best_rhs, best_a = -1, 0, 1
+        big = lcm(*(den for den, _, _ in self.rows.values()))
+        cell = {i: a * big for i, a in self.columns[enter]}
+        held_rhs: dict[int, int] = {}
+        for r, (den, cells, rhs) in self.rows.items():
+            scale = big // den
+            held_rhs[basis[r]] = rhs * scale
+            c = cells.get(enter)
+            if c:
+                # compare rhs / c with the best ratio by cross-multiplication
+                if c > 0:
+                    diff = rhs * best_a - best_rhs * c
+                    if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
+                        leave, best_rhs, best_a = r, rhs, c
+                c *= scale
+                for i, a in self.columns[basis[r]]:
+                    cell[i] = cell.get(i, 0) - a * c
+        logical = self.logical
+        for i, a in cell.items():
+            r = logical.get(i)
+            if r is None or not a:
+                continue
+            _, cells, rhs = self.originals[i]
+            sign = 1 if cells[basis[r]] > 0 else -1
+            a *= sign
+            # Every right-hand side is >= 0, so no ratio beats 0 with a higher basic column.
+            if a < 0 or (not best_rhs and leave >= 0 and basis[r] > basis[leave]):
+                continue
+            rhs *= big
+            for j, x in cells.items():
+                value = held_rhs.get(j)
+                if value is not None:
+                    rhs -= x * value
+            rhs *= sign
+            diff = rhs * best_a - best_rhs * a
+            if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
+                leave, best_rhs, best_a = r, rhs, a
+        return leave
 
     def _kernel(self, objrow: _Row) -> tuple[str, _Row]:
         """Pivot by Bland's rule until optimal or unbounded; any column of ``objrow`` may enter."""
@@ -241,35 +354,42 @@ class _Solver:
             enter = min((j for j, x in objrow[1].items() if x < 0), default=-1)
             if enter < 0:
                 return "optimal", objrow
-            leave = -1
-            best: tuple[int, int] | None = None
-            for r, (_, cells, rhs) in enumerate(self.rows):
-                a = cells.get(enter, 0)
-                if a > 0:
-                    # ratio rhs/a; the row denominator cancels, so compare
-                    # rhs/a across rows by cross-multiplication.
-                    if best is None:
-                        best, leave = (rhs, a), r
-                    else:
-                        diff = rhs * best[1] - best[0] * a
-                        if diff < 0 or (diff == 0 and self.basis[r] < self.basis[leave]):
-                            best, leave = (rhs, a), r
+            leave = self._leaving(enter)
             if leave < 0:
                 return "unbounded", objrow
             objrow = self._pivot(leave, enter, objrow)
 
     def _pivot(self, leave: int, enter: int, objrow: _Row | None) -> _Row | None:
-        """Make ``enter`` basic in row ``leave`` and update the objective row to match."""
+        """Make ``enter`` basic at position ``leave``; update the held rows and the objective row."""
         self.pivots += 1
-        touched, peak = _eliminate(self.rows, leave, enter)
-        self.cells_touched += touched
+        pivot_row = _reduce(self._tableau_row(leave), enter)
+        peak = pivot_row[0].bit_length()
+        for r, row in self.rows.items():
+            c = row[1].get(enter)
+            if c is None or r == leave:
+                continue
+            self.cells_touched += _written(row, pivot_row)
+            row = self.rows[r] = _clear(row, c, pivot_row)
+            peak = max(peak, row[0].bit_length())
         if objrow is not None:
             c = objrow[1].get(enter)
             if c:
-                objrow = _clear(objrow, c, self.rows[leave])
+                objrow = _clear(objrow, c, pivot_row)
             peak = max(peak, objrow[0].bit_length())
-        self.basis[leave] = enter
         self.peak_bits = max(self.peak_bits, peak)
+
+        left = self.basis[leave]
+        if left < self.num_vars:
+            del self.position[left]
+            del self.rows[leave]
+        else:
+            del self.logical[self._owner(left)]
+        if enter < self.num_vars:
+            self.position[enter] = leave
+            self.rows[leave] = pivot_row
+        else:
+            self.logical[self._owner(enter)] = leave
+        self.basis[leave] = enter
         return objrow
 
     def _phase_one(self) -> bool:
@@ -279,24 +399,27 @@ class _Solver:
         assert status == "optimal"  # phase-1 objective is bounded below by 0
         if orhs:
             return False
-        for r in range(len(self.rows)):
+        for r in range(len(self.basis)):
             if self.basis[r] < self.ncols:
                 continue
             # An artificial still basic, at value 0.  Every row owns its own
             # slack column, so [A | +-I] has full row rank and this row has a
             # nonzero structural or slack cell; pivoting on any nonzero cell
             # keeps the basis feasible because the row's value is 0.
-            cells = self.rows[r][1]
+            cells = self._tableau_row(r)[1]
             self._pivot(r, min(j for j in cells if j < self.ncols), None)
         return True
 
     def _truncate(self) -> None:
-        """Cut every row back to the structural and slack columns."""
+        """Cut every held and program row back to the structural and slack columns."""
         ncols = self.ncols
-        self.rows = [
-            _normalize(den, {j: a for j, a in cells.items() if j < ncols}, rhs)
-            for den, cells, rhs in self.rows
-        ]
+        self.rows = {
+            r: _normalize(den, {j: a for j, a in cells.items() if j < ncols}, rhs)
+            for r, (den, cells, rhs) in self.rows.items()
+        }
+        # The artificial cell equals the denominator, so the program rows stay primitive.
+        for k, i in enumerate(self.art_rows):
+            del self.originals[i][1][ncols + k]
 
     def _stats(self) -> SolveStats:
         return SolveStats(
@@ -320,16 +443,15 @@ class _Solver:
         internal = Fraction(-orhs, oden)
         flip = Fraction(1 if self.lp.sense == "min" else -1)
         assignment = {j: ZERO for j in range(self.num_vars)}
-        for r, (den, _, rhs) in enumerate(self.rows):
-            if self.basis[r] < self.num_vars:
-                assignment[self.basis[r]] = Fraction(rhs, den)
+        for r, (den, _, rhs) in self.rows.items():
+            assignment[self.basis[r]] = Fraction(rhs, den)
         reduced = {j: flip * Fraction(ocells.get(j, 0), oden) for j in range(self.ncols)}
         return SimplexSolution(
             "optimal",
             flip * internal,
             assignment,
             tuple(self.basis),
-            tuple(range(len(self.rows))),
+            tuple(range(len(self.basis))),
             reduced,
             self.pivots,
             self.peak_bits,
@@ -369,13 +491,14 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     all-zero equation, a singular basis.  The unknowns left are ``y`` on the
     active rows (kept rows whose slack is nonbasic), and the equations left
     come from the basic structural columns; this square system has at most
-    ``num_vars`` unknowns and is solved by Gauss-Jordan through the solver's
-    own :func:`_eliminate`.  ``G`` is block triangular over that split, so it
-    is singular exactly when the square system is.  The reduced costs
-    ``d = c - sum of y_i a_i`` then take one sparse pass over the active rows.
-    Sharing the elimination with the solver does not weaken the check: ``d``
-    must vanish on every basic column, which is ``G y = c_B`` itself, so a
-    wrong ``y`` can only fail a claim, never pass one.
+    ``num_vars`` unknowns and is solved by Gauss-Jordan in :func:`_eliminate`,
+    on the solver's own row update :func:`_clear`.  ``G`` is block
+    triangular over that split, so it is singular exactly when the square
+    system is.  The reduced costs ``d = c - sum of y_i a_i`` then take one
+    sparse pass over the active rows.  Sharing the row update with the
+    solver does not weaken the check: ``d`` must vanish on every basic
+    column, which is ``G y = c_B`` itself, so a wrong ``y`` can only fail a
+    claim, never pass one.
     """
     if solution.status != "optimal":
         raise LPError("only optimal solutions can be certified")

@@ -525,8 +525,10 @@ def dense_solve(lp: LinearProgram) -> SimplexSolution:
     Every row stores all its cells, zeros included, and each pivot rebuilds
     every row with a nonzero in the entering column across the full width.
     The pivots, arithmetic and tie-breaks are those :func:`qcmass.simplex.solve`
-    promises, so every field of the two solutions must be equal, except that
-    ``stats.cells_touched`` here counts the full width of each updated row.
+    promises, so every field of the two solutions must be equal, except two
+    measures of the rows each holds: ``stats.cells_touched`` here counts the
+    full width of each updated row, and ``peak_denominator_bits`` covers the
+    whole tableau, where the solver sees only the rows it holds.
     Unlike the solver, the oracle still drops a row whose artificial has no
     nonzero cell to pivot on after phase 1; equal ``kept_rows`` show that this
     never happens.

@@ -8,8 +8,15 @@ from math import gcd
 import pytest
 
 from qcmass import simplex
-from qcmass.lp import LinearProgram, LPError, Row, build_extremal_lp, check_assignment
-from qcmass.simplex import certify, solution_to_assignment, solve
+from qcmass.lp import (
+    LinearProgram,
+    LPError,
+    Row,
+    build_extremal_lp,
+    build_symmetric_lp,
+    check_assignment,
+)
+from qcmass.simplex import SolveStats, certify, solution_to_assignment, solve
 
 from support import dense_certify, dense_solve, random_small_lp
 
@@ -105,14 +112,14 @@ def test_extremal_optima(n: int, sense: str) -> None:
 # four are machine-independent, so a change to the row arithmetic that keeps
 # the pivots but writes more cells or grows denominators shows here.
 KNOWN_STATS = {
-    (2, "min"): (0, 7, 603, 2),
-    (2, "max"): (0, 4, 206, 1),
-    (3, "min"): (0, 13, 3136, 3),
-    (3, "max"): (0, 14, 3383, 2),
-    (4, "min"): (0, 67, 70786, 4),
-    (4, "max"): (0, 38, 30217, 3),
-    (5, "min"): (0, 140, 463795, 4),
-    (5, "max"): (0, 170, 466342, 4),
+    (2, "min"): (0, 7, 195, 2),
+    (2, "max"): (0, 4, 35, 1),
+    (3, "min"): (0, 13, 633, 3),
+    (3, "max"): (0, 14, 807, 2),
+    (4, "min"): (0, 67, 13975, 4),
+    (4, "max"): (0, 38, 4966, 3),
+    (5, "min"): (0, 140, 59354, 4),
+    (5, "max"): (0, 170, 59274, 4),
 }
 
 
@@ -140,6 +147,19 @@ def test_extremal_optima_n6() -> None:
         report = check_assignment(lp, layout, solution_to_assignment(layout, solution))
         assert report.feasible
         assert report.objective_value == objective
+
+
+def test_extremal_optimum_n7() -> None:
+    # 1927 rows and 142 variables: the full program agrees with the
+    # axis-symmetric relaxation, and its certificate passes
+    lp, layout = build_extremal_lp(7, "min")
+    solution = solve(lp)
+    assert solution.status == "optimal"
+    assert solution.objective == F(-19, 2)
+    assert solution.pivots == 3062
+    assert solution.objective == solve(build_symmetric_lp(7, "min")).objective
+    assert certify(lp, solution).ok
+    assert check_assignment(lp, layout, solution_to_assignment(layout, solution)).feasible
 
 
 def test_denominators_stay_small() -> None:
@@ -182,26 +202,60 @@ def test_row_shuffle_dimension_four(seed: int) -> None:
 # ---------------------------------------------------- dense oracle agreement
 
 
+class WatchedSolver(simplex._Solver):
+    """The solver, checking after every pivot which tableau rows it holds.
+
+    It must hold exactly the rows of the structural basic columns, each
+    reduced on its basic column, so never more than ``num_vars`` of them.
+    """
+
+    most_held = 0
+
+    def _pivot(self, leave, enter, objrow):
+        objrow = super()._pivot(leave, enter, objrow)
+        assert {self.basis[r] for r in self.rows} == {j for j in self.basis if j < self.num_vars}
+        assert all(row[1][self.basis[r]] == row[0] for r, row in self.rows.items())
+        assert len(self.rows) <= self.num_vars
+        self.most_held = max(self.most_held, len(self.rows))
+        return objrow
+
+
 def solve_checked(lp: LinearProgram):
-    """``solve`` by hand, then check that every final row is primitive with no zero cell."""
-    solver = simplex._Solver(lp)
+    """``solve`` by hand, watching the held rows; every final held row is primitive with no zero cell.
+
+    The program rows the solver rebuilds logical rows from must come out of
+    the solve unchanged (artificial cells aside): rebuilding updates a copy.
+    """
+    solver = WatchedSolver(lp)
     solution = solver.run()
-    for den, cells, rhs in solver.rows:
+    for den, cells, rhs in solver.rows.values():
         assert den > 0 and all(cells.values())
         assert gcd(den, rhs, *cells.values()) == 1
+    fresh = simplex._Solver(lp)
+    for (den, cells, rhs), (fden, fcells, frhs) in zip(solver.originals, fresh.originals):
+        assert (den, rhs) == (fden, frhs)
+        assert {j: x for j, x in cells.items() if j < fresh.ncols} == {
+            j: x for j, x in fcells.items() if j < fresh.ncols
+        }
     return solution
 
 
 def assert_matches_dense(lp: LinearProgram):
-    """Every field equal to the dense oracle's; the sparse rows touch no more cells.
+    """Every field equal to the dense oracle's; the held rows touch no more cells and peak no higher.
 
     The oracle still drops rows whose artificial it cannot pivot out, so the
     equal ``kept_rows`` also shows that the sparse solver never needs to.
+    Every row the solver holds is a row of the oracle's full tableau, so its
+    peak denominator is at most the oracle's.
     """
     sparse, dense = solve_checked(lp), dense_solve(lp)
     assert sparse.stats.cells_touched <= dense.stats.cells_touched
-    assert replace(sparse, stats=replace(sparse.stats, cells_touched=0)) == replace(
-        dense, stats=replace(dense.stats, cells_touched=0)
+    assert sparse.peak_denominator_bits <= dense.peak_denominator_bits
+    unmeasured = {"stats": SolveStats(), "peak_denominator_bits": 0}
+    assert replace(sparse, **unmeasured) == replace(dense, **unmeasured)
+    assert (sparse.stats.phase1_pivots, sparse.stats.phase2_pivots) == (
+        dense.stats.phase1_pivots,
+        dense.stats.phase2_pivots,
     )
     assert sparse.stats.phase1_pivots + sparse.stats.phase2_pivots == sparse.pivots
     return sparse
@@ -216,6 +270,28 @@ def test_extremal_solve_matches_dense_oracle(n: int, sense: str) -> None:
     random.Random(f"shuffle-{n}-{sense}-bland").shuffle(rows)
     shuffled = LinearProgram(lp.num_vars, lp.var_names, lp.sense, lp.objective, tuple(rows))
     assert assert_matches_dense(shuffled).status == "optimal"
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_held_rows_at_dimension_five(sense: str) -> None:
+    # 357 program rows and 42 variables; 41 rows held at most, pinned in both senses
+    lp, _ = build_extremal_lp(5, sense)
+    solver = WatchedSolver(lp)
+    assert solver.run().status == "optimal"
+    assert (len(lp.rows), lp.num_vars, solver.most_held) == (357, 42, 41)
+
+
+def test_repeat_solves_are_identical() -> None:
+    # The solver must leave nothing behind: a second solve, and a solve after
+    # certify, give the same solution, stats included.
+    rng = random.Random("repeat-solves")
+    programs = [build_extremal_lp(4, "min")[0]] + [random_small_lp(rng) for _ in range(40)]
+    for lp in programs:
+        first = solve(lp)
+        assert solve(lp) == first
+        if first.status == "optimal":
+            assert certify(lp, first).ok
+            assert solve(lp) == first
 
 
 def test_random_solve_matches_dense_oracle(monkeypatch: pytest.MonkeyPatch) -> None:
