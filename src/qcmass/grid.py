@@ -15,10 +15,10 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from math import lcm, prod
-from operator import add, gt, lt, sub
-from typing import Iterator, Mapping, Sequence
+from operator import add, gt, itemgetter, lt, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rational import format_rational, parse_rational
 
@@ -95,12 +95,35 @@ def corner_sign(flags: tuple[bool, ...]) -> int:
     return -1 if (len(flags) - sum(flags)) % 2 else 1
 
 
+def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) -> bool:
+    """Whether each axis's least index is at least 0 and its greatest below the axis size.
+
+    The cells must all have ``len(shape)`` indices.  Each axis is read in its
+    own pass, so no column is built beside the cells.  False also when some
+    index does not compare with an int.
+    """
+    try:
+        return all(
+            0 <= min(map(itemgetter(axis), cells), default=0)
+            and max(map(itemgetter(axis), cells), default=0) < size
+            for axis, size in enumerate(shape)
+        )
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class MassGrid:
     """Signed rational mass per cell of a rectilinear partition of [0,1]^n.
 
     Cells are indexed by tuples of per-axis slab indices.  Zero masses are
     dropped on construction, so equality of grids is equality of the support.
+
+    Construction checks whole columns at once: every cell a tuple of the
+    grid's arity, the per-axis least and greatest index inside the shape,
+    every mass a nonzero :class:`Fraction`.  When any of these fails it walks
+    the cells in order, converting masses, dropping zeros and raising
+    :class:`GridError` for the first cell of wrong arity or out of range.
     """
 
     partitions: tuple[AxisPartition, ...]
@@ -112,8 +135,18 @@ class MassGrid:
         if not parts:
             raise GridError("grid needs at least one axis")
         shape = tuple(p.num_cells for p in parts)
+        masses = self.cell_masses
+        if (
+            set(map(type, masses)) <= {tuple}
+            and set(map(len, masses)) <= {len(shape)}
+            and _cells_in_range(masses, shape)
+            and set(map(type, masses.values())) <= {Fraction}
+            and all(masses.values())
+        ):
+            object.__setattr__(self, "cell_masses", dict(masses))
+            return
         cleaned: dict[tuple[int, ...], Fraction] = {}
-        for cell, mass in self.cell_masses.items():
+        for cell, mass in masses.items():
             cell = tuple(cell)
             if len(cell) != len(shape):
                 raise GridError(f"cell {cell} has wrong arity")
@@ -596,6 +629,11 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     load as bool, a subclass of int, and must not pass as cell indices or a
     dimension.  Each distinct mass literal is parsed once, however many cells
     share it.  Cell arity and range are left to :class:`MassGrid`.
+
+    The mass entries are checked a column at a time (every entry, every
+    cell, every index, every literal) with builtins.  Only when one of those
+    checks fails are the entries walked one by one, and the
+    :class:`GridError` names the first offending entry in file order.
     """
     try:
         payload = json.loads(text)
@@ -627,6 +665,43 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     entries = payload["masses"]
     if type(entries) is not list:
         raise GridError("masses must be a list")
+    masses = _bulk_masses(entries)
+    if masses is None:
+        masses = _scanned_masses(entries)
+    return MassGrid(partitions, masses)
+
+
+def _bulk_masses(entries: list) -> dict[tuple[int, ...], Fraction] | None:
+    """The cell masses of ``entries``, checked a column at a time; None if any entry is bad.
+
+    Every entry must be a two-key dict with a ``cell`` list of exact ints and
+    a ``mass`` string, every distinct literal must parse, and no cell may
+    repeat: the masses dict is shorter than ``entries`` exactly when one does.
+    The column lists die with this call, before the grid is built.
+    """
+    if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}):
+        return None
+    try:
+        cells = list(map(itemgetter("cell"), entries))
+        literals = list(map(itemgetter("mass"), entries))
+    except KeyError:
+        return None
+    if not (
+        set(map(type, cells)) <= {list}
+        and set(map(type, chain.from_iterable(cells))) <= {int}
+        and set(map(type, literals)) <= {str}
+    ):
+        return None
+    try:
+        parsed = {literal: parse_rational(literal) for literal in set(literals)}
+    except ValueError:
+        return None
+    masses = dict(zip(map(tuple, cells), map(parsed.__getitem__, literals)))
+    return masses if len(masses) == len(entries) else None
+
+
+def _scanned_masses(entries: list) -> dict[tuple[int, ...], Fraction]:
+    """The cell masses of ``entries``, one entry at a time; GridError names the first bad one."""
     masses: dict[tuple[int, ...], Fraction] = {}
     parsed: dict[str, Fraction] = {}
     for entry in entries:
@@ -654,4 +729,4 @@ def grid_from_json(text: str | bytes) -> MassGrid:
             # parse_rational accepts only strings, so `literal` is one here.
             parsed[literal] = mass
         masses[cell] = mass
-    return MassGrid(partitions, masses)
+    return masses

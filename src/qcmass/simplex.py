@@ -357,12 +357,17 @@ class _Solver:
             leave = self._leaving(enter)
             if leave < 0:
                 return "unbounded", objrow
-            objrow = self._pivot(leave, enter, objrow)
+            objrow = self._pivot(leave, enter, objrow, self._tableau_row(leave))
 
-    def _pivot(self, leave: int, enter: int, objrow: _Row | None) -> _Row | None:
-        """Make ``enter`` basic at position ``leave``; update the held rows and the objective row."""
+    def _pivot(
+        self, leave: int, enter: int, objrow: _Row | None, leave_row: _Row
+    ) -> _Row | None:
+        """Make ``enter`` basic at position ``leave``; update the held rows and the objective row.
+
+        ``leave_row`` is the tableau row at ``leave``, as :meth:`_tableau_row` gives it.
+        """
         self.pivots += 1
-        pivot_row = _reduce(self._tableau_row(leave), enter)
+        pivot_row = _reduce(leave_row, enter)
         peak = pivot_row[0].bit_length()
         for r, row in self.rows.items():
             c = row[1].get(enter)
@@ -406,8 +411,8 @@ class _Solver:
             # slack column, so [A | +-I] has full row rank and this row has a
             # nonzero structural or slack cell; pivoting on any nonzero cell
             # keeps the basis feasible because the row's value is 0.
-            cells = self._tableau_row(r)[1]
-            self._pivot(r, min(j for j in cells if j < self.ncols), None)
+            row = self._tableau_row(r)
+            self._pivot(r, min(j for j in row[1] if j < self.ncols), None, row)
         return True
 
     def _truncate(self) -> None:

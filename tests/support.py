@@ -327,21 +327,21 @@ def ref_grid_from_json(text: str) -> MassGrid:
 
 
 def assert_loaders_agree(text: str) -> MassGrid | None:
-    """``grid_from_json`` and :func:`ref_grid_from_json` return equal grids or both refuse.
+    """``grid_from_json`` and :func:`ref_grid_from_json` return equal grids or refuse with one message.
 
-    Returns the grid, or None when both raised :class:`GridError`.  Any other
-    exception propagates from either loader.
+    Returns the grid, or None when both raised :class:`GridError` with the
+    same text.  Any other exception propagates from either loader.
     """
     try:
         want = ref_grid_from_json(text)
-    except GridError:
-        want = None
+    except GridError as exc:
+        want = str(exc)
     try:
         got = grid_from_json(text)
-    except GridError:
-        got = None
+    except GridError as exc:
+        got = str(exc)
     assert got == want, text[:300]
-    return got
+    return None if isinstance(got, str) else got
 
 
 def random_mixed_partition(rng: random.Random, max_cells: int) -> AxisPartition:

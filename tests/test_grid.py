@@ -136,6 +136,41 @@ def test_mass_grid_rejects_bad_cells(masses: dict) -> None:
         MassGrid((part, part), masses)
 
 
+CELL_FAULTS = {
+    "arity": lambda cell, shape: cell + (0,),
+    "negative": lambda cell, shape: (-1,) + cell[1:],
+    "high": lambda cell, shape: cell[:-1] + (shape[-1],),
+}
+
+
+@pytest.mark.parametrize(
+    "first,second", [(a, b) for a in CELL_FAULTS for b in CELL_FAULTS if a != b]
+)
+def test_mass_grid_names_first_bad_cell(first: str, second: str) -> None:
+    # Two bad cells of different kinds: the error is the one the first alone gives.
+    rng = random.Random(f"first-bad-cell-{first}-{second}")
+    parts = (unit_partition(3), unit_partition(4), unit_partition(2))
+    shape = (3, 4, 2)
+    cells = list(product(*map(range, shape)))
+    rng.shuffle(cells)
+    # int and zero masses too, which the per-cell scan converts and drops
+    masses = [rng.choice((F(1, 3), F(-2, 7), F(5), 2, F(0))) for _ in cells]
+    k, m = sorted(rng.sample(range(len(cells)), 2))
+
+    def built(faults: dict[int, str]) -> str:
+        broken = {
+            CELL_FAULTS[faults[i]](cell, shape) if i in faults else cell: mass
+            for i, (cell, mass) in enumerate(zip(cells, masses))
+        }
+        with pytest.raises(GridError) as info:
+            MassGrid(parts, broken)
+        return str(info.value)
+
+    alone = built({k: first})
+    assert alone != built({m: second})
+    assert built({k: first, m: second}) == alone
+
+
 def test_mass_grid_needs_axes() -> None:
     with pytest.raises(GridError):
         MassGrid((), {})
@@ -649,6 +684,61 @@ def test_loader_matches_reference_loader() -> None:
         else:
             entry[rng.choice(["cells", "weight"])] = "1"
         assert support.assert_loaders_agree(json.dumps(payload)) is None, (case, fault)
+
+
+ENTRY_FAULTS = ("literal", "bool", "arity", "range", "duplicate", "key", "extra")
+# MassGrid checks arity and range once the loader has taken every entry, so
+# these two come after any fault the loader sees, wherever they are.
+GRID_FAULTS = ("arity", "range")
+
+
+def break_entry(payload: dict, k: int, fault: str, shape: tuple[int, ...]) -> None:
+    """Break entry ``k`` (never entry 0) of ``payload`` with one fault of kind ``fault``."""
+    entry = payload["masses"][k]
+    if fault == "literal":
+        entry["mass"] = f"{k}/0"
+    elif fault == "bool":
+        entry["cell"][0] = bool(k % 2)
+    elif fault == "arity":
+        entry["cell"].append(0)
+    elif fault == "range":
+        entry["cell"][-1] = shape[-1]
+    elif fault == "duplicate":
+        entry["cell"] = list(payload["masses"][0]["cell"])
+    elif fault == "key":
+        entry["cells"] = entry.pop("cell")
+    else:
+        entry["weight"] = "1"
+
+
+@pytest.mark.parametrize(
+    "first,second", [(a, b) for a in ENTRY_FAULTS for b in ENTRY_FAULTS if a != b]
+)
+def test_loader_names_first_offender(first: str, second: str) -> None:
+    """Faults in entries k < m: the error is the one entry k alone gives, as in the reference."""
+    rng = random.Random(f"first-offender-{first}-{second}")
+    shape = (3, 4, 2)
+    masses = {cell: F(rng.randint(1, 9), 24) for cell in product(*map(range, shape))}
+    text = grid_to_json(MassGrid(tuple(map(unit_partition, shape)), masses))
+    k, m = sorted(rng.sample(range(1, len(masses)), 2))
+
+    def refused(faults: dict[int, str]) -> str:
+        payload = json.loads(text)
+        for i, fault in faults.items():
+            break_entry(payload, i, fault, shape)
+        broken = json.dumps(payload)
+        assert support.assert_loaders_agree(broken) is None
+        with pytest.raises(GridError) as info:
+            grid_from_json(broken)
+        return str(info.value)
+
+    alone_k, alone_m = refused({k: first}), refused({m: second})
+    assert alone_k != alone_m
+    both = refused({k: first, m: second})
+    if first in GRID_FAULTS and second not in GRID_FAULTS:
+        assert both == alone_m
+    else:
+        assert both == alone_k
 
 
 def test_loader_parses_each_mass_literal_once(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -211,8 +211,8 @@ class WatchedSolver(simplex._Solver):
 
     most_held = 0
 
-    def _pivot(self, leave, enter, objrow):
-        objrow = super()._pivot(leave, enter, objrow)
+    def _pivot(self, leave, enter, objrow, leave_row):
+        objrow = super()._pivot(leave, enter, objrow, leave_row)
         assert {self.basis[r] for r in self.rows} == {j for j in self.basis if j < self.num_vars}
         assert all(row[1][self.basis[r]] == row[0] for r, row in self.rows.items())
         assert len(self.rows) <= self.num_vars
@@ -299,15 +299,67 @@ def test_random_solve_matches_dense_oracle(monkeypatch: pytest.MonkeyPatch) -> N
     pivot_outs = []
     pivot = simplex._Solver._pivot
 
-    def counting_pivot(self, leave, enter, objrow):
+    def counting_pivot(self, leave, enter, objrow, leave_row):
         if objrow is None:  # an artificial left basic at zero after phase 1
             pivot_outs.append(leave)
-        return pivot(self, leave, enter, objrow)
+        return pivot(self, leave, enter, objrow, leave_row)
 
     monkeypatch.setattr(simplex._Solver, "_pivot", counting_pivot)
     statuses = [assert_matches_dense(random_small_lp(rng)).status for _ in range(300)]
     assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 30
     assert pivot_outs
+
+
+class PivotOutSolver(simplex._Solver):
+    """The solver, counting logical-row rebuilds while phase 1 pivots artificials out.
+
+    That is after the first kernel, the phase-1 one when there are
+    artificials, and before the artificial columns are cut.
+    """
+
+    kernels = 0
+    pivoting_out = False
+    rebuilds = 0
+    pivot_outs = 0
+
+    def _kernel(self, objrow):
+        result = super()._kernel(objrow)
+        self.kernels += 1
+        self.pivoting_out = self.num_art > 0 and self.kernels == 1
+        return result
+
+    def _truncate(self):
+        self.pivoting_out = False
+        super()._truncate()
+
+    def _tableau_row(self, r):
+        if self.pivoting_out and r not in self.rows:
+            self.rebuilds += 1
+        return super()._tableau_row(r)
+
+    def _pivot(self, leave, enter, objrow, leave_row):
+        if objrow is None:
+            self.pivot_outs += 1
+        return super()._pivot(leave, enter, objrow, leave_row)
+
+
+def test_pivot_out_rebuilds_each_artificial_row_once() -> None:
+    # Each artificial left basic at zero after phase 1 has its logical row
+    # built once, to pick the entering column, and that row is the pivot row.
+    rng = random.Random("pivot-out-rebuilds")
+    reached = 0
+    for _ in range(2000):
+        lp = random_small_lp(rng)
+        solver = PivotOutSolver(lp)
+        solution = solver.run()
+        assert solver.rebuilds == solver.pivot_outs
+        if not solver.pivot_outs:
+            continue
+        reached += 1
+        assert solution == assert_matches_dense(lp)
+        if reached == 8:
+            break
+    assert reached == 8
 
 
 # ------------------------------------------------------------- certificates
