@@ -72,7 +72,7 @@ def _finish(result: CommandResult) -> None:
 def _guarded(fn, *args, **kwargs) -> None:
     try:
         result = fn(*args, **kwargs)
-    except (GridError, LPError, RationalParseError) as exc:
+    except (GridError, LPError, RationalParseError, OSError) as exc:
         _finish(CommandResult(2, error=f"error: {exc}\n"))
         return
     _finish(result)

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .grid import NBox, ZERO, ONE, corner_sign
 from .rational import format_rational, parse_rational
@@ -338,20 +338,6 @@ def assignment_vector(
     return x
 
 
-def row_sums(lp: LinearProgram, x: Sequence[Fraction]) -> list[Fraction]:
-    """The exact left-hand side ``sum of coef * x_j`` of every row, in row order."""
-    return [sum((coef * x[j] for j, coef in row.coeffs), ZERO) for row in lp.rows]
-
-
-def violated_rows(
-    lp: LinearProgram, sums: Sequence[Fraction]
-) -> Iterator[tuple[int, Row, Fraction]]:
-    """Test a point's :func:`row_sums` against the rows; yield ``(k, row, lhs)`` if violated."""
-    for k, (row, lhs) in enumerate(zip(lp.rows, sums)):
-        if not (lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs):
-            yield k, row, lhs
-
-
 def check_assignment(
     lp: LinearProgram, layout: ExtremalLayout, assignment: VertexAssignment
 ) -> FeasibilityReport:
@@ -367,8 +353,10 @@ def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
     for j, value in enumerate(x):
         if value < ZERO:
             violations.append(RowViolation(j, "N", value, ">=", ZERO))
-    for k, row, lhs in violated_rows(lp, row_sums(lp, x)):
-        violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
+    for k, row in enumerate(lp.rows):
+        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+        if not (lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs):
+            violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
     return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
 
 

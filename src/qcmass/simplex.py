@@ -44,6 +44,11 @@ Standard form and index conventions, shared by :func:`solve` and
   solved by negating the objective, and reduced costs are reported for the
   problem as posed, so at an optimum they are >= 0 for "min" programs and
   <= 0 for "max" programs on nonbasic columns.
+
+:func:`certify` checks a claimed optimum as a primal-dual pair: the
+assignment must be feasible, the row duals read off the slack columns'
+reduced costs must be dual feasible, and the two must meet complementary
+slackness.  It reads neither the basis nor the kept rows.
 """
 
 from __future__ import annotations
@@ -58,9 +63,9 @@ from .lp import (
     ExtremalLayout,
     LinearProgram,
     LPError,
+    Row,
     VertexAssignment,
-    row_sums,
-    violated_rows,
+    check_point,
 )
 
 
@@ -93,10 +98,10 @@ class SimplexSolution:
 
     For non-optimal statuses only ``status``, ``pivots``,
     ``peak_denominator_bits`` and ``stats`` are meaningful.  ``assignment``
-    covers every structural variable (nonbasic ones at 0).  ``kept_rows`` is
-    the row index paired with each basis entry; the solver keeps every row,
-    so it is ``0 .. len(rows) - 1``, but :func:`certify` reads it as part of
-    the claim rather than assuming it.
+    covers every structural variable (nonbasic ones at 0).  ``basis`` is
+    reported data: :func:`certify` does not read it.  ``kept_rows`` is the
+    row index paired with each basis entry; the solver keeps every row, so it
+    is ``0 .. len(rows) - 1``.  No package code reads it.
     """
 
     status: str
@@ -202,15 +207,6 @@ def _written(row: _Row, pivot_row: _Row) -> int:
     if pivot_row[0] == 1:
         return 1 + len(pivot_row[1])
     return 1 + len(row[1].keys() | pivot_row[1].keys())
-
-
-def _eliminate(rows: list[_Row], leave: int, enter: int) -> None:
-    """Make ``enter`` a unit column with its one in row ``leave``, in place."""
-    pivot_row = rows[leave] = _reduce(rows[leave], enter)
-    for r, row in enumerate(rows):
-        c = row[1].get(enter)
-        if c is not None and r != leave:
-            rows[r] = _clear(row, c, pivot_row)
 
 
 class _Solver:
@@ -476,142 +472,85 @@ def solve(lp: LinearProgram) -> SimplexSolution:
 
 
 def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
-    """Re-derive optimality of a claimed solution from first principles.
+    """Check a claimed optimum as a primal-dual pair, from first principles.
 
-    Trusts only ``status``, ``objective``, ``assignment``, ``basis`` and
-    ``kept_rows``; the dual vector ``y`` (one entry per kept row) is
-    recomputed from the claimed basis, never read from the solver.  The claim
-    passes when (1) the assignment satisfies every row and bound exactly and
-    matches the claimed objective, and (2) the basis gives a dual vector whose
-    reduced costs have the optimal sign everywhere and vanish on every column
-    with a nonzero value (complementary slackness).  Together these pin the
-    objective between the claim and every feasible point, so a pass is a
-    proof of optimality for the rows that were kept, and of its validity for
-    the full program via the direct row check.
+    Reads only ``status``, ``objective``, ``assignment`` and
+    ``reduced_costs``; ``basis`` and ``kept_rows`` play no part.  In the
+    internal minimization convention, with each row as posed written as the
+    equality ``a_i x + sigma_i s_i = b_i`` over nonnegative structural and
+    slack columns (``sigma_i`` is +1 for "<=" and -1 for ">=", and ``s_i``
+    is the row's gap), the claim passes when:
 
-    The dual comes from ``G y = c_B`` (one equation per basic column) without
-    forming ``G``.  A basic slack column ``num_vars + i`` meets only row i, so
-    its equation reads ``sigma_i y_i = 0``: kept rows with a basic slack get
-    ``y_i = 0``, and a basic slack of a row that was not kept leaves an
-    all-zero equation, a singular basis.  The unknowns left are ``y`` on the
-    active rows (kept rows whose slack is nonbasic), and the equations left
-    come from the basic structural columns; this square system has at most
-    ``num_vars`` unknowns and is solved by Gauss-Jordan in :func:`_eliminate`,
-    on the solver's own row update :func:`_clear`.  ``G`` is block
-    triangular over that split, so it is singular exactly when the square
-    system is.  The reduced costs ``d = c - sum of y_i a_i`` then take one
-    sparse pass over the active rows.  Sharing the row update with the
-    solver does not weaken the check: ``d`` must vanish on every basic
-    column, which is ``G y = c_B`` itself, so a wrong ``y`` can only fail a
-    claim, never pass one.
+    1. the assignment covers every variable, satisfies every row and bound
+       exactly (:func:`qcmass.lp.check_point`) and gives the claimed
+       objective;
+    2. the dual vector read off the slack columns' claimed reduced costs,
+       ``y_i = -sigma_i * flip * reduced_costs[num_vars + i]`` (``flip`` is
+       +1 for "min" and -1 for "max"), has reduced costs
+       ``d = c - sum of y_i a_i``, recomputed here over every structural and
+       slack column, that are all >= 0 (dual feasibility) and vanish on every
+       column with a nonzero value (complementary slackness).
+
+    Negating a row, as :func:`_prepared_rows` does, negates its dual and
+    leaves every reduced cost as it is, so the solver's reduced costs apply
+    to the rows as posed.
+
+    Then for every feasible point ``(x', s')``, ``c x' = y b + d (x', s') >=
+    y b``, and for the claimed point the last term is 0, so ``c x = y b`` is
+    the least objective: a pass is a weak-duality proof of optimality.  Every
+    number of ``y`` and ``d`` is checked rather than trusted, so where ``y``
+    came from does not matter; a wrong one can only fail a claim.
     """
     if solution.status != "optimal":
         raise LPError("only optimal solutions can be certified")
-    failures: list[str] = []
     nv = lp.num_vars
     if set(solution.assignment) != set(range(nv)):
         return CertificateReport(False, ("assignment must cover every variable",))
     x = [Fraction(solution.assignment[j]) for j in range(nv)]
-    for j, value in enumerate(x):
-        if value < ZERO:
-            failures.append(f"variable {lp.var_names[j]} is negative: {value}")
-    sums = row_sums(lp, x)
-    for k, row, lhs in violated_rows(lp, sums):
-        failures.append(f"row {k} violated: {lhs} {row.relation} {row.rhs}")
-    claimed = lp.evaluate_objective(x)
-    if claimed != solution.objective:
+    report = check_point(lp, x)
+    failures = [
+        f"variable {lp.var_names[v.index]} is negative: {v.lhs}"
+        if v.family == "N"
+        else f"row {v.index} violated: {v.lhs} {v.relation} {v.rhs}"
+        for v in report.violations
+    ]
+    if report.objective_value != solution.objective:
         failures.append(
-            f"objective mismatch: assignment gives {claimed}, "
+            f"objective mismatch: assignment gives {report.objective_value}, "
             f"solution claims {solution.objective}"
         )
-
-    # A slack's value is the row's gap, which the sign normalization of
-    # _prepared_rows leaves unchanged.
-    values = x + [
-        lhs - row.rhs if row.relation == ">=" else row.rhs - lhs
-        for row, lhs in zip(lp.rows, sums)
-    ]
-    prepared = _prepared_rows(lp)
     ncols = nv + len(lp.rows)
-
-    basis = solution.basis
-    kept = solution.kept_rows
-    if len(basis) != len(kept) or len(set(basis)) != len(basis):
-        failures.append("basis and kept rows must pair up without repeats")
-        return CertificateReport(False, tuple(failures))
-    if any(not 0 <= j < ncols for j in basis) or any(
-        not 0 <= i < len(lp.rows) for i in kept
-    ):
-        failures.append("basis or kept row index out of range")
+    if set(solution.reduced_costs) != set(range(ncols)):
+        failures.append("reduced costs must cover every column")
         return CertificateReport(False, tuple(failures))
 
-    costs = _internal_costs(lp, ncols)
-    y = _active_duals(prepared, nv, basis, kept, costs)
-    if y is None:
-        failures.append("claimed basis matrix is singular")
-        return CertificateReport(False, tuple(failures))
-
-    d = list(costs)
-    for i, yi in y.items():
-        for j, coef in prepared[i][0].items():
-            d[j] -= yi * coef
-    basic = set(basis)
-    for j in range(ncols):
-        if j in basic:
-            if d[j] != ZERO:
-                failures.append(f"basic column {j} has nonzero reduced cost {d[j]}")
-        elif d[j] < ZERO:
-            failures.append(f"nonbasic column {j} has negative reduced cost {d[j]}")
-        elif d[j] != ZERO and values[j] != ZERO:
-            failures.append(
-                f"complementary slackness fails on column {j}: "
-                f"value {values[j]}, reduced cost {d[j]}"
-            )
+    flip = 1 if lp.sense == "min" else -1
+    d = _internal_costs(lp, ncols)
+    for i, row in enumerate(lp.rows):
+        reduced = solution.reduced_costs[nv + i]
+        if reduced:
+            sigma = 1 if row.relation == "<=" else -1
+            y = -sigma * flip * Fraction(reduced)
+            for j, coef in row.coeffs:
+                d[j] -= y * coef
+            d[nv + i] -= y * sigma
+    for j, dj in enumerate(d):
+        if dj < ZERO:
+            failures.append(f"column {j} has negative reduced cost {dj}")
+        elif dj != ZERO:
+            value = x[j] if j < nv else _gap(lp.rows[j - nv], x)
+            if value != ZERO:
+                failures.append(
+                    f"complementary slackness fails on column {j}: "
+                    f"value {value}, reduced cost {dj}"
+                )
     return CertificateReport(not failures, tuple(failures))
 
 
-def _active_duals(
-    prepared: list[tuple[dict[int, Fraction], Fraction]],
-    nv: int,
-    basis: tuple[int, ...],
-    kept: tuple[int, ...],
-    costs: list[Fraction],
-) -> dict[int, Fraction] | None:
-    """Duals ``{row: y}`` on the active rows; None when ``G`` is singular.
-
-    Every other kept row has ``y = 0``.  The caller has checked that
-    ``basis`` and ``kept`` are in range and that ``basis`` has no repeats.
-    """
-    if len(set(kept)) != len(kept):
-        return None  # a repeated kept row repeats a column of G
-    basic_slack_rows = {j - nv for j in basis if j >= nv}
-    structural = [j for j in basis if j < nv]
-    active = [i for i in kept if i not in basic_slack_rows]
-    # The counts differ exactly when a basic slack belongs to a row that was
-    # not kept, whose equation in G is all zeros.
-    if len(structural) != len(active):
-        return None
-    # Equation for basic column j: sum over active rows i of a_ij y_i = c_j,
-    # as a tableau row whose column p is the unknown y of active row p.
-    equations: dict[int, dict[int, Fraction]] = {j: {} for j in structural}
-    for p, i in enumerate(active):
-        for j, coef in prepared[i][0].items():
-            eq = equations.get(j)
-            if eq is not None:
-                eq[p] = coef
-    rows = [_integer_row(eq, costs[j]) for j, eq in equations.items()]
-    # Gauss-Jordan: make each unknown a unit column in a row not used yet.
-    # An unknown with no such row leaves the system rank-deficient.
-    owner: list[int] = []
-    free = set(range(len(rows)))
-    for p in range(len(active)):
-        r = min((r for r in free if p in rows[r][1]), default=-1)
-        if r < 0:
-            return None
-        _eliminate(rows, r, p)
-        free.remove(r)
-        owner.append(r)
-    return {i: Fraction(rows[r][2], rows[r][0]) for i, r in zip(active, owner)}
+def _gap(row: Row, x: list[Fraction]) -> Fraction:
+    """The value of a row's slack at ``x``: how far the row is from tight."""
+    lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+    return lhs - row.rhs if row.relation == ">=" else row.rhs - lhs
 
 
 def solution_to_assignment(

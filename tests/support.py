@@ -5,10 +5,11 @@ share no code with the prefix-sum node route in qcmass.grid, so agreement
 between the two is a real check rather than a tautology.  The ``ref_*``
 functions are the node-lattice consumers written plainly over a dict of
 ``Fraction`` node values, the reference for the integer lattice in
-qcmass.grid.  Likewise ``dense_certify`` recomputes a certificate's dual by
-dense elimination over every kept row, the route ``qcmass.simplex.certify``
-avoids, and ``dense_solve`` runs the simplex on dense integer rows, the
-reference for the sparse rows of ``qcmass.simplex.solve``.  ``ref_box_volume``
+qcmass.grid.  Likewise ``dense_certify`` checks a claimed optimum's
+primal-dual pair on the dense matrix of every row and column, the reference
+for the sparse pass of ``qcmass.simplex.certify``, and ``dense_solve`` runs
+the simplex on dense integer rows, the reference for the sparse rows of
+``qcmass.simplex.solve``.  ``ref_box_volume``
 reads a box's mass off the node lattice, the reference for the cell sum of
 ``MassGrid.box_volume``, and ``ref_grid_from_json`` parses every literal of
 a grid file afresh, the reference for ``qcmass.grid.grid_from_json``.
@@ -375,20 +376,24 @@ def random_signed_grid(rng: random.Random, n: int, max_cells: int = 3) -> MassGr
 
 
 def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
-    """Reference certificate: the dual from a dense Gaussian solve of ``G y = c_B``.
+    """Reference certificate: the primal-dual pair check on the dense matrix.
 
-    ``G`` is the full m x m matrix of basic columns over kept rows, and the
-    reduced costs are formed over every column and kept row.  Slow, but it
-    shares no reduction with :func:`qcmass.simplex.certify`, which must
-    return the same ``ok`` and ``failures`` on every claim.
+    The standard form of every row is stored across every structural and
+    slack column, zeros included.  Each row is summed in full, the duals are
+    read off the slack columns' claimed reduced costs, a slack's value is its
+    row's residual over its slack cell, and each reduced cost is formed down
+    its whole column.  Slow, but it shares neither ``check_point`` nor the
+    sparse pass of :func:`qcmass.simplex.certify`, which must return the same
+    ``ok`` and ``failures`` on every claim.
     """
     if solution.status != "optimal":
         raise LPError("only optimal solutions can be certified")
-    failures: list[str] = []
-    nv = lp.num_vars
+    nv, m = lp.num_vars, len(lp.rows)
+    ncols = nv + m
     if set(solution.assignment) != set(range(nv)):
         return CertificateReport(False, ("assignment must cover every variable",))
     x = [Fraction(solution.assignment[j]) for j in range(nv)]
+    failures: list[str] = []
     for j, value in enumerate(x):
         if value < ZERO:
             failures.append(f"variable {lp.var_names[j]} is negative: {value}")
@@ -403,74 +408,32 @@ def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateRe
             f"objective mismatch: assignment gives {claimed}, "
             f"solution claims {solution.objective}"
         )
+    if set(solution.reduced_costs) != set(range(ncols)):
+        failures.append("reduced costs must cover every column")
+        return CertificateReport(False, tuple(failures))
 
     prepared = _prepared_rows(lp)
-    ncols = nv + len(lp.rows)
-    values = list(x) + [ZERO] * len(lp.rows)
-    for i, (coeffs, rhs) in enumerate(prepared):
-        sigma = coeffs[nv + i]
-        residual = rhs - sum((coeffs.get(j, ZERO) * x[j] for j in range(nv)), ZERO)
-        values[nv + i] = residual / sigma
-
-    basis = solution.basis
-    kept = solution.kept_rows
-    if len(basis) != len(kept) or len(set(basis)) != len(basis):
-        failures.append("basis and kept rows must pair up without repeats")
-        return CertificateReport(False, tuple(failures))
-    if any(not 0 <= j < ncols for j in basis) or any(
-        not 0 <= i < len(lp.rows) for i in kept
-    ):
-        failures.append("basis or kept row index out of range")
-        return CertificateReport(False, tuple(failures))
-
+    matrix = [[coeffs.get(j, ZERO) for j in range(ncols)] for coeffs, _ in prepared]
+    flip = ONE if lp.sense == "min" else -ONE
+    y = [
+        -matrix[i][nv + i] * flip * Fraction(solution.reduced_costs[nv + i])
+        for i in range(m)
+    ]
+    values = x + [
+        (rhs - sum((matrix[i][j] * x[j] for j in range(nv)), ZERO)) / matrix[i][nv + i]
+        for i, (_, rhs) in enumerate(prepared)
+    ]
     costs = _internal_costs(lp, ncols)
-    # Solve G y = c_B where G[k][r] = column basis[k] in kept row r.
-    m = len(kept)
-    G = [[prepared[i][0].get(basis[k], ZERO) for i in kept] for k in range(m)]
-    rhs_vec = [costs[j] for j in basis]
-    y = _gaussian_solve(G, rhs_vec)
-    if y is None:
-        failures.append("claimed basis matrix is singular")
-        return CertificateReport(False, tuple(failures))
-
-    basic = set(basis)
     for j in range(ncols):
-        d = costs[j] - sum(
-            (y[r] * prepared[i][0].get(j, ZERO) for r, i in enumerate(kept)), ZERO
-        )
-        if j in basic:
-            if d != ZERO:
-                failures.append(f"basic column {j} has nonzero reduced cost {d}")
-        else:
-            if d < ZERO:
-                failures.append(f"nonbasic column {j} has negative reduced cost {d}")
-            elif d != ZERO and values[j] != ZERO:
-                failures.append(
-                    f"complementary slackness fails on column {j}: "
-                    f"value {values[j]}, reduced cost {d}"
-                )
+        d = costs[j] - sum((y[i] * matrix[i][j] for i in range(m)), ZERO)
+        if d < ZERO:
+            failures.append(f"column {j} has negative reduced cost {d}")
+        elif d != ZERO and values[j] != ZERO:
+            failures.append(
+                f"complementary slackness fails on column {j}: "
+                f"value {values[j]}, reduced cost {d}"
+            )
     return CertificateReport(not failures, tuple(failures))
-
-
-def _gaussian_solve(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square exact system; None when the matrix is singular."""
-    m = len(matrix)
-    aug = [list(row) + [rhs[k]] for k, row in enumerate(matrix)]
-    for col in range(m):
-        pivot_row = next((r for r in range(col, m) if aug[r][col] != ZERO), -1)
-        if pivot_row < 0:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [a / pivot for a in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != ZERO:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
-
 
 
 def random_small_lp(rng: random.Random) -> LinearProgram:

@@ -3,6 +3,7 @@
 import json
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +89,48 @@ def test_extremize_emit_lp(runner: CliRunner, tmp_path: Path) -> None:
     )
     assert result.exit_code == 0
     assert target.read_text() == export_lp(build_extremal_lp(2, "min")[0])
+
+
+def _one_wrong_dual(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make ``cli.solve`` claim a nonzero dual on a row that is not tight."""
+    real = cli.solve
+
+    def solve(lp):
+        solution = real(lp)
+        x = [solution.assignment[j] for j in range(lp.num_vars)]
+        slack = lp.num_vars + next(
+            i
+            for i, row in enumerate(lp.rows)
+            if sum((coef * x[j] for j, coef in row.coeffs), F(0)) != row.rhs
+        )
+        reduced = dict(solution.reduced_costs)
+        reduced[slack] += 1
+        return replace(solution, reduced_costs=reduced)
+
+    monkeypatch.setattr(cli, "solve", solve)
+
+
+def test_extremize_failed_certificate_text(
+    runner: CliRunner, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    _one_wrong_dual(monkeypatch)
+    result = invoke(runner, "extremize", "-n", "2", "--direction", "min")
+    assert result.exit_code == 1
+    passed = EXTREMIZE_2_MIN.removesuffix("certificate pass\n")
+    assert result.output.startswith(passed + "certificate fail\ncertificate-failure ")
+
+
+def test_extremize_failed_certificate_json(
+    runner: CliRunner, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    _one_wrong_dual(monkeypatch)
+    result = invoke(
+        runner, "extremize", "-n", "2", "--direction", "min", "--format", "json"
+    )
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["certificate"] == "fail"
+    assert payload["optimum"] == "-1/3"
 
 
 def test_extremize_rejects_dimension_one(runner: CliRunner) -> None:

@@ -267,6 +267,18 @@ def test_volume_rejects_box_of_wrong_arity_on_wide_grids(grid_file, query) -> No
     assert result.output.startswith("error: box has arity"), result.output
 
 
+# ------------------------------------------------------------ output files
+
+
+def test_emit_lp_to_missing_directory_exits_2(tmp_path) -> None:
+    target = tmp_path / "missing" / "x.lp"
+    args = ("extremize", "-n", "2", "--direction", "min", "--emit-lp", str(target))
+    result = run(*args)
+    assert_usage_error(result, args)
+    assert str(target) in result.output
+    assert not target.exists()
+
+
 # ------------------------------------------------------- dimension options
 
 NOT_AN_INT = st.one_of(JUNK.filter(bool), HUGE)

@@ -15,6 +15,7 @@ from qcmass.lp import (
     build_extremal_lp,
     build_symmetric_lp,
     check_assignment,
+    check_point,
 )
 from qcmass.simplex import SolveStats, certify, solution_to_assignment, solve
 
@@ -389,18 +390,6 @@ def test_certify_rejects_wrong_objective() -> None:
     assert any("objective mismatch" in f for f in report.failures)
 
 
-def test_certify_rejects_swapped_basis() -> None:
-    lp, _ = build_extremal_lp(2, "min")
-    solution = solve(lp)
-    basis = list(solution.basis)
-    outside = next(
-        j for j in range(lp.num_vars + len(lp.rows)) if j not in set(basis)
-    )
-    basis[0] = outside
-    report = certify(lp, replace(solution, basis=tuple(basis)))
-    assert not report.ok
-
-
 def test_certify_rejects_incomplete_assignment() -> None:
     lp, _ = build_extremal_lp(2, "min")
     solution = solve(lp)
@@ -411,54 +400,61 @@ def test_certify_rejects_incomplete_assignment() -> None:
     assert "assignment must cover every variable" in report.failures
 
 
-def test_certify_rejects_duplicate_basis() -> None:
+def test_certify_rejects_incomplete_reduced_costs() -> None:
     lp, _ = build_extremal_lp(2, "min")
     solution = solve(lp)
-    basis = list(solution.basis)
-    basis[1] = basis[0]
-    report = certify(lp, replace(solution, basis=tuple(basis)))
-    assert not report.ok
-    assert any("pair up" in f for f in report.failures)
+    reduced = dict(solution.reduced_costs)
+    reduced.pop(lp.num_vars)
+    for report in (
+        certify(lp, replace(solution, reduced_costs=reduced)),
+        dense_certify(lp, replace(solution, reduced_costs=reduced)),
+    ):
+        assert report.failures == ("reduced costs must cover every column",)
 
 
-def test_certify_rejects_out_of_range_basis() -> None:
-    lp, _ = build_extremal_lp(2, "min")
-    solution = solve(lp)
-    basis = list(solution.basis)
-    basis[0] = 10**6
-    report = certify(lp, replace(solution, basis=tuple(basis)))
-    assert not report.ok
+def test_certify_reads_no_basis_and_no_kept_rows() -> None:
+    rng = random.Random("certify-no-basis")
+    programs = [build_extremal_lp(n, sense)[0] for n in (2, 3) for sense in ("min", "max")]
+    programs += [random_small_lp(rng) for _ in range(30)]
+    for lp in programs:
+        solution = solve(lp)
+        if solution.status != "optimal":
+            continue
+        claim = replace(solution, basis=(), kept_rows=())
+        assert certify(lp, claim).ok
+        assert dense_certify(lp, claim).ok
+
+
+TAMPER_KINDS = ("slack", "sign", "missing", "assignment", "objective")
 
 
 def _tamper(rng: random.Random, lp: LinearProgram, solution):
-    """One to three random edits of an optimal claim, each of a kind a faulty solver could make."""
-    ncols = lp.num_vars + len(lp.rows)
-    basis = list(solution.basis)
-    kept = list(solution.kept_rows)
+    """One to three random edits of an optimal claim, each of a kind a faulty solver could make.
+
+    The reduced-cost edits touch only slack columns, since those carry the
+    row duals that :func:`certify` reads.  Returns the claim and its edit kinds.
+    """
+    nv = lp.num_vars
+    reduced = dict(solution.reduced_costs)
     assignment = dict(solution.assignment)
     objective = solution.objective
-    for _ in range(rng.randint(1, 3)):
-        kind = rng.choice(("basis", "swap", "kept", "drop", "assignment", "objective"))
-        if kind == "basis":
-            basis[rng.randrange(len(basis))] = rng.randrange(ncols)
-        elif kind == "swap":
-            a, b = rng.sample(range(len(basis)), 2)
-            basis[a], basis[b] = basis[b], basis[a]
-        elif kind == "kept":
-            kept[rng.randrange(len(kept))] = rng.randrange(len(lp.rows))
-        elif kind == "drop":
-            del kept[rng.randrange(len(kept))], basis[rng.randrange(len(basis))]
+    kinds = [rng.choice(TAMPER_KINDS) for _ in range(rng.randint(1, 3))]
+    for kind in kinds:
+        slack = nv + rng.randrange(len(lp.rows))
+        if kind == "slack":
+            if slack in reduced:
+                reduced[slack] += F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 7))
+        elif kind == "sign":
+            if slack in reduced:
+                reduced[slack] = -reduced[slack]
+        elif kind == "missing":
+            reduced.pop(slack, None)
         elif kind == "assignment":
-            assignment[rng.randrange(lp.num_vars)] += F(rng.randint(-3, 3), rng.randint(1, 7))
+            assignment[rng.randrange(nv)] += F(rng.randint(-3, 3), rng.randint(1, 7))
         else:
             objective += F(rng.choice((-1, 1)), rng.randint(1, 9))
-    return replace(
-        solution,
-        basis=tuple(basis),
-        kept_rows=tuple(kept),
-        assignment=assignment,
-        objective=objective,
-    )
+    claim = replace(solution, reduced_costs=reduced, assignment=assignment, objective=objective)
+    return claim, kinds
 
 
 @pytest.mark.parametrize("n,sense", [(2, "min"), (2, "max"), (3, "min"), (3, "max")])
@@ -467,7 +463,7 @@ def test_certify_matches_dense_oracle(n: int, sense: str) -> None:
     rng = random.Random(f"certify-{n}-{sense}")
     lp, _ = build_extremal_lp(n, sense)
     solution = solve(lp)
-    claims = [solution] + [_tamper(rng, lp, solution) for _ in range(60)]
+    claims = [solution] + [_tamper(rng, lp, solution)[0] for _ in range(60)]
     verdicts = []
     for claim in claims:
         fast, dense = certify(lp, claim), dense_certify(lp, claim)
@@ -476,17 +472,34 @@ def test_certify_matches_dense_oracle(n: int, sense: str) -> None:
     assert verdicts[0] and not all(verdicts)
 
 
-def test_certify_rejects_basic_slack_of_dropped_row() -> None:
-    lp, _ = build_extremal_lp(2, "min")
-    solution = solve(lp)
-    # drop a row whose slack stays basic, and one basic structural column
-    basis = list(solution.basis)
-    kept = list(solution.kept_rows)
-    kept.remove(next(j - lp.num_vars for j in basis if j >= lp.num_vars))
-    basis.remove(next(j for j in basis if j < lp.num_vars))
-    claim = replace(solution, basis=tuple(basis), kept_rows=tuple(kept))
-    for report in (certify(lp, claim), dense_certify(lp, claim)):
-        assert report.failures == ("claimed basis matrix is singular",)
+def test_certify_passes_only_true_optima() -> None:
+    """A passing claim, however tampered, has the true optimum at a feasible point."""
+    rng = random.Random("certify-soundness")
+    claims = 0
+    failed_kinds: set[str] = set()
+    passed_tampered = 0
+    while claims < 2000:
+        lp = random_small_lp(rng)
+        solution = solve(lp)
+        if solution.status != "optimal":
+            continue
+        assert certify(lp, solution).ok
+        optimum = dense_solve(lp).objective
+        for _ in range(20):
+            claim, kinds = _tamper(rng, lp, solution)
+            claims += 1
+            fast, dense = certify(lp, claim), dense_certify(lp, claim)
+            assert (fast.ok, fast.failures) == (dense.ok, dense.failures)
+            if fast.ok:
+                passed_tampered += 1
+                x = [claim.assignment[j] for j in range(lp.num_vars)]
+                assert claim.objective == optimum
+                assert check_point(lp, x).feasible
+            elif len(set(kinds)) == 1:
+                failed_kinds.add(kinds[0])
+    assert failed_kinds == set(TAMPER_KINDS)
+    # some edits leave a valid certificate (a degenerate dual, a zero sign flip)
+    assert passed_tampered > 0
 
 
 # ------------------------------------------------------------- extraction
