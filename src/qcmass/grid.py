@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations, product, repeat
 from math import lcm, prod
 from operator import add, gt, itemgetter, lt, sub
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rational import format_rational, parse_rational
@@ -118,6 +119,8 @@ class MassGrid:
 
     Cells are indexed by tuples of per-axis slab indices.  Zero masses are
     dropped on construction, so equality of grids is equality of the support.
+    ``cell_masses`` is a read-only view of a copy taken on construction, so
+    a grid, and every function built from it, never changes.
 
     Construction checks whole columns at once: every cell a tuple of the
     grid's arity, the per-axis least and greatest index inside the shape,
@@ -143,7 +146,7 @@ class MassGrid:
             and set(map(type, masses.values())) <= {Fraction}
             and all(masses.values())
         ):
-            object.__setattr__(self, "cell_masses", dict(masses))
+            object.__setattr__(self, "cell_masses", MappingProxyType(dict(masses)))
             return
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for cell, mass in masses.items():
@@ -157,7 +160,7 @@ class MassGrid:
                 mass = Fraction(mass)
             if mass:
                 cleaned[cell] = mass
-        object.__setattr__(self, "cell_masses", cleaned)
+        object.__setattr__(self, "cell_masses", MappingProxyType(cleaned))
 
     @property
     def dimension(self) -> int:
@@ -191,7 +194,8 @@ class MassGrid:
         the inclusion-exclusion sum of the induced function over the box's
         corners, read off the cells without building a node lattice.  The
         fractions are integers over one denominator per axis and the masses
-        integers over the lcm of theirs, so the sum is one integer.
+        integers over the lcm of theirs, so the sum is one integer.  An axis
+        the box covers no part of (a zero-width interval) makes it 0 at once.
         """
         if box.dimension != self.dimension:
             raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
@@ -203,6 +207,8 @@ class MassGrid:
                 (min(hi, b) - max(lo, a)) / (b - a) if lo < b and a < hi else ZERO
                 for a, b in zip(pts, pts[1:])
             ]
+            if not any(covered):
+                return ZERO
             den = lcm(*(f.denominator for f in covered))
             scale *= den
             weights.append([f.numerator * (den // f.denominator) for f in covered])
@@ -227,7 +233,10 @@ class Violation:
       grounded, frechet-lower, frechet-upper: the lattice node index tuple;
       margin: (axis, slab index), comparing slab mass against slab width;
       monotone, lipschitz: (axis,) + the lower node index tuple of the edge.
-    All indices are 0-based.
+    All indices are 0-based.  This module never reports ``grounded``: a
+    grid's function is grounded by construction (see
+    :meth:`GridQuasiCopula.verify_axioms`).  The kind stays for node-by-node
+    reference checks.
     """
 
     kind: str
@@ -260,17 +269,6 @@ class AxiomReport:
 MAX_LATTICE_NODES = 2**24
 
 
-def _lattice_sizes(grid: MassGrid) -> tuple[int, ...]:
-    """Nodes per axis of ``grid``'s lattice; GridError when it has too many nodes."""
-    sizes = tuple(s + 1 for s in grid.shape)
-    count = prod(sizes)
-    if count > MAX_LATTICE_NODES:
-        raise GridError(
-            f"grid lattice has {count} nodes, more than the limit of {MAX_LATTICE_NODES}"
-        )
-    return sizes
-
-
 class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
     """Node values as Python integers over one common denominator ``den``.
 
@@ -292,15 +290,37 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
         self.ints = ints
 
     @classmethod
-    def from_mapping(
-        cls, sizes: tuple[int, ...], values: Mapping[tuple[int, ...], Fraction]
-    ) -> "_NodeLattice":
-        try:
-            fracs = [Fraction(values[node]) for node in product(*map(range, sizes))]
-        except KeyError as exc:
-            raise GridError(f"node values lack lattice node {exc.args[0]}") from None
-        den = lcm(*(f.denominator for f in fracs))
-        return cls(sizes, den, [f.numerator * (den // f.denominator) for f in fracs])
+    def from_grid(cls, grid: MassGrid) -> "_NodeLattice":
+        """Orthant masses of ``grid`` at every node, by per-axis prefix sums.
+
+        Node values are integers over ``den``, the lcm of the cell-mass
+        denominators.  Each cell's scaled mass is placed on its upper node,
+        and one prefix-sum pass per axis turns those into orthant sums: the
+        last axis is summed along each contiguous row, every other axis by
+        adding each stride-long layer to the next.  GridError when the lattice
+        has more than ``MAX_LATTICE_NODES`` nodes.
+        """
+        sizes = tuple(s + 1 for s in grid.shape)
+        count = prod(sizes)
+        if count > MAX_LATTICE_NODES:
+            raise GridError(
+                f"grid lattice has {count} nodes, more than the limit of {MAX_LATTICE_NODES}"
+            )
+        den = lcm(*(m.denominator for m in grid.cell_masses.values()))
+        lattice = cls(sizes, den, [0] * count)
+        ints, strides = lattice.ints, lattice.strides
+        for cell, mass in grid.cell_masses.items():
+            k = sum((c + 1) * s for c, s in zip(cell, strides))
+            ints[k] = mass.numerator * (den // mass.denominator)
+        for stride, size in zip(strides, sizes):
+            block = stride * size
+            for b in range(0, count, block):
+                if stride == 1:
+                    ints[b : b + block] = accumulate(ints[b : b + block])
+                    continue
+                for k in range(b + stride, b + block, stride):
+                    ints[k : k + stride] = map(add, ints[k - stride : k], ints[k : k + stride])
+        return lattice
 
     def node(self, k: int) -> tuple[int, ...]:
         """The node index tuple at flat position ``k``."""
@@ -333,23 +353,17 @@ class GridQuasiCopula:
 
     ``node_values[v]`` is the total mass of the orthant below lattice node v,
     so it equals Q at that node.  Between nodes Q is multilinear per cell.
-    The values are held as Python integers over one common denominator in a
-    flat row-major list, and every check and evaluation below runs on those
-    integers; a :class:`Fraction` is built only for a value handed out.
-    Build instances with :func:`make_grid_qc`; any other mapping passed as
-    ``node_values`` is converted on construction and must cover every node.
-    Node values that disagree with ``grid`` change :meth:`evaluate` and the
-    checks, but not :meth:`box_volume`, which reads the cells.
+    The values are built from ``grid`` on construction, so they always agree
+    with it.  They are held as Python integers over one common denominator
+    in a flat row-major list, and every check and evaluation below runs on
+    those integers; a :class:`Fraction` is built only for a value handed out.
     """
 
     grid: MassGrid
-    node_values: Mapping[tuple[int, ...], Fraction]
+    node_values: Mapping[tuple[int, ...], Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sizes = _lattice_sizes(self.grid)
-        values = self.node_values
-        if not isinstance(values, _NodeLattice) or values.sizes != sizes:
-            object.__setattr__(self, "node_values", _NodeLattice.from_mapping(sizes, values))
+        object.__setattr__(self, "node_values", _NodeLattice.from_grid(self.grid))
 
     @property
     def dimension(self) -> int:
@@ -402,51 +416,39 @@ class GridQuasiCopula:
           in each coordinate iff every lattice edge rises by at most the slab
           width.  Coordinatewise 1-Lipschitz gives the quasi-copula Lipschitz
           axiom |Q(u)-Q(v)| <= sum_i |u_i - v_i| by the triangle inequality.
+        * Q is grounded by construction.  :meth:`_NodeLattice.from_grid`
+          puts each cell's mass on node c+1, whose coordinates are all >= 1,
+          so before the prefix sums every node with a zero coordinate is 0.
+          A prefix sum along an axis adds to a node only nodes with the same
+          coordinates on the other axes, and on that axis the first node is
+          left as it is, so each pass keeps those nodes 0.  On the face
+          u_i = 0, Q interpolates only nodes with coordinate i equal to 0,
+          so it vanishes there.  ``grounded_ok`` is always True.
         * restricted to one coordinate with the others held at 1, Q is
           piecewise linear with nodes at the breakpoints, and the identity is
           linear, so the margin equals the identity on all of [0,1] iff it
           does at every breakpoint.  The margin starts at 0 (grounded), so
-          node agreement is in turn equivalent to every increment matching:
-          the mass of each axis slab (all cells with that slab index) must
-          equal the slab's width.  The check below uses this mass form,
-          summing cells directly rather than reading the node-value cache.
-          The same piecewise-linearity argument grounds Q: on the face
-          u_i = 0 the function vanishes everywhere iff it vanishes at nodes.
+          node agreement is in turn equivalent to every increment matching.
+          Along axis i with the other coordinates at 1, the increment of Q
+          over slab j is the mass of that slab (all cells with slab index j
+          on axis i), which must equal the slab's width.  That line of nodes
+          is one strided run of the lattice ending at its top node.
 
-        Violations are listed grounded, margin, then per axis monotone and
-        Lipschitz, each in lexicographic order of its location.
+        Violations are listed margin, then per axis monotone and Lipschitz,
+        each in lexicographic order of its location.
         """
         lattice = self.node_values
         ints, den, count = lattice.ints, lattice.den, len(lattice.ints)
         bad: list[Violation] = []
-        grounded_ok = margins_ok = monotone_ok = lipschitz_ok = True
+        margins_ok = monotone_ok = lipschitz_ok = True
 
-        # The face u_i = 0 is one stride-long run at the start of each block
-        # of the lattice along axis i.
-        if any(
-            any(ints[b : b + stride])
-            for stride, size in zip(lattice.strides, lattice.sizes)
-            for b in range(0, count, stride * size)
-        ):
-            for k, node in enumerate(lattice):
-                if ints[k] and 0 in node:
-                    grounded_ok = False
-                    bad.append(Violation("grounded", node, Fraction(ints[k], den), ZERO))
-
-        masses = self.grid.cell_masses
-        mass_den = lcm(*(m.denominator for m in masses.values()))
-        scaled = [
-            (cell, m.numerator * (mass_den // m.denominator)) for cell, m in masses.items()
-        ]
-        for axis, part in enumerate(self.grid.partitions):
-            slab_sums = [0] * part.num_cells
-            for cell, mass in scaled:
-                slab_sums[cell[axis]] += mass
-            for j, total in enumerate(slab_sums):
+        for axis, (part, stride) in enumerate(zip(self.grid.partitions, lattice.strides)):
+            line = ints[count - 1 - part.num_cells * stride : count : stride]
+            for j, (lo, hi) in enumerate(zip(line, line[1:])):
                 width = part.width(j)
-                if total * width.denominator != width.numerator * mass_den:
+                if (hi - lo) * width.denominator != width.numerator * den:
                     margins_ok = False
-                    bad.append(Violation("margin", (axis, j), Fraction(total, mass_den), width))
+                    bad.append(Violation("margin", (axis, j), Fraction(hi - lo, den), width))
 
         for axis, part in enumerate(self.grid.partitions):
             stride = lattice.strides[axis]
@@ -473,7 +475,7 @@ class GridQuasiCopula:
                         width = part.width(t // stride)
                         bad.append(Violation("lipschitz", location, Fraction(rise, den), width))
 
-        return AxiomReport(grounded_ok, margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
+        return AxiomReport(True, margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
 
     def frechet_envelope_check(self) -> tuple[Violation, ...]:
         """Where Q leaves the pointwise envelope max(sum u - n + 1, 0) <= Q <= min(u).
@@ -518,31 +520,8 @@ class GridQuasiCopula:
 
 
 def make_grid_qc(grid: MassGrid) -> GridQuasiCopula:
-    """Accumulate orthant masses into node values via per-axis prefix sums.
-
-    Node values are integers over ``den``, the lcm of the cell-mass
-    denominators.  Each cell's scaled mass is placed on its upper node, and
-    one prefix-sum pass per axis turns those into orthant sums: the last axis
-    is summed along each contiguous row, every other axis by adding each
-    stride-long layer to the next.
-    """
-    sizes = _lattice_sizes(grid)
-    den = lcm(*(m.denominator for m in grid.cell_masses.values()))
-    lattice = _NodeLattice(sizes, den, [0] * prod(sizes))
-    ints, strides = lattice.ints, lattice.strides
-    for cell, mass in grid.cell_masses.items():
-        k = sum((c + 1) * s for c, s in zip(cell, strides))
-        ints[k] = mass.numerator * (den // mass.denominator)
-    count = len(ints)
-    for stride, size in zip(strides, sizes):
-        block = stride * size
-        for b in range(0, count, block):
-            if stride == 1:
-                ints[b : b + block] = accumulate(ints[b : b + block])
-            else:
-                for k in range(b + stride, b + block, stride):
-                    ints[k : k + stride] = map(add, ints[k - stride : k], ints[k : k + stride])
-    return GridQuasiCopula(grid, lattice)
+    """The quasi-copula candidate ``grid`` induces, with its node values built."""
+    return GridQuasiCopula(grid)
 
 
 def marginalize(grid: MassGrid, axis: int) -> MassGrid:
