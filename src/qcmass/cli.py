@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -193,7 +194,8 @@ def run_verify(example: str | None, file: str | None) -> CommandResult:
             lines.append(
                 f"violation {v.kind} {loc} {format_rational(v.lhs)} {format_rational(v.rhs)}"
             )
-    total = qc.grid.total_mass()
+    # Q(1,...,1), at the lattice's top node, is the total mass.
+    total = qc.node_values[qc.grid.shape]
     if total == ONE:
         lines.append("total-mass pass")
     else:
@@ -261,13 +263,14 @@ def run_margin(
     m = margin.dimension
     header = ",".join(f"cell_lo_{i + 1},cell_hi_{i + 1}" for i in range(m)) + ",mass"
     lines = [header]
-    for cell, mass in margin.iter_cells():
-        fields = []
-        for axis, c in enumerate(cell):
-            pts = margin.partitions[axis].breakpoints
-            fields += [format_rational(pts[c]), format_rational(pts[c + 1])]
-        fields.append(format_rational(mass))
-        lines.append(",".join(fields))
+    # Each slab's "lo,hi" is formatted once; product() walks the slabs in
+    # the same lexicographic order as iter_cells() walks the cells.
+    slabs = [
+        [f"{format_rational(lo)},{format_rational(hi)}" for lo, hi in zip(pts, pts[1:])]
+        for pts in (part.breakpoints for part in margin.partitions)
+    ]
+    for (_, mass), fields in zip(margin.iter_cells(), product(*slabs)):
+        lines.append(f"{','.join(fields)},{format_rational(mass)}")
     return CommandResult(0, "\n".join(lines) + "\n")
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product, repeat
 from math import lcm, prod
-from operator import add, gt, itemgetter, lt, sub
+from operator import add, gt, itemgetter, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rational import format_rational, parse_rational
+from .rational import _over_one_den, format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -171,7 +171,9 @@ class MassGrid:
         return tuple(p.num_cells for p in self.partitions)
 
     def total_mass(self) -> Fraction:
-        return sum(self.cell_masses.values(), ZERO)
+        """The sum of the cell masses, as one integer sum over the lcm of their denominators."""
+        den, ints = _over_one_den(self.cell_masses.values())
+        return Fraction(sum(ints), den)
 
     def cell_box(self, cell: tuple[int, ...]) -> NBox:
         return NBox(
@@ -209,14 +211,13 @@ class MassGrid:
             ]
             if not any(covered):
                 return ZERO
-            den = lcm(*(f.denominator for f in covered))
+            den, axis_weights = _over_one_den(covered)
             scale *= den
-            weights.append([f.numerator * (den // f.denominator) for f in covered])
+            weights.append(axis_weights)
         masses = self.cell_masses
-        mass_den = lcm(*(m.denominator for m in masses.values()))
+        mass_den, mass_ints = _over_one_den(masses.values())
         total = 0
-        for cell, mass in masses.items():
-            w = mass.numerator * (mass_den // mass.denominator)
+        for cell, w in zip(masses, mass_ints):
             for axis_weights, c in zip(weights, cell):
                 w *= axis_weights[c]
                 if not w:
@@ -294,8 +295,9 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
         """Orthant masses of ``grid`` at every node, by per-axis prefix sums.
 
         Node values are integers over ``den``, the lcm of the cell-mass
-        denominators.  Each cell's scaled mass is placed on its upper node,
-        and one prefix-sum pass per axis turns those into orthant sums: the
+        denominators.  Each cell's scaled mass is placed on its upper node
+        c+1, at flat position ``sum(strides) + sum(c_i * strides[i])``, and
+        one prefix-sum pass per axis turns those into orthant sums: the
         last axis is summed along each contiguous row, every other axis by
         adding each stride-long layer to the next.  GridError when the lattice
         has more than ``MAX_LATTICE_NODES`` nodes.
@@ -306,12 +308,13 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
             raise GridError(
                 f"grid lattice has {count} nodes, more than the limit of {MAX_LATTICE_NODES}"
             )
-        den = lcm(*(m.denominator for m in grid.cell_masses.values()))
+        masses = grid.cell_masses
+        den, mass_ints = _over_one_den(masses.values())
         lattice = cls(sizes, den, [0] * count)
         ints, strides = lattice.ints, lattice.strides
-        for cell, mass in grid.cell_masses.items():
-            k = sum((c + 1) * s for c, s in zip(cell, strides))
-            ints[k] = mass.numerator * (den // mass.denominator)
+        base = sum(strides)
+        for cell, mass in zip(masses, mass_ints):
+            ints[base + sum(map(mul, cell, strides))] = mass
         for stride, size in zip(strides, sizes):
             block = stride * size
             for b in range(0, count, block):
@@ -529,18 +532,22 @@ def marginalize(grid: MassGrid, axis: int) -> MassGrid:
 
     The induced function of the result is Q with coordinate ``axis`` pinned
     to 1: collapsing a cell index sums exactly the masses that the orthant
-    count of any surviving node picks up along the dropped axis.
+    count of any surviving node picks up along the dropped axis.  The masses
+    are summed as integers over the lcm of their denominators; a reduced
+    cell whose sum cancels to 0 is dropped, and each other one gets one
+    :class:`Fraction`.
     """
     if grid.dimension < 2:
         raise GridError("cannot marginalize a one-dimensional grid")
     if not 0 <= axis < grid.dimension:
         raise GridError(f"axis {axis} out of range for dimension {grid.dimension}")
     parts = grid.partitions[:axis] + grid.partitions[axis + 1 :]
-    masses: dict[tuple[int, ...], Fraction] = {}
-    for cell, mass in grid.cell_masses.items():
+    den, ints = _over_one_den(grid.cell_masses.values())
+    sums: dict[tuple[int, ...], int] = {}
+    for cell, mass in zip(grid.cell_masses, ints):
         reduced = cell[:axis] + cell[axis + 1 :]
-        masses[reduced] = masses.get(reduced, ZERO) + mass
-    return MassGrid(parts, masses)
+        sums[reduced] = sums.get(reduced, 0) + mass
+    return MassGrid(parts, {cell: Fraction(m, den) for cell, m in sums.items() if m})
 
 
 def builtin_example(name: str) -> GridQuasiCopula:

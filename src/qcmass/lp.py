@@ -28,10 +28,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .grid import NBox, ZERO, ONE, corner_sign
-from .rational import format_rational, parse_rational
+from .rational import _over_one_den, format_rational, parse_rational
 
 _RELATIONS = ("<=", ">=")
 
@@ -346,17 +347,31 @@ def check_assignment(
 
 
 def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
-    """Exactly test a variable vector against every row and the implicit bounds x >= 0."""
+    """Exactly test a variable vector against every row and the implicit bounds x >= 0.
+
+    ``x`` is put over one common denominator and each row over the lcm of
+    its coefficients' denominators, so a row's left-hand side is one integer
+    sum, compared with the right-hand side by cross-multiplying.  A
+    :class:`Fraction` is built only for the left-hand side of a violated row.
+    """
     if len(x) != lp.num_vars:
         raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
     violations: list[RowViolation] = []
     for j, value in enumerate(x):
         if value < ZERO:
             violations.append(RowViolation(j, "N", value, ">=", ZERO))
+    den, xs = _over_one_den(x)
     for k, row in enumerate(lp.rows):
-        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
-        if not (lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs):
-            violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
+        terms = [(coef.as_integer_ratio(), xs[j]) for j, coef in row.coeffs]
+        row_den = lcm(*(q for (_, q), _ in terms))
+        lhs = sum(p * (row_den // q) * v for (p, q), v in terms)
+        # lhs / scale against rhs = p / q
+        p, q = row.rhs.as_integer_ratio()
+        scale = row_den * den
+        if not (lhs * q <= p * scale if row.relation == "<=" else lhs * q >= p * scale):
+            violations.append(
+                RowViolation(k, row.family, Fraction(lhs, scale), row.relation, row.rhs)
+            )
     return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 # Accepted forms: "7", "-7", "3/7", "-3/7", "0.25", "-0.25".  No whitespace,
 # no exponent notation, no leading "+", sign only on the numerator.
@@ -53,3 +55,14 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _over_one_den(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """``values`` as integers over one denominator: ``(den, ints)`` with ``v == i / den``.
+
+    ``den`` is the lcm of the values' denominators (1 for no values).  Ints
+    pass too.  Summing or comparing the integers then needs no gcd per term.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    den = lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]

@@ -13,6 +13,10 @@ the simplex on dense integer rows, the reference for the sparse rows of
 reads a box's mass off the node lattice, the reference for the cell sum of
 ``MassGrid.box_volume``, and ``ref_grid_from_json`` parses every literal of
 a grid file afresh, the reference for ``qcmass.grid.grid_from_json``.
+``ref_marginalize``, ``ref_margin_csv`` and ``ref_check_point`` work one
+``Fraction`` (or one formatted field) at a time, the references for the
+integer sums of ``marginalize`` and ``check_point`` and the preformatted
+slabs of the ``margin`` csv.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from qcmass.grid import (
     grid_from_json,
     make_grid_qc,
 )
-from qcmass.lp import LinearProgram, LPError, Row
-from qcmass.rational import parse_rational
+from qcmass.lp import FeasibilityReport, LinearProgram, LPError, Row, RowViolation
+from qcmass.rational import format_rational, parse_rational
 from qcmass.simplex import (
     CertificateReport,
     SimplexSolution,
@@ -373,6 +377,60 @@ def random_signed_grid(rng: random.Random, n: int, max_cells: int = 3) -> MassGr
     for cell in rng.sample(cells, pushed):
         masses[cell] += Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 11, 420, 840)))
     return MassGrid(parts, masses)
+
+
+def cancelling_grid(rng: random.Random, n: int, axis: int) -> MassGrid:
+    """A :func:`random_signed_grid` in which one fibre along ``axis`` sums to 0.
+
+    The axis gets at least two slabs, and the cells of one random fibre
+    (every slab of ``axis``, the other indices fixed) get random masses with
+    the first set to minus the sum of the rest, so that the margin over
+    ``axis`` has a cell that cancels to 0.
+    """
+    grid = random_signed_grid(rng, n)
+    parts = list(grid.partitions)
+    if parts[axis].num_cells < 2:
+        parts[axis] = AxisPartition((ZERO, Fraction(rng.randint(1, 6), 7), ONE))
+    masses = dict(grid.cell_masses)
+    fixed = [rng.randrange(p.num_cells) for p in parts]
+    fibre = [tuple(fixed[:axis] + [j] + fixed[axis + 1 :]) for j in range(parts[axis].num_cells)]
+    for cell in fibre[1:]:
+        masses[cell] = Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice((1, 3, 7, 60)))
+    masses[fibre[0]] = -sum((masses[cell] for cell in fibre[1:]), ZERO)
+    return MassGrid(tuple(parts), masses)
+
+
+def ref_marginalize(grid: MassGrid, axis: int) -> MassGrid:
+    """Reference for ``qcmass.grid.marginalize``: one ``Fraction`` add per cell."""
+    masses: dict[tuple[int, ...], Fraction] = {}
+    for cell, mass in grid.cell_masses.items():
+        reduced = cell[:axis] + cell[axis + 1 :]
+        masses[reduced] = masses.get(reduced, ZERO) + mass
+    parts = grid.partitions[:axis] + grid.partitions[axis + 1 :]
+    return MassGrid(parts, {cell: m for cell, m in masses.items() if m})
+
+
+def ref_margin_csv(margin: MassGrid) -> str:
+    """Reference for ``margin`` csv: every cell of ``iter_cells``, each field formatted afresh."""
+    m = margin.dimension
+    lines = [",".join(f"cell_lo_{i + 1},cell_hi_{i + 1}" for i in range(m)) + ",mass"]
+    for cell, mass in margin.iter_cells():
+        fields = []
+        for part, c in zip(margin.partitions, cell):
+            fields += [format_rational(part.breakpoints[c]), format_rational(part.breakpoints[c + 1])]
+        lines.append(",".join(fields + [format_rational(mass)]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_check_point(lp: LinearProgram, x) -> FeasibilityReport:
+    """Reference for ``qcmass.lp.check_point``: each row a sum of ``Fraction`` products."""
+    violations = [RowViolation(j, "N", v, ">=", ZERO) for j, v in enumerate(x) if v < ZERO]
+    for k, row in enumerate(lp.rows):
+        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+        if not (lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs):
+            violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
+    objective = sum((coef * x[j] for j, coef in lp.objective), ZERO)
+    return FeasibilityReport(not violations, objective, tuple(violations))
 
 
 def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:

@@ -9,6 +9,7 @@ import pytest
 
 import support
 from qcmass import grid as grid_module
+from qcmass.cli import run_margin, run_verify
 from qcmass.grid import (
     AxisPartition,
     GridError,
@@ -23,6 +24,7 @@ from qcmass.grid import (
     make_grid_qc,
     marginalize,
 )
+from qcmass.rational import format_rational
 
 F = Fraction
 HALF = F(1, 2)
@@ -576,6 +578,69 @@ def test_marginalize_rejects() -> None:
 def test_marginalize_single_cell() -> None:
     grid = MassGrid((unit_partition(1),) * 2, {(0, 0): F(1)})
     assert marginalize(grid, 0).cell_masses == {(0,): F(1)}
+
+
+def margin_cases():
+    """Seeded (grid, axis) pairs: signed and cancelling grids for n = 2..5, then q1 and q2."""
+    rng = random.Random("marginalize")
+    for n in range(2, 6):
+        for _ in range(8):
+            grid = support.random_signed_grid(rng, n)
+            for axis in range(n):
+                yield grid, axis
+        for axis in range(n):
+            for _ in range(3):
+                yield support.cancelling_grid(rng, n, axis), axis
+    for name in ("q1", "q2"):
+        for axis in range(4):
+            yield builtin_example(name).grid, axis
+
+
+def test_marginalize_matches_fraction_reference() -> None:
+    cancelled = 0
+    for case, (grid, axis) in enumerate(margin_cases()):
+        got = marginalize(grid, axis)
+        assert got == support.ref_marginalize(grid, axis), case
+        assert all(type(m) is Fraction and m for m in got.cell_masses.values()), case
+        reduced = {cell[:axis] + cell[axis + 1 :] for cell in grid.cell_masses}
+        cancelled += len(reduced - set(got.cell_masses))
+    assert cancelled >= 42
+
+
+def test_margin_csv_matches_reference_renderer(tmp_path) -> None:
+    path = tmp_path / "grid.json"
+    for case, (grid, axis) in enumerate(margin_cases()):
+        path.write_text(grid_to_json(grid))
+        result = run_margin(None, str(path), axis + 1, "csv")
+        assert result.exit_code == 0, case
+        assert result.output == support.ref_margin_csv(support.ref_marginalize(grid, axis)), case
+
+
+def test_verify_total_mass_lines_match_cell_sum(tmp_path) -> None:
+    rng = random.Random("total-mass")
+    grids = [
+        MassGrid((unit_partition(2),) * 2, {}),
+        MassGrid((unit_partition(2),) * 2, {(0, 0): F(1, 3), (1, 1): F(1, 4)}),
+        builtin_example("q1").grid,
+        builtin_example("q2").grid,
+    ] + [support.random_signed_grid(rng, n) for n in range(2, 6) for _ in range(10)]
+    path = tmp_path / "grid.json"
+    outputs = []
+    for grid in grids:
+        path.write_text(grid_to_json(grid))
+        outputs.append(run_verify(None, str(path)).output.splitlines())
+    assert outputs[0][-3:] == ["total-mass fail", "violation total-mass [] 0 1", "verdict fail"]
+    assert "violation total-mass [] 7/12 1" in outputs[1]
+    off = 0
+    for case, (grid, lines) in enumerate(zip(grids, outputs)):
+        total = sum(grid.cell_masses.values(), F(0))
+        want = ["total-mass pass"] if total == 1 else [
+            "total-mass fail",
+            f"violation total-mass [] {format_rational(total)} 1",
+        ]
+        assert [line for line in lines if "total-mass" in line] == want, case
+        off += total != 1
+    assert off >= 10
 
 
 # --------------------------------------------------------------- examples

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import support
 from qcmass.grid import NBox
 from qcmass.lp import (
     LinearProgram,
@@ -477,6 +478,34 @@ def test_symmetric_candidate_decides_candidate_pattern(n: int) -> None:
         assert verdict.objective_value == full.objective_value
     assert check_point(reduced, point).feasible
     assert not check_point(reduced, point[:-1] + [F(1)]).feasible
+
+
+def test_check_point_matches_fraction_reference() -> None:
+    rng = random.Random("check_point")
+    feasible = infeasible = 0
+    for case in range(300):
+        lp = support.random_small_lp(rng)
+        solution = solve(lp)
+        if solution.status == "optimal":
+            x = [F(solution.assignment[j]) for j in range(lp.num_vars)]
+        else:
+            x = [F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(lp.num_vars)]
+        points = [x]
+        for _ in range(3):
+            point = list(x)
+            j = rng.randrange(lp.num_vars)
+            point[j] += F(rng.choice((-1, 1)), rng.choice((1, 2, 3, 7, 60, 420)))
+            points.append(point)
+        for point in points:
+            got = check_point(lp, point)
+            want = support.ref_check_point(lp, point)
+            assert got.feasible == want.feasible, case
+            assert got.objective_value == want.objective_value, case
+            assert got.violations == want.violations, case
+            assert all(type(v.lhs) is Fraction for v in got.violations), case
+            feasible += got.feasible
+            infeasible += not got.feasible
+    assert feasible >= 100 and infeasible >= 100
 
 
 def test_lift_and_check_point_reject_wrong_length() -> None:
