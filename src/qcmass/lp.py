@@ -20,6 +20,9 @@ poses the program on such points alone: n + 3 variables and 5n + 2 rows
 instead of 2n + 2^n and n + (2n+1) 2^n, with the same optimum (the argument
 is in its docstring).  :func:`lift_symmetric` turns a point of it back into
 corner values of the full program.
+
+A :class:`Row` is canonical from construction, so a :class:`LinearProgram`
+keeps the rows it is given and checks only that their indices are in range.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .grid import NBox, ZERO, ONE, corner_sign
@@ -41,28 +44,32 @@ class LPError(ValueError):
     """Raised for malformed programs, layouts, assignments, or LP files."""
 
 
+def _fraction(value: object) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _canonical_terms(
-    terms: Iterable[tuple[int, Fraction]], num_vars: int, where: str
+    terms: Iterable[tuple[int, Fraction]], where: str
 ) -> tuple[tuple[int, Fraction], ...]:
-    """Sort sparse terms by variable index, drop zeros, reject duplicates."""
-    seen: dict[int, Fraction] = {}
-    for index, coef in terms:
-        if not 0 <= index < num_vars:
-            raise LPError(f"{where}: variable index {index} out of range")
-        if index in seen:
-            raise LPError(f"{where}: duplicate variable index {index}")
-        coef = Fraction(coef)
-        if coef != ZERO:
-            seen[index] = coef
-    return tuple(sorted(seen.items()))
+    """Sort sparse terms by variable index, drop zeros, reject negative or repeated indices."""
+    terms = sorted(terms, key=itemgetter(0))
+    if terms and terms[0][0] < 0:
+        raise LPError(f"negative variable index {terms[0][0]} in {where}")
+    for (j, _), (k, _) in zip(terms, terms[1:]):
+        if j == k:
+            raise LPError(f"duplicate variable index {j} in {where}")
+    return tuple((j, _fraction(coef)) for j, coef in terms if coef)
 
 
 @dataclass(frozen=True)
 class Row:
     """One inequality: sparse coefficients, relation, right-hand side.
 
-    ``family`` is a short tag carried for reporting ("D", "E", "F" for the
-    extremal program; anything, including "", for ad hoc programs).
+    A row is canonical from construction: its terms are sorted by variable
+    index, each coefficient is a nonzero :class:`Fraction`, and a negative
+    or repeated index, or no term left, raises :class:`LPError`.  ``family``
+    is a short tag carried for reporting ("D", "E", "F" for the extremal
+    program; anything, including "", for ad hoc programs).
     """
 
     family: str
@@ -73,8 +80,11 @@ class Row:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise LPError(f"unsupported relation {self.relation!r}")
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        coeffs = _canonical_terms(self.coeffs, "row")
+        if not coeffs:
+            raise LPError("row references no variables")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", _fraction(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -98,18 +108,15 @@ class LinearProgram:
             raise LPError("variable names must be unique, nonempty, whitespace-free")
         if self.sense not in ("min", "max"):
             raise LPError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        object.__setattr__(
-            self,
-            "objective",
-            _canonical_terms(self.objective, self.num_vars, "objective"),
-        )
-        rows = []
+        object.__setattr__(self, "objective", _canonical_terms(self.objective, "objective"))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        # Terms are sorted, so the last index is the largest.
+        objective = self.objective
+        if objective and objective[-1][0] >= self.num_vars:
+            raise LPError(f"variable index {objective[-1][0]} out of range in objective")
         for k, row in enumerate(self.rows):
-            coeffs = _canonical_terms(row.coeffs, self.num_vars, f"row {k}")
-            if not coeffs:
-                raise LPError(f"row {k} references no variables")
-            rows.append(Row(row.family, coeffs, row.relation, row.rhs))
-        object.__setattr__(self, "rows", tuple(rows))
+            if row.coeffs[-1][0] >= self.num_vars:
+                raise LPError(f"variable index {row.coeffs[-1][0]} out of range in row {k}")
 
     def evaluate_objective(self, x: Sequence[Fraction]) -> Fraction:
         return sum((coef * x[j] for j, coef in self.objective), ZERO)
@@ -220,7 +227,7 @@ def build_extremal_lp(
         + ["q_" + "".join("u" if f else "l" for f in v) for v in flags_list]
     )
 
-    one = ONE
+    one, minus = ONE, -ONE
     rows: list[Row] = []
     for i in range(n):
         rows.append(Row("D", ((i, one), (n + i, one)), "<=", one))
@@ -230,17 +237,18 @@ def build_extremal_lp(
                 continue
             u = v[:i] + (True,) + v[i + 1 :]
             qu, qv = vertex_vars[u], vertex_vars[v]
-            rows.append(Row("E", ((qu, one), (qv, -one)), ">=", ZERO))
-            rows.append(Row("E", ((qu, one), (qv, -one), (n + i, -one)), "<=", ZERO))
+            rows.append(Row("E", ((qu, one), (qv, minus)), ">=", ZERO))
+            rows.append(Row("E", ((qu, one), (qv, minus), (n + i, minus)), "<=", ZERO))
+    floor = Fraction(-(n - 1))
     for v in flags_list:
         q = vertex_vars[v]
-        lower = [(q, one)] + [(i, -one) for i in range(n)]
-        lower += [(n + i, -one) for i in range(n) if v[i]]
-        rows.append(Row("F", tuple(lower), ">=", Fraction(-(n - 1))))
+        lower = [(q, one)] + [(i, minus) for i in range(n)]
+        lower += [(n + i, minus) for i in range(n) if v[i]]
+        rows.append(Row("F", tuple(lower), ">=", floor))
         for i in range(n):
-            upper = [(q, one), (i, -one)]
+            upper = [(q, one), (i, minus)]
             if v[i]:
-                upper.append((n + i, -one))
+                upper.append((n + i, minus))
             rows.append(Row("F", tuple(upper), "<=", ZERO))
 
     objective = tuple(
@@ -349,10 +357,9 @@ def check_assignment(
 def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
     """Exactly test a variable vector against every row and the implicit bounds x >= 0.
 
-    ``x`` is put over one common denominator and each row over the lcm of
-    its coefficients' denominators, so a row's left-hand side is one integer
-    sum, compared with the right-hand side by cross-multiplying.  A
-    :class:`Fraction` is built only for the left-hand side of a violated row.
+    ``x`` is put over one common denominator, so each row's slack is one
+    integer sum (:func:`_slack`).  A :class:`Fraction` is built only for the
+    left-hand side of a violated row.
     """
     if len(x) != lp.num_vars:
         raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
@@ -362,17 +369,26 @@ def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
             violations.append(RowViolation(j, "N", value, ">=", ZERO))
     den, xs = _over_one_den(x)
     for k, row in enumerate(lp.rows):
-        terms = [(coef.as_integer_ratio(), xs[j]) for j, coef in row.coeffs]
-        row_den = lcm(*(q for (_, q), _ in terms))
-        lhs = sum(p * (row_den // q) * v for (p, q), v in terms)
-        # lhs / scale against rhs = p / q
-        p, q = row.rhs.as_integer_ratio()
-        scale = row_den * den
-        if not (lhs * q <= p * scale if row.relation == "<=" else lhs * q >= p * scale):
-            violations.append(
-                RowViolation(k, row.family, Fraction(lhs, scale), row.relation, row.rhs)
-            )
+        slack, scale = _slack(row, den, xs)
+        if slack < 0:
+            lhs = row.rhs + Fraction(slack if row.relation == ">=" else -slack, scale)
+            violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
     return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
+
+
+def _slack(row: Row, den: int, xs: Sequence[int]) -> tuple[int, int]:
+    """The value of a row's slack at the point ``xs / den``, as ``(num, scale)``.
+
+    The slack is ``lhs - rhs`` for ">=" and ``rhs - lhs`` for "<=", so it is
+    >= 0 exactly when the row holds.  The row is put over one denominator
+    (:func:`_over_one_den`), so its left-hand side is one integer sum.
+    """
+    row_den, ints = _over_one_den([coef for _, coef in row.coeffs])
+    lhs = sum([a * xs[j] for a, (j, _) in zip(ints, row.coeffs)])
+    p, q = row.rhs.as_integer_ratio()
+    scale = row_den * den
+    slack = lhs * q - p * scale
+    return (slack if row.relation == ">=" else -slack), scale * q
 
 
 def reference_witness(n: int, sense: str) -> VertexAssignment:
@@ -391,11 +407,7 @@ def reference_witness(n: int, sense: str) -> VertexAssignment:
     if sense != "max":
         raise LPError(f"sense must be 'min' or 'max', got {sense!r}")
     half = Fraction(1, 2)
-    values = {
-        flags: ONE if sum(flags) == 4 else half if sum(flags) >= 2 else ZERO
-        for flags in product((False, True), repeat=4)
-    }
-    return VertexAssignment(NBox(((half, ONE),) * 4), values)
+    return lift_symmetric(4, (half, half, ZERO, ZERO, half, half, ONE))
 
 
 def conjectured_bound(n: int) -> Fraction:
@@ -420,13 +432,7 @@ def candidate_pattern(n: int) -> VertexAssignment:
     0 elsewhere.  Feasible for every n >= 2, with box mass equal to
     :func:`conjectured_bound`; at n = 4 it is the recorded minimizing witness.
     """
-    box = conjectured_box(n)
-    peak = Fraction(n - 1, 2 * n - 1)
-    values = {
-        flags: (peak if sum(flags) >= n - 1 else ZERO)
-        for flags in product((False, True), repeat=n)
-    }
-    return VertexAssignment(box, values)
+    return lift_symmetric(n, symmetric_candidate(n))
 
 
 def symmetric_candidate(n: int) -> list[Fraction]:
@@ -523,7 +529,11 @@ def parse_lp(text: str) -> LinearProgram:
                 rhs = parse_rational(fields[3])
             except ValueError as exc:
                 raise LPError(f"line {lineno}: malformed rhs") from exc
-            rows.append(Row(family, _parse_terms(fields, 4, lineno), relation, rhs))
+            terms = _parse_terms(fields, 4, lineno)
+            try:
+                rows.append(Row(family, terms, relation, rhs))
+            except LPError as exc:
+                raise LPError(f"line {lineno}: {exc}") from exc
         elif kind == "obj":
             if objective is not None:
                 raise LPError(f"line {lineno}: duplicate obj line")
@@ -534,9 +544,4 @@ def parse_lp(text: str) -> LinearProgram:
         raise LPError("missing obj line")
     if len(names) != num_vars:
         raise LPError(f"header declares {num_vars} variables, found {len(names)}")
-    try:
-        return LinearProgram(num_vars, tuple(names), sense, objective, tuple(rows))
-    except LPError:
-        raise
-    except ValueError as exc:
-        raise LPError(str(exc)) from exc
+    return LinearProgram(num_vars, tuple(names), sense, objective, tuple(rows))

@@ -59,14 +59,8 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .grid import NBox, ZERO
-from .lp import (
-    ExtremalLayout,
-    LinearProgram,
-    LPError,
-    Row,
-    VertexAssignment,
-    check_point,
-)
+from .lp import ExtremalLayout, LinearProgram, LPError, VertexAssignment, _slack, check_point
+from .rational import _over_one_den
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,8 @@ def _normalize(den: int, cells: dict[int, int], rhs: int) -> _Row:
 
 def _integer_row(coeffs: Mapping[int, Fraction], rhs: Fraction) -> _Row:
     """A rational row as one primitive integer row over a common denominator."""
-    den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
-    return _normalize(den, {j: int(coef * den) for j, coef in coeffs.items()}, int(rhs * den))
+    den, (irhs, *cells) = _over_one_den((rhs, *coeffs.values()))
+    return _normalize(den, dict(zip(coeffs, cells)), irhs)
 
 
 def _reduce(row: _Row, col: int) -> _Row:
@@ -534,23 +528,18 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
             for j, coef in row.coeffs:
                 d[j] -= y * coef
             d[nv + i] -= y * sigma
+    den, xs = _over_one_den(x)
     for j, dj in enumerate(d):
         if dj < ZERO:
             failures.append(f"column {j} has negative reduced cost {dj}")
         elif dj != ZERO:
-            value = x[j] if j < nv else _gap(lp.rows[j - nv], x)
+            value = x[j] if j < nv else Fraction(*_slack(lp.rows[j - nv], den, xs))
             if value != ZERO:
                 failures.append(
                     f"complementary slackness fails on column {j}: "
                     f"value {value}, reduced cost {dj}"
                 )
     return CertificateReport(not failures, tuple(failures))
-
-
-def _gap(row: Row, x: list[Fraction]) -> Fraction:
-    """The value of a row's slack at ``x``: how far the row is from tight."""
-    lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
-    return lhs - row.rhs if row.relation == ">=" else row.rhs - lhs
 
 
 def solution_to_assignment(

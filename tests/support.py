@@ -13,10 +13,11 @@ the simplex on dense integer rows, the reference for the sparse rows of
 reads a box's mass off the node lattice, the reference for the cell sum of
 ``MassGrid.box_volume``, and ``ref_grid_from_json`` parses every literal of
 a grid file afresh, the reference for ``qcmass.grid.grid_from_json``.
-``ref_marginalize``, ``ref_margin_csv`` and ``ref_check_point`` work one
-``Fraction`` (or one formatted field) at a time, the references for the
-integer sums of ``marginalize`` and ``check_point`` and the preformatted
-slabs of the ``margin`` csv.
+``ref_marginalize``, ``ref_margin_csv``, ``ref_check_point`` and
+``ref_integer_row`` work one ``Fraction`` (or one formatted field) at a
+time, the references for the integer sums of ``marginalize`` and
+``check_point``, the preformatted slabs of the ``margin`` csv and the
+integer rows of the simplex.
 """
 
 from __future__ import annotations
@@ -431,6 +432,18 @@ def ref_check_point(lp: LinearProgram, x) -> FeasibilityReport:
             violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
     objective = sum((coef * x[j] for j, coef in lp.objective), ZERO)
     return FeasibilityReport(not violations, objective, tuple(violations))
+
+
+def ref_integer_row(coeffs: dict[int, Fraction], rhs: Fraction) -> tuple[int, dict[int, int], int]:
+    """Reference for ``qcmass.simplex._integer_row``: one ``Fraction`` product per cell.
+
+    Each coefficient and the right-hand side are multiplied by the lcm of
+    their denominators, and the row is divided by its gcd.
+    """
+    den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
+    cells = {j: int(coef * den) for j, coef in coeffs.items()}
+    g = gcd(den, int(rhs * den), *cells.values())
+    return den // g, {j: x // g for j, x in cells.items()}, int(rhs * den) // g
 
 
 def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:

@@ -554,6 +554,17 @@ def test_export_matches_golden_file(n: int) -> None:
     assert export_lp(lp) == golden
 
 
+# Faults that Row itself finds, each named with its line in the file.
+ROW_FAULTS = {
+    "qclp 1 1 min\nvar 0 x\nrow D = 1 1 0:1\nobj 0": "^line 3: unsupported relation '='$",
+    "qclp 1 1 min\nvar 0 x\nrow D == 1 1 0:1\nobj 0": "^line 3: unsupported relation '=='$",
+    "qclp 1 1 min\nvar 0 x\nrow D <= 1 0\nobj 0": "^line 3: row references no variables$",
+    "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0:0\nobj 0": "^line 3: row references no variables$",
+    "qclp 1 1 min\nvar 0 x\nrow D <= 1 2 0:1 0:2\nobj 0": "^line 3: duplicate variable index 0 in row$",
+    "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 -1:1\nobj 0": "^line 3: negative variable index -1 in row$",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -570,16 +581,15 @@ def test_export_matches_golden_file(n: int) -> None:
         "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0;1\nobj 0",
         "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0:z\nobj 0",
         "qclp 1 1 min\nvar 0 x\nrow D <= bad 1 0:1\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nrow D = 1 1 0:1\nobj 0",
         "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 5:1\nobj 0",
         "qclp 1 1 min\nvar 0 x\nobj 1 0:1\nobj 1 0:1",
         "qclp 1 1 min\nvar 0 x\nnope 1\nobj 0",
         "qclp 1 2 min\nvar 0 x\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nrow D <= 1 0\nobj 0",
+        *ROW_FAULTS,
     ],
 )
 def test_parse_rejects(text: str) -> None:
-    with pytest.raises(LPError):
+    with pytest.raises(LPError, match=ROW_FAULTS.get(text)):
         parse_lp(text)
 
 
@@ -606,6 +616,51 @@ def test_program_validation() -> None:
         LinearProgram(2, ("x", "y"), "min", (), (Row("", (), "<=", F(1)),))
     with pytest.raises(LPError):
         Row("", ((0, F(1)),), "==", F(1))
+
+
+def test_row_is_canonical_from_construction() -> None:
+    row = Row("", ((3, 2), (0, F(0)), (1, F(-1, 2))), ">=", 1)
+    assert row.coeffs == ((1, F(-1, 2)), (3, F(2)))
+    assert all(type(c) is Fraction for _, c in row.coeffs) and type(row.rhs) is Fraction
+    # a canonical coefficient is kept as the same object
+    half = F(1, 2)
+    assert Row("", ((0, half),), "<=", F(1)).coeffs[0][1] is half
+    with pytest.raises(LPError, match="duplicate variable index 2 in row"):
+        Row("", ((2, F(1)), (0, F(1)), (2, F(0))), "<=", F(1))
+    with pytest.raises(LPError, match="negative variable index -1 in row"):
+        Row("", ((0, F(1)), (-1, F(1))), "<=", F(1))
+    with pytest.raises(LPError, match="row references no variables"):
+        Row("", (), "<=", F(1))
+    with pytest.raises(LPError, match="row references no variables"):
+        Row("", ((0, F(0)),), "<=", F(1))
+
+
+def test_program_keeps_the_rows_it_is_given(monkeypatch) -> None:
+    lp, _ = build_extremal_lp(3, "min")
+    rows = lp.rows
+    built = []
+    post_init = Row.__post_init__
+    monkeypatch.setattr(Row, "__post_init__", lambda row: built.append(row) or post_init(row))
+    again = LinearProgram(lp.num_vars, lp.var_names, lp.sense, lp.objective, list(rows))
+    assert not built
+    assert all(again.rows[k] is rows[k] for k in range(len(rows)))
+    with pytest.raises(LPError, match="variable index 7 out of range in row 0"):
+        LinearProgram(7, [f"x{j}" for j in range(7)], "min", (), (Row("", ((7, F(1)),), "<=", F(1)),))
+
+
+def test_each_extremal_row_is_canonicalized_once(monkeypatch) -> None:
+    from qcmass import lp as lp_module
+
+    calls = []
+    canonical_terms = lp_module._canonical_terms
+    monkeypatch.setattr(
+        lp_module, "_canonical_terms", lambda terms, where: calls.append(where) or canonical_terms(terms, where)
+    )
+    for sense in ("min", "max"):
+        calls.clear()
+        lp, _ = build_extremal_lp(5, sense)
+        assert calls.count("row") == len(lp.rows) == 5 + 11 * 2**5
+        assert calls.count("objective") == 1 and len(calls) == len(lp.rows) + 1
 
 
 def test_zero_coefficients_dropped() -> None:

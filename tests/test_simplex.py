@@ -19,7 +19,7 @@ from qcmass.lp import (
 )
 from qcmass.simplex import SolveStats, certify, solution_to_assignment, solve
 
-from support import dense_certify, dense_solve, random_small_lp
+from support import dense_certify, dense_solve, random_small_lp, ref_integer_row
 
 F = Fraction
 
@@ -271,6 +271,21 @@ def test_extremal_solve_matches_dense_oracle(n: int, sense: str) -> None:
     random.Random(f"shuffle-{n}-{sense}-bland").shuffle(rows)
     shuffled = LinearProgram(lp.num_vars, lp.var_names, lp.sense, lp.objective, tuple(rows))
     assert assert_matches_dense(shuffled).status == "optimal"
+
+
+def test_integer_row_matches_fraction_reference() -> None:
+    # Every program row as the solver prepares it, and each objective row.
+    rng = random.Random("integer-row")
+    programs = [random_small_lp(rng) for _ in range(200)]
+    programs += [build_extremal_lp(n, "min")[0] for n in range(2, 7)]
+    rows = 0
+    for lp in programs:
+        for coeffs, rhs in simplex._prepared_rows(lp):
+            assert simplex._integer_row(coeffs, rhs) == ref_integer_row(coeffs, rhs)
+            rows += 1
+        costs = {j: c for j, c in enumerate(simplex._internal_costs(lp, lp.num_vars)) if c}
+        assert simplex._integer_row(costs, F(0)) == ref_integer_row(costs, F(0))
+    assert rows > 1000
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
