@@ -623,7 +623,7 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     """
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # also undecodable bytes, or an integer literal too long
+    except (ValueError, RecursionError) as exc:  # also bad bytes, huge literals, deep nesting
         raise GridError(f"invalid JSON: {exc}") from exc
     if type(payload) is not dict:
         raise GridError("grid file must be a JSON object")

@@ -28,7 +28,7 @@ keeps the rows it is given and checks only that their indices are in range.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -70,12 +70,17 @@ class Row:
     or repeated index, or no term left, raises :class:`LPError`.  ``family``
     is a short tag carried for reporting ("D", "E", "F" for the extremal
     program; anything, including "", for ad hoc programs).
+
+    ``integer_form`` is ``(den, ints, num)``, made once here: ``den`` is the
+    lcm of the denominators of ``rhs`` and every coefficient, ``ints`` the
+    coefficients times ``den`` in ``coeffs`` order, ``num`` is ``rhs * den``.
     """
 
     family: str
     coeffs: tuple[tuple[int, Fraction], ...]
     relation: str
     rhs: Fraction
+    integer_form: tuple[int, tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
@@ -83,17 +88,23 @@ class Row:
         coeffs = _canonical_terms(self.coeffs, "row")
         if not coeffs:
             raise LPError("row references no variables")
+        rhs = _fraction(self.rhs)
+        den, (num, *ints) = _over_one_den((rhs, *map(itemgetter(1), coeffs)))
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", _fraction(self.rhs))
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "integer_form", (den, tuple(ints), num))
 
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """``integer_objective`` is the objective over one denominator, ``(den, ints)``, as in a Row."""
+
     num_vars: int
     var_names: tuple[str, ...]
     sense: str
     objective: tuple[tuple[int, Fraction], ...]
     rows: tuple[Row, ...]
+    integer_objective: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
@@ -108,10 +119,12 @@ class LinearProgram:
             raise LPError("variable names must be unique, nonempty, whitespace-free")
         if self.sense not in ("min", "max"):
             raise LPError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        object.__setattr__(self, "objective", _canonical_terms(self.objective, "objective"))
+        objective = _canonical_terms(self.objective, "objective")
+        den, ints = _over_one_den(map(itemgetter(1), objective))
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "integer_objective", (den, tuple(ints)))
         object.__setattr__(self, "rows", tuple(self.rows))
         # Terms are sorted, so the last index is the largest.
-        objective = self.objective
         if objective and objective[-1][0] >= self.num_vars:
             raise LPError(f"variable index {objective[-1][0]} out of range in objective")
         for k, row in enumerate(self.rows):
@@ -358,8 +371,9 @@ def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
     """Exactly test a variable vector against every row and the implicit bounds x >= 0.
 
     ``x`` is put over one common denominator, so each row's slack is one
-    integer sum (:func:`_slack`).  A :class:`Fraction` is built only for the
-    left-hand side of a violated row.
+    integer sum over its stored integer form (:func:`_slack`); no row is
+    converted here.  A :class:`Fraction` is built only for the left-hand side
+    of a violated row.
     """
     if len(x) != lp.num_vars:
         raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
@@ -380,15 +394,12 @@ def _slack(row: Row, den: int, xs: Sequence[int]) -> tuple[int, int]:
     """The value of a row's slack at the point ``xs / den``, as ``(num, scale)``.
 
     The slack is ``lhs - rhs`` for ">=" and ``rhs - lhs`` for "<=", so it is
-    >= 0 exactly when the row holds.  The row is put over one denominator
-    (:func:`_over_one_den`), so its left-hand side is one integer sum.
+    >= 0 exactly when the row holds.  It is one integer sum over the row's
+    :attr:`Row.integer_form`, over the denominator ``scale = row_den * den``.
     """
-    row_den, ints = _over_one_den([coef for _, coef in row.coeffs])
-    lhs = sum([a * xs[j] for a, (j, _) in zip(ints, row.coeffs)])
-    p, q = row.rhs.as_integer_ratio()
-    scale = row_den * den
-    slack = lhs * q - p * scale
-    return (slack if row.relation == ">=" else -slack), scale * q
+    row_den, ints, num = row.integer_form
+    slack = sum([a * xs[j] for a, (j, _) in zip(ints, row.coeffs)]) - num * den
+    return (slack if row.relation == ">=" else -slack), row_den * den
 
 
 def reference_witness(n: int, sense: str) -> VertexAssignment:

@@ -2,16 +2,20 @@
 
 Tableau rows, objective row included, are sparse integer rows: each row
 stores one positive integer denominator, its nonzero integer cells as a
-``{column: cell}`` dict, and an integer right-hand side, with no common factor.
-:func:`_integer_row` is the one conversion into that form from rational
-coefficients.  One row update, :func:`_clear`, does every exact elimination in
-the module: it clears the pivot column of a row by integer cross-multiplication
-over the nonzeros of the reduced pivot row, then a gcd reduction.  When the
-reduced pivot cell is 1 (the common case on the extremal programs), a row just
-loses a multiple of the pivot row in place, with no scaling pass.  This is
-exact arithmetic throughout; no floating point enters anywhere.  The entering
-column is always chosen by Bland's rule (lowest index with a negative reduced
-cost), which terminates on every input.
+``{column: cell}`` dict, and an integer right-hand side.  A row over a
+denominator above 1 has no common factor; one over denominator 1 may keep
+one, as ``(1, {0: 2, 1: 4}, 6)`` does.  Program and cost rows are read off
+:attr:`qcmass.lp.Row.integer_form` and
+:attr:`qcmass.lp.LinearProgram.integer_objective`, made once when a row or
+program is built, so the solver converts no rational coefficient.  One row
+update, :func:`_clear`, does every exact elimination in the module: it clears
+the pivot column of a row by integer cross-multiplication over the nonzeros
+of the reduced pivot row, then a gcd reduction.  When the reduced pivot cell
+is 1 (the common case on the extremal programs), a row just loses a multiple
+of the pivot row in place, with no scaling pass.  This is exact arithmetic
+throughout; no floating point enters anywhere.  The entering column is always
+chosen by Bland's rule (lowest index with a negative reduced cost), which
+terminates on every input.
 
 The solver holds a tableau row only where the basic column is structural, so
 at most ``num_vars`` rows however many rows the program has (at n=5 the
@@ -115,50 +119,23 @@ class CertificateReport:
     failures: tuple[str, ...]
 
 
-def _prepared_rows(
-    lp: LinearProgram,
-) -> list[tuple[dict[int, Fraction], Fraction]]:
-    """Normalized rows as sparse equality columns including the slack column."""
-    out = []
-    for i, row in enumerate(lp.rows):
-        coeffs = dict(row.coeffs)
-        rhs = row.rhs
-        relation = row.relation
-        if (relation == ">=" and rhs <= ZERO) or (relation == "<=" and rhs < ZERO):
-            coeffs = {j: -c for j, c in coeffs.items()}
-            rhs = -rhs
-            relation = "<=" if relation == ">=" else ">="
-        coeffs[lp.num_vars + i] = Fraction(1 if relation == "<=" else -1)
-        out.append((coeffs, rhs))
-    return out
-
-
-def _internal_costs(lp: LinearProgram, ncols: int) -> list[Fraction]:
-    """Dense phase-2 cost vector in the internal minimization convention."""
-    costs = [ZERO] * ncols
-    for j, coef in lp.objective:
-        costs[j] = coef if lp.sense == "min" else -coef
-    return costs
-
-
 # A tableau row: (denominator > 0, {column: nonzero cell}, right-hand side).
 _Row = tuple[int, dict[int, int], int]
 
 
 def _normalize(den: int, cells: dict[int, int], rhs: int) -> _Row:
-    """Divide a row by the gcd of its denominator, cells and right-hand side."""
+    """Divide a row by the gcd of its denominator, cells and right-hand side.
+
+    A row over denominator 1 is returned as it is, common factor and all:
+    its cells are already the exact integer values, so dividing them would
+    only cost a gcd pass.  Every other row it returns is primitive.
+    """
     if den == 1:
         return den, cells, rhs
     g = gcd(den, rhs, *cells.values())
     if g == 1:
         return den, cells, rhs
     return den // g, {j: x // g for j, x in cells.items()}, rhs // g
-
-
-def _integer_row(coeffs: Mapping[int, Fraction], rhs: Fraction) -> _Row:
-    """A rational row as one primitive integer row over a common denominator."""
-    den, (irhs, *cells) = _over_one_den((rhs, *coeffs.values()))
-    return _normalize(den, dict(zip(coeffs, cells)), irhs)
 
 
 def _reduce(row: _Row, col: int) -> _Row:
@@ -223,20 +200,24 @@ class _Solver:
         nv = self.num_vars = lp.num_vars
         ncols = self.ncols = nv + len(lp.rows)
 
-        # Program row i in integer form with its slack and artificial cells.
+        # Program row i in standard form with its slack and artificial cells.
         self.originals: list[_Row] = []
         self.basis: list[int] = []
         self.art_rows: list[int] = []  # artificial column ncols + k belongs to row art_rows[k]
-        for i, (coeffs, rhs) in enumerate(_prepared_rows(lp)):
-            row = _integer_row(coeffs, rhs)
-            if coeffs[nv + i] > 0:
-                self.basis.append(nv + i)
-            else:
+        for i, row in enumerate(lp.rows):
+            den, ints, num = row.integer_form
+            geq = row.relation == ">="
+            sign = -1 if num < 0 or (num == 0 and geq) else 1  # to a right-hand side >= 0
+            cells = {j: sign * a for (j, _), a in zip(row.coeffs, ints)}
+            if geq == (sign == 1):  # ">=" once the sign is applied
                 art = ncols + len(self.art_rows)
-                row[1][art] = row[0]  # a cell equal to the denominator is a 1
+                cells[nv + i], cells[art] = -den, den  # a cell equal to den is a 1
                 self.basis.append(art)
                 self.art_rows.append(i)
-            self.originals.append(row)
+            else:
+                cells[nv + i] = den
+                self.basis.append(nv + i)
+            self.originals.append((den, cells, sign * num))
         self.num_art = len(self.art_rows)
         # Column j of the program rows, as (row, cell) pairs.
         self.columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols + self.num_art)]
@@ -275,12 +256,13 @@ class _Solver:
         self.peak_bits = max(self.peak_bits, row[0].bit_length())
         return row
 
-    def _reduced_cost_row(self, costs: list[Fraction]) -> _Row:
+    def _reduced_cost_row(self, objrow: _Row) -> _Row:
         """Objective row c - sum over rows of c_basic * row; its right-hand side is -objective.
 
-        A basic column's cell equals its row's denominator, so clearing it takes c_basic * row.
+        ``objrow`` is the cost row c; its cells may be updated in place.  A basic
+        column's cell equals its row's denominator, so clearing it takes
+        c_basic * row.
         """
-        objrow = _integer_row({j: c for j, c in enumerate(costs) if c}, ZERO)
         for r, b in enumerate(self.basis):
             c = objrow[1].get(b)
             if c:
@@ -389,8 +371,8 @@ class _Solver:
 
     def _phase_one(self) -> bool:
         """Drive artificials to zero; False means the program is infeasible."""
-        costs = [ZERO] * self.ncols + [Fraction(1)] * self.num_art
-        status, (_, _, orhs) = self._kernel(self._reduced_cost_row(costs))
+        costs = dict.fromkeys(range(self.ncols, self.ncols + self.num_art), 1)
+        status, (_, _, orhs) = self._kernel(self._reduced_cost_row((1, costs, 0)))
         assert status == "optimal"  # phase-1 objective is bounded below by 0
         if orhs:
             return False
@@ -429,14 +411,15 @@ class _Solver:
                 "infeasible", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
             )
         self._truncate()  # so no artificial column can enter in phase 2
-        costs = _internal_costs(self.lp, self.ncols)
-        status, (oden, ocells, orhs) = self._kernel(self._reduced_cost_row(costs))
+        oden, ints = self.lp.integer_objective
+        flip = 1 if self.lp.sense == "min" else -1
+        costs = {j: flip * a for (j, _), a in zip(self.lp.objective, ints)}
+        status, (oden, ocells, orhs) = self._kernel(self._reduced_cost_row((oden, costs, 0)))
         if status == "unbounded":
             return SimplexSolution(
                 "unbounded", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
             )
         internal = Fraction(-orhs, oden)
-        flip = Fraction(1 if self.lp.sense == "min" else -1)
         assignment = {j: ZERO for j in range(self.num_vars)}
         for r, (den, _, rhs) in self.rows.items():
             assignment[self.basis[r]] = Fraction(rhs, den)
@@ -485,9 +468,11 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
        slack column, that are all >= 0 (dual feasibility) and vanish on every
        column with a nonzero value (complementary slackness).
 
-    Negating a row, as :func:`_prepared_rows` does, negates its dual and
-    leaves every reduced cost as it is, so the solver's reduced costs apply
-    to the rows as posed.
+    Negating a row, as the solver does to make its right-hand side
+    nonnegative, negates its dual and leaves every reduced cost as it is, so
+    the solver's reduced costs apply to the rows as posed.  A slack's value
+    is read off the row's stored integer form by :func:`qcmass.lp._slack`,
+    as in :func:`qcmass.lp.check_point`, so no row is converted here.
 
     Then for every feasible point ``(x', s')``, ``c x' = y b + d (x', s') >=
     y b``, and for the claimed point the last term is 0, so ``c x = y b`` is
@@ -519,7 +504,9 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
         return CertificateReport(False, tuple(failures))
 
     flip = 1 if lp.sense == "min" else -1
-    d = _internal_costs(lp, ncols)
+    d = [ZERO] * ncols  # reduced costs, starting from the internal (minimized) costs
+    for j, coef in lp.objective:
+        d[j] = flip * coef
     for i, row in enumerate(lp.rows):
         reduced = solution.reduced_costs[nv + i]
         if reduced:

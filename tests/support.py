@@ -13,11 +13,13 @@ the simplex on dense integer rows, the reference for the sparse rows of
 reads a box's mass off the node lattice, the reference for the cell sum of
 ``MassGrid.box_volume``, and ``ref_grid_from_json`` parses every literal of
 a grid file afresh, the reference for ``qcmass.grid.grid_from_json``.
-``ref_marginalize``, ``ref_margin_csv``, ``ref_check_point`` and
-``ref_integer_row`` work one ``Fraction`` (or one formatted field) at a
-time, the references for the integer sums of ``marginalize`` and
-``check_point``, the preformatted slabs of the ``margin`` csv and the
-integer rows of the simplex.
+``ref_marginalize``, ``ref_margin_csv``, ``ref_check_point``,
+``ref_prepared_rows`` and ``ref_integer_row`` work one ``Fraction`` (or one
+formatted field) at a time, the references for the integer sums of
+``marginalize`` and ``check_point``, the preformatted slabs of the ``margin``
+csv, and the integer form each ``Row`` stores and the solver's program rows
+read.  The dense oracles take their standard form from ``ref_prepared_rows``
+and ``ref_internal_costs``, not from the solver.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from qcmass.simplex import (
     CertificateReport,
     SimplexSolution,
     SolveStats,
-    _internal_costs,
-    _prepared_rows,
 )
 
 ZERO = Fraction(0)
@@ -434,11 +434,41 @@ def ref_check_point(lp: LinearProgram, x) -> FeasibilityReport:
     return FeasibilityReport(not violations, objective, tuple(violations))
 
 
+def ref_prepared_rows(lp: LinearProgram) -> list[tuple[dict[int, Fraction], Fraction]]:
+    """Every row in the solver's standard form, one ``Fraction`` at a time.
+
+    A row is negated when its right-hand side is negative, or zero on a
+    ">=" row, which swaps its relation; column ``num_vars + i`` then holds
+    the slack of row i, +1 for "<=" and -1 for ">=".
+    """
+    out = []
+    for i, row in enumerate(lp.rows):
+        coeffs = dict(row.coeffs)
+        rhs = row.rhs
+        relation = row.relation
+        if (relation == ">=" and rhs <= ZERO) or (relation == "<=" and rhs < ZERO):
+            coeffs = {j: -c for j, c in coeffs.items()}
+            rhs = -rhs
+            relation = "<=" if relation == ">=" else ">="
+        coeffs[lp.num_vars + i] = Fraction(1 if relation == "<=" else -1)
+        out.append((coeffs, rhs))
+    return out
+
+
+def ref_internal_costs(lp: LinearProgram, ncols: int) -> list[Fraction]:
+    """The dense cost vector of the minimized objective: negated for "max" programs."""
+    costs = [ZERO] * ncols
+    for j, coef in lp.objective:
+        costs[j] = coef if lp.sense == "min" else -coef
+    return costs
+
+
 def ref_integer_row(coeffs: dict[int, Fraction], rhs: Fraction) -> tuple[int, dict[int, int], int]:
-    """Reference for ``qcmass.simplex._integer_row``: one ``Fraction`` product per cell.
+    """A rational row as a primitive integer row: one ``Fraction`` product per cell.
 
     Each coefficient and the right-hand side are multiplied by the lcm of
-    their denominators, and the row is divided by its gcd.
+    their denominators, and the row is divided by its gcd.  The reference
+    for a row's stored ``integer_form`` and the program rows of the solver.
     """
     den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
     cells = {j: int(coef * den) for j, coef in coeffs.items()}
@@ -483,7 +513,7 @@ def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateRe
         failures.append("reduced costs must cover every column")
         return CertificateReport(False, tuple(failures))
 
-    prepared = _prepared_rows(lp)
+    prepared = ref_prepared_rows(lp)
     matrix = [[coeffs.get(j, ZERO) for j in range(ncols)] for coeffs, _ in prepared]
     flip = ONE if lp.sense == "min" else -ONE
     y = [
@@ -494,7 +524,7 @@ def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateRe
         (rhs - sum((matrix[i][j] * x[j] for j in range(nv)), ZERO)) / matrix[i][nv + i]
         for i, (_, rhs) in enumerate(prepared)
     ]
-    costs = _internal_costs(lp, ncols)
+    costs = ref_internal_costs(lp, ncols)
     for j in range(ncols):
         d = costs[j] - sum((y[i] * matrix[i][j] for i in range(m)), ZERO)
         if d < ZERO:
@@ -595,7 +625,7 @@ class _DenseSolver:
         self.ncols = lp.num_vars + len(lp.rows)
         self.rowids = list(range(len(lp.rows)))
 
-        prepared = _prepared_rows(lp)
+        prepared = ref_prepared_rows(lp)
         artificial_rows = [
             i for i, (coeffs, _) in enumerate(prepared) if coeffs[lp.num_vars + i] < 0
         ]
@@ -736,7 +766,7 @@ class _DenseSolver:
                 _normalize_dense(den, cells[: self.ncols] + [cells[-1]])
                 for den, cells in self.rows
             ]
-        costs = _internal_costs(self.lp, self.ncols)
+        costs = ref_internal_costs(self.lp, self.ncols)
         status, (oden, ocells) = self._kernel(
             self._reduced_cost_row(costs, self.ncols), self.ncols
         )

@@ -173,7 +173,13 @@ def test_grid_commands_reject_malformed_file(grid_file, text: str, command: str)
 
 # Files that are not text: a UTF-16 byte-order mark followed by bytes that
 # are no JSON, a lone UTF-8 continuation byte, and a truncated UTF-8 sequence.
-UNDECODABLE = [b"\xff\xfe\x00{", b"\x80", b'{"dimension": 1\xc3}']
+# The last, nested past the JSON parser's recursion limit, is named by its id.
+UNDECODABLE = [
+    b"\xff\xfe\x00{",
+    b"\x80",
+    b'{"dimension": 1\xc3}',
+    pytest.param(b"[" * 200000, id="nested-200000"),
+]
 
 
 @pytest.mark.parametrize("data", UNDECODABLE)

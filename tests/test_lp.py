@@ -633,6 +633,10 @@ def test_row_is_canonical_from_construction() -> None:
         Row("", (), "<=", F(1))
     with pytest.raises(LPError, match="row references no variables"):
         Row("", ((0, F(0)),), "<=", F(1))
+    # the integer form is derived from the row, and made again by replace
+    assert row.integer_form == (2, (-1, 4), 2)
+    assert replace(row, rhs=F(1, 3)).integer_form == (6, (-3, 12), 2)
+    assert replace(row, rhs=F(1, 3)) == Row("", row.coeffs, ">=", F(1, 3))
 
 
 def test_program_keeps_the_rows_it_is_given(monkeypatch) -> None:
@@ -661,6 +665,31 @@ def test_each_extremal_row_is_canonicalized_once(monkeypatch) -> None:
         lp, _ = build_extremal_lp(5, sense)
         assert calls.count("row") == len(lp.rows) == 5 + 11 * 2**5
         assert calls.count("objective") == 1 and len(calls) == len(lp.rows) + 1
+
+
+def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
+    # Building the program makes each row's integer form once, the
+    # objective's too; solving and certifying it convert no row.
+    from qcmass import lp as lp_module, simplex
+
+    calls = []
+    over_one_den = lp_module._over_one_den
+
+    def counted(values):
+        calls.append(None)
+        return over_one_den(values)
+
+    monkeypatch.setattr(lp_module, "_over_one_den", counted)
+    monkeypatch.setattr(simplex, "_over_one_den", counted)
+    for sense in ("min", "max"):
+        calls.clear()
+        lp, _ = build_extremal_lp(5, sense)
+        assert len(calls) == len(lp.rows) + 1 == 5 + 11 * 2**5 + 1
+        calls.clear()
+        solution = solve(lp)
+        assert not calls
+        assert certify(lp, solution).ok
+        assert len(calls) == 2  # the point, once in check_point and once in certify
 
 
 def test_zero_coefficients_dropped() -> None:

@@ -19,7 +19,7 @@ from qcmass.lp import (
 )
 from qcmass.simplex import SolveStats, certify, solution_to_assignment, solve
 
-from support import dense_certify, dense_solve, random_small_lp, ref_integer_row
+from support import dense_certify, dense_solve, random_small_lp, ref_integer_row, ref_prepared_rows
 
 F = Fraction
 
@@ -274,17 +274,26 @@ def test_extremal_solve_matches_dense_oracle(n: int, sense: str) -> None:
 
 
 def test_integer_row_matches_fraction_reference() -> None:
-    # Every program row as the solver prepares it, and each objective row.
+    # Each row's stored integer form and objective, and each program row the
+    # solver holds, against rows converted one Fraction at a time.
     rng = random.Random("integer-row")
     programs = [random_small_lp(rng) for _ in range(200)]
     programs += [build_extremal_lp(n, "min")[0] for n in range(2, 7)]
     rows = 0
     for lp in programs:
-        for coeffs, rhs in simplex._prepared_rows(lp):
-            assert simplex._integer_row(coeffs, rhs) == ref_integer_row(coeffs, rhs)
+        solver = simplex._Solver(lp)
+        for row, (den, cells, num), prepared in zip(
+            lp.rows, solver.originals, ref_prepared_rows(lp)
+        ):
+            row_den, ints, row_num = row.integer_form
+            stored = row_den, {j: a for (j, _), a in zip(row.coeffs, ints)}, row_num
+            assert stored == ref_integer_row(dict(row.coeffs), row.rhs)
+            held = den, {j: a for j, a in cells.items() if j < solver.ncols}, num
+            assert held == ref_integer_row(*prepared)
             rows += 1
-        costs = {j: c for j, c in enumerate(simplex._internal_costs(lp, lp.num_vars)) if c}
-        assert simplex._integer_row(costs, F(0)) == ref_integer_row(costs, F(0))
+        oden, ints = lp.integer_objective
+        objective = oden, {j: a for (j, _), a in zip(lp.objective, ints)}, 0
+        assert objective == ref_integer_row(dict(lp.objective), F(0))
     assert rows > 1000
 
 
