@@ -15,7 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, product, repeat
+from itertools import chain, combinations, product
 from math import lcm, prod
 from operator import add, gt, itemgetter, lt, mul, sub
 from types import MappingProxyType
@@ -248,7 +248,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    grounded_ok: bool
     uniform_margins_ok: bool
     monotone_ok: bool
     lipschitz_ok: bool
@@ -256,12 +255,7 @@ class AxiomReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.grounded_ok
-            and self.uniform_margins_ok
-            and self.monotone_ok
-            and self.lipschitz_ok
-        )
+        return self.uniform_margins_ok and self.monotone_ok and self.lipschitz_ok
 
 
 # A grid file of a few lines can describe a lattice of 2^40 nodes; anything
@@ -297,10 +291,11 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
         Node values are integers over ``den``, the lcm of the cell-mass
         denominators.  Each cell's scaled mass is placed on its upper node
         c+1, at flat position ``sum(strides) + sum(c_i * strides[i])``, and
-        one prefix-sum pass per axis turns those into orthant sums: the
-        last axis is summed along each contiguous row, every other axis by
-        adding each stride-long layer to the next.  GridError when the lattice
-        has more than ``MAX_LATTICE_NODES`` nodes.
+        one prefix-sum pass per axis turns those into orthant sums: for each
+        coordinate j >= 1 of the axis, in increasing order, every node with
+        coordinate j adds its neighbour at j-1, one ``map(add, ...)`` per
+        slice of :meth:`coordinate_slices`.  GridError when the lattice has
+        more than ``MAX_LATTICE_NODES`` nodes.
         """
         sizes = tuple(s + 1 for s in grid.shape)
         count = prod(sizes)
@@ -315,15 +310,32 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
         base = sum(strides)
         for cell, mass in zip(masses, mass_ints):
             ints[base + sum(map(mul, cell, strides))] = mass
-        for stride, size in zip(strides, sizes):
-            block = stride * size
-            for b in range(0, count, block):
-                if stride == 1:
-                    ints[b : b + block] = accumulate(ints[b : b + block])
-                    continue
-                for k in range(b + stride, b + block, stride):
-                    ints[k : k + stride] = map(add, ints[k - stride : k], ints[k : k + stride])
+        for axis, size in enumerate(sizes):
+            lowers = lattice.coordinate_slices(axis, 0)
+            for j in range(1, size):
+                uppers = lattice.coordinate_slices(axis, j)
+                for lo, hi in zip(lowers, uppers):
+                    ints[hi] = map(add, ints[lo], ints[hi])
+                lowers = uppers
         return lattice
+
+    def coordinate_slices(self, axis: int, j: int) -> list[slice]:
+        """Slices of ``ints`` that together hold the nodes with coordinate j on ``axis``.
+
+        A block is the ``stride * size`` consecutive nodes over which the
+        axis runs once; its nodes with coordinate j are one contiguous run of
+        ``stride``.  With no more blocks than ``stride`` the slices are those
+        runs, one per block; otherwise they are ``stride`` extended slices of
+        step ``block``, one per offset within a run.  Either way there are
+        min(blocks, stride) of them, and the slices of coordinates j and j+1
+        pair up in order, node for node, along the axis's edges.
+        """
+        count, stride = len(self.ints), self.strides[axis]
+        block = stride * self.sizes[axis]
+        start = j * stride
+        if count // block <= stride:
+            return [slice(b, b + stride) for b in range(start, count, block)]
+        return [slice(r, count, block) for r in range(start, start + stride)]
 
     def node(self, k: int) -> tuple[int, ...]:
         """The node index tuple at flat position ``k``."""
@@ -426,7 +438,7 @@ class GridQuasiCopula:
           coordinates on the other axes, and on that axis the first node is
           left as it is, so each pass keeps those nodes 0.  On the face
           u_i = 0, Q interpolates only nodes with coordinate i equal to 0,
-          so it vanishes there.  ``grounded_ok`` is always True.
+          so it vanishes there.  No grounded check is run.
         * restricted to one coordinate with the others held at 1, Q is
           piecewise linear with nodes at the breakpoints, and the identity is
           linear, so the margin equals the identity on all of [0,1] iff it
@@ -437,8 +449,16 @@ class GridQuasiCopula:
           on axis i), which must equal the slab's width.  That line of nodes
           is one strided run of the lattice ending at its top node.
 
+        The edges of axis i run from the nodes with coordinate j to those
+        with j+1.  For each j the rises are taken one slice pair of
+        :meth:`_NodeLattice.coordinate_slices` at a time, by ``map(sub, ...)``,
+        and tested against 0 and the slab's width with one ``min`` and one
+        ``max``; only a slice that fails is walked for the failing edges.
+
         Violations are listed margin, then per axis monotone and Lipschitz,
-        each in lexicographic order of its location.
+        each in lexicographic order of its location.  On one axis that is the
+        flat order of the edges' lower nodes, by which each axis's failing
+        edges are sorted.
         """
         lattice = self.node_values
         ints, den, count = lattice.ints, lattice.den, len(lattice.ints)
@@ -454,31 +474,34 @@ class GridQuasiCopula:
                     bad.append(Violation("margin", (axis, j), Fraction(hi - lo, den), width))
 
         for axis, part in enumerate(self.grid.partitions):
-            stride = lattice.strides[axis]
-            lowers = stride * part.num_cells  # lower nodes of the edges in one block
-            block = lowers + stride
-            # An integer rise exceeds width * den exactly when it exceeds the floor.
-            limits = [
-                lim
-                for w in map(part.width, range(part.num_cells))
-                for lim in repeat(w.numerator * den // w.denominator, stride)
-            ]
-            for b in range(0, count, block):
-                rises = list(map(sub, ints[b + stride : b + block], ints[b : b + lowers]))
-                if min(rises) >= 0 and not any(map(gt, rises, limits)):
-                    continue
-                for t, rise in enumerate(rises):
-                    if rise < 0:
-                        monotone_ok = False
-                        location = (axis,) + lattice.node(b + t)
-                        bad.append(Violation("monotone", location, Fraction(rise, den), ZERO))
-                    elif rise > limits[t]:
-                        lipschitz_ok = False
-                        location = (axis,) + lattice.node(b + t)
-                        width = part.width(t // stride)
-                        bad.append(Violation("lipschitz", location, Fraction(rise, den), width))
+            # (flat position of the lower node, rise, slab) of each failing edge
+            failing: list[tuple[int, int, int]] = []
+            uppers = lattice.coordinate_slices(axis, 0)
+            for j in range(part.num_cells):
+                lowers, uppers = uppers, lattice.coordinate_slices(axis, j + 1)
+                width = part.width(j)
+                # An integer rise exceeds width * den exactly when it exceeds the floor.
+                limit = width.numerator * den // width.denominator
+                for lo, hi in zip(lowers, uppers):
+                    rises = list(map(sub, ints[hi], ints[lo]))
+                    if min(rises) >= 0 and max(rises) <= limit:
+                        continue
+                    failing.extend(
+                        (k, rise, j)
+                        for k, rise in zip(range(count)[lo], rises)
+                        if rise < 0 or rise > limit
+                    )
+            failing.sort()
+            for k, rise, j in failing:
+                location = (axis,) + lattice.node(k)
+                if rise < 0:
+                    monotone_ok = False
+                    bad.append(Violation("monotone", location, Fraction(rise, den), ZERO))
+                else:
+                    lipschitz_ok = False
+                    bad.append(Violation("lipschitz", location, Fraction(rise, den), part.width(j)))
 
-        return AxiomReport(True, margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
+        return AxiomReport(margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
 
     def frechet_envelope_check(self) -> tuple[Violation, ...]:
         """Where Q leaves the pointwise envelope max(sum u - n + 1, 0) <= Q <= min(u).

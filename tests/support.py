@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 
@@ -148,6 +149,7 @@ def mixture_masses(
     """
     n = len(parts)
 
+    @cache  # a node is a corner of up to 2^n cells
     def node_value(coords: tuple[Fraction, ...]) -> Fraction:
         w_val = max(sum(coords) - (n - 1), ZERO)
         m_val = min(coords)
@@ -231,13 +233,17 @@ def ref_box_volume(grid: MassGrid, values, box: NBox) -> Fraction:
 
 
 def ref_verify_axioms(grid: MassGrid, values) -> AxiomReport:
-    """The node and edge checks of ``GridQuasiCopula.verify_axioms``, node by node."""
+    """The node and edge checks of ``GridQuasiCopula.verify_axioms``, node by node.
+
+    A node with a zero coordinate that is not 0 is listed as a ``grounded``
+    violation, which the report has no flag for, so a lattice that is not
+    grounded makes this report differ from the one under test.
+    """
     sizes = grid.shape
     bad: list[Violation] = []
-    grounded_ok = margins_ok = monotone_ok = lipschitz_ok = True
+    margins_ok = monotone_ok = lipschitz_ok = True
     for node in product(*(range(s + 1) for s in sizes)):
         if any(c == 0 for c in node) and values[node] != ZERO:
-            grounded_ok = False
             bad.append(Violation("grounded", node, values[node], ZERO))
     for axis in range(grid.dimension):
         slab_sums = [ZERO] * sizes[axis]
@@ -262,7 +268,7 @@ def ref_verify_axioms(grid: MassGrid, values) -> AxiomReport:
             if rise > w:
                 lipschitz_ok = False
                 bad.append(Violation("lipschitz", (axis,) + node, rise, w))
-    return AxiomReport(grounded_ok, margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
+    return AxiomReport(margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
 
 
 def ref_frechet_envelope_check(grid: MassGrid, values) -> tuple[Violation, ...]:
@@ -352,7 +358,11 @@ def assert_loaders_agree(text: str) -> MassGrid | None:
 
 def random_mixed_partition(rng: random.Random, max_cells: int) -> AxisPartition:
     """Breakpoints whose denominators are drawn from a mixed set."""
-    k = rng.randint(1, max_cells)
+    return mixed_partition(rng, rng.randint(1, max_cells))
+
+
+def mixed_partition(rng: random.Random, k: int) -> AxisPartition:
+    """``k`` cells whose breakpoints' denominators are drawn from a mixed set."""
     cuts: set[Fraction] = set()
     while len(cuts) < k - 1:
         q = rng.choice((2, 3, 5, 7, 12, 60))
@@ -368,16 +378,77 @@ def random_signed_grid(rng: random.Random, n: int, max_cells: int = 3) -> MassGr
     many it fails most.  Pushes range from large to a fraction of the
     smallest width, so that some checks fail by a hair.
     """
-    parts = tuple(random_mixed_partition(rng, max_cells) for _ in range(n))
-    weights = [Fraction(rng.randint(0, 3)) for _ in range(3)]
-    if not any(weights):
-        weights[2] = ONE
-    masses = mixture_masses(parts, [w / sum(weights) for w in weights])
+    return signed_grid(rng, tuple(random_mixed_partition(rng, max_cells) for _ in range(n)))
+
+
+def signed_grid(rng: random.Random, parts: tuple[AxisPartition, ...]) -> MassGrid:
+    """:func:`random_signed_grid` on the given partitions."""
+    masses = random_mixture_masses(rng, parts)
     cells = list(masses)
     pushed = min(len(cells), rng.choice((0, 0, 1, 2, len(cells))))
     for cell in rng.sample(cells, pushed):
         masses[cell] += Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 11, 420, 840)))
     return MassGrid(parts, masses)
+
+
+def random_mixture_masses(
+    rng: random.Random, parts: tuple[AxisPartition, ...]
+) -> dict[tuple[int, ...], Fraction]:
+    """:func:`mixture_masses` of random weights: a valid grid's cells."""
+    weights = [Fraction(rng.randint(0, 3)) for _ in range(3)]
+    if not any(weights):
+        weights[2] = ONE
+    return mixture_masses(parts, [w / sum(weights) for w in weights])
+
+
+def corner_pushed_grid(rng: random.Random, parts: tuple[AxisPartition, ...]) -> MassGrid:
+    """A valid grid with 3 added to its first cell and 5 taken from its last.
+
+    On a valid grid every edge rises by between 0 and its slab's width (at
+    most 1).  The first cell adds 3 to the axis-i edges leaving coordinate 0
+    whose other coordinates are all >= 1, so Lipschitz fails on every axis;
+    the last cell takes 5 from the axis-i edge into the top node, and with
+    at most 3 added back there, monotone fails on every axis.  The one
+    exception is a grid of a single cell, where both pushes are the same
+    cell.
+    """
+    masses = random_mixture_masses(rng, parts)
+    masses[(0,) * len(parts)] += 3
+    masses[tuple(p.num_cells - 1 for p in parts)] -= 5
+    return MassGrid(parts, masses)
+
+
+# Shapes whose lattices take every slice layout of the per-axis passes in
+# qcmass.grid: on an axis of stride s in b blocks the nodes of one coordinate
+# are b contiguous runs when b <= s, else s extended slices.  n = 5 and 6,
+# uneven shapes, one-cell axes, and axis 2 of (2, 2, 2, 2, 2), (2, 1, 3, 1, 2)
+# and (3, 1, 2, 1, 1, 1), whose block count equals its stride (9, 6 and 8).
+SLICE_LAYOUT_SHAPES = (
+    (1, 5, 2, 4, 3),
+    (2, 2, 2, 2, 2),
+    (2, 1, 3, 1, 2),
+    (1, 1, 4, 1, 1),
+    (3, 1, 2, 1, 1, 1),
+    (2, 2, 2, 2, 2, 2),
+    (4, 3, 1, 1, 2, 1),
+    (1, 1, 1, 1, 1, 1),
+)
+
+
+def slice_layout_grids(rng: random.Random) -> list[tuple[MassGrid, bool]]:
+    """Seeded grids on every shape of ``SLICE_LAYOUT_SHAPES``, each with a pushed flag.
+
+    Two :func:`signed_grid` cases per shape (False), and on every shape of
+    more than one cell a :func:`corner_pushed_grid` (True).
+    """
+    cases = []
+    for shape in SLICE_LAYOUT_SHAPES:
+        for _ in range(2):
+            cases.append((signed_grid(rng, tuple(mixed_partition(rng, k) for k in shape)), False))
+        if max(shape) > 1:
+            parts = tuple(mixed_partition(rng, k) for k in shape)
+            cases.append((corner_pushed_grid(rng, parts), True))
+    return cases
 
 
 def cancelling_grid(rng: random.Random, n: int, axis: int) -> MassGrid:
