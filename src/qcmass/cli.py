@@ -288,10 +288,16 @@ def margin(example: str | None, file: str | None, drop_axis: int, fmt: str) -> N
 
 # --------------------------------------------------------------- conjecture
 
+# Every dimension up to --max-dim is solved in turn; 100 takes a few seconds,
+# and 200 most of a minute, so a larger value is refused before any solve.
+MAX_CONJECTURE_DIM = 100
+
 
 def run_conjecture(max_dim: int) -> CommandResult:
     if max_dim < 2:
         raise LPError(f"--max-dim must be at least 2, got {max_dim}")
+    if max_dim > MAX_CONJECTURE_DIM:
+        raise LPError(f"--max-dim must be at most {MAX_CONJECTURE_DIM}, got {max_dim}")
     lines = ["n,lp_min,conjectured,box,candidate_feasible,verdict"]
     for n in range(2, max_dim + 1):
         # The axis-symmetric form has the full program's optimum (see

@@ -28,11 +28,25 @@ meets only the structural basics and l, that row of the tableau is
 
 with T_j the held row of j.  It is rebuilt by :func:`_clear` only when it is
 needed whole: as the pivot row, in the reduced-cost set-up, or to pivot an
-artificial out after phase 1.  The ratio test needs only its cell in the
-entering column and its right-hand side, and computes both from the same
-formula as integers.  The held rows are exactly the rows a full tableau would
-have at those positions, and the ratios are exact, so the pivots, basis and
-every reported number are those of the full-tableau simplex.
+artificial out after phase 1.
+
+The ratio test looks for a zero ratio first.  Every right-hand side is >= 0,
+so a zero ratio, where one exists, is the least, and the leaving row is the
+one with the lowest basic column among the rows at value 0 with a positive
+cell in the entering column.  The right-hand side of T_l is the gap
+(b_i - a_i . x) / a_il of program row i at the vertex, x holding the
+structural basics' values, so the solver keeps the vertex's tight rows, the
+program rows with a_i . x = b_i.  A pivot moves the vertex only when its
+leaving row's right-hand side is nonzero; only such a pivot marks the tight
+rows stale, and the next ratio test rebuilds them, with every row's gap, in
+one pass.  The extremal programs are highly degenerate (at n=6, 966 of the
+982 ratio tests of the min solve end at 0), so most ratio tests compute the
+entering cell of a few tight rows, one row at a time, and stop.  Only when no
+zero ratio exists is the whole entering column gathered, with the logical
+rows' right-hand sides read off the kept gaps.  The held rows are exactly the
+rows a full tableau would have at those positions, and the ratios and the
+tie-break are exact and the same, so the pivots, basis and every reported
+number are those of the full-tableau simplex.
 
 Standard form and index conventions, shared by :func:`solve` and
 :func:`certify`:
@@ -79,6 +93,10 @@ class SolveStats:
     is rebuilt.  Each cell counts once per update: the other row's nonzeros
     when the reduced pivot cell is 1, and the union of both rows' nonzeros
     when the row is scaled first.  The objective row's update is not counted.
+    ``column_gathers`` counts the ratio tests that found no row at value 0
+    with a positive cell in the entering column, and so gathered the whole
+    entering column and compared every ratio; the others stopped at a zero
+    ratio after scanning the held rows and the vertex's tight rows.
     The solution's ``peak_denominator_bits`` is the largest denominator, in
     bits, of the rows the solver holds: the program rows, the held rows,
     rebuilt rows, pivot rows and the objective row.  Logical rows that are
@@ -88,6 +106,7 @@ class SolveStats:
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     cells_touched: int = 0
+    column_gathers: int = 0
 
 
 @dataclass(frozen=True)
@@ -189,7 +208,9 @@ class _Solver:
     more than ``num_vars`` rows.  A position whose basic column is the logical
     column (slack or artificial) of program row i holds nothing: its row is
     rebuilt from ``originals[i]`` when it is needed whole, and the ratio test
-    computes only its entering cell and right-hand side.
+    computes only its entering cell, reading its right-hand side off
+    ``gaps[i]``.  ``gaps`` and ``tight`` describe the vertex as of the
+    last :meth:`_refresh`; ``stale`` says the vertex has moved since.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -228,6 +249,11 @@ class _Solver:
         self.position: dict[int, int] = {}  # structural basic column -> its position
         self.logical: dict[int, int] = {i: i for i in range(len(lp.rows))}  # row -> position
         self.peak_bits = max((den.bit_length() for den, _, _ in self.originals), default=1)
+        self.column_gathers = 0  # ratio tests that gathered the whole entering column
+        self.stale = True  # the vertex moved since the gaps were computed
+        self.gaps: list[int] = []  # program row -> its gap at the vertex, see _refresh
+        self.gaps_den = 1
+        self.tight: list[int] = []  # program rows at gap 0, ascending
 
     def _owner(self, col: int) -> int:
         """The program row of a logical column."""
@@ -269,55 +295,113 @@ class _Solver:
                 objrow = _clear(objrow, c, self._tableau_row(r))
         return objrow
 
+    def _refresh(self) -> None:
+        """Recompute every program row's gap at the current vertex, and the tight rows.
+
+        Row i's gap is b_i - a_i . x, with x the structural basics' values.
+        Over the row's integer form (den_i, a_ij, rhs_i) it is kept times
+        den_i * L, as the integer rhs_i * L - sum over structural basics j of
+        a_ij * X_j, where x_j = X_j / L and L (``gaps_den``) is the lcm of the
+        held denominators of the nonzero x_j.  One pass over the program
+        columns of the nonzero structural basics.
+        """
+        nonzero = [(self.basis[r], den, rhs) for r, (den, _, rhs) in self.rows.items() if rhs]
+        big = lcm(*(den for _, den, _ in nonzero))
+        gaps = [rhs * big for _, _, rhs in self.originals]
+        for j, den, rhs in nonzero:
+            x = rhs * (big // den)
+            for i, a in self.columns[j]:
+                gaps[i] -= a * x
+        self.gaps, self.gaps_den = gaps, big
+        self.tight = [i for i, gap in enumerate(gaps) if not gap]
+        self.stale = False
+
     def _leaving(self, enter: int) -> int:
         """The position that leaves when ``enter`` enters, or -1 if none bounds it.
 
         The least ratio rhs / cell over the rows with a positive cell in
-        ``enter``, ties going to the lowest basic column.  A held row's ratio
-        is read off it.  For the logical row of program row i, both its cell
-        and its right-hand side are a_i - sum over held rows j of a_ij * T_j,
-        taken in one column, times +-1; here they are integers over
-        L = lcm of the held denominators, with the cells gathered from the
-        program columns of the held rows that meet ``enter``.
+        ``enter``, ties going to the lowest basic column.  Every right-hand
+        side is >= 0, so if some row at value 0 has a positive cell, the least
+        ratio is 0 and the answer is the lowest basic column among those rows.
+        That is looked for first, in two steps:
+
+        * a held row at value 0 with a positive cell wins at once, since
+          structural columns come before every logical column;
+        * otherwise the tight rows whose logical column is basic (their
+          logical row's right-hand side is 0) are scanned in basic-column
+          order, and the first whose cell is positive wins.  For the logical
+          row of program row i that cell is a_ie - sum over held rows j of
+          a_ij * T_j[e], times +-1, computed for that row alone as an integer
+          over L = lcm of the denominators of the held rows that meet ``enter``.
+
+        Only when no zero ratio exists is the whole entering column gathered:
+        every logical row's cell from the program columns of ``enter`` and of
+        the held rows that meet it, over L, and its right-hand side read off
+        the gaps that :meth:`_refresh` keeps, which only a pivot that moves
+        the vertex makes stale.
         """
         basis = self.basis
-        leave, best_rhs, best_a = -1, 0, 1
-        big = lcm(*(den for den, _, _ in self.rows.values()))
-        cell = {i: a * big for i, a in self.columns[enter]}
-        held_rhs: dict[int, int] = {}
-        for r, (den, cells, rhs) in self.rows.items():
-            scale = big // den
-            held_rhs[basis[r]] = rhs * scale
-            c = cells.get(enter)
-            if c:
-                # compare rhs / c with the best ratio by cross-multiplication
-                if c > 0:
-                    diff = rhs * best_a - best_rhs * c
-                    if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
-                        leave, best_rhs, best_a = r, rhs, c
-                c *= scale
-                for i, a in self.columns[basis[r]]:
-                    cell[i] = cell.get(i, 0) - a * c
-        logical = self.logical
+        meets = [
+            (r, den, cells[enter], rhs)
+            for r, (den, cells, rhs) in self.rows.items()
+            if enter in cells
+        ]
+        zero = [r for r, _, c, rhs in meets if c > 0 and not rhs]
+        if zero:
+            return min(zero, key=basis.__getitem__)
+
+        if self.stale:
+            self._refresh()
+        big = lcm(*(den for _, den, _, _ in meets))
+        weight = {basis[r]: -c * (big // den) for r, den, c, _ in meets}
+        weight[enter] = big
+        get, logical, originals, ncols = weight.get, self.logical, self.originals, self.ncols
+        # Slack column num_vars + i and artificial column ncols + k both grow
+        # with the row i, so basic-column order is the slack-basic rows by i,
+        # then the artificial-basic ones, which the first pass sets aside.
+        artificial: list[int] = []
+        for scan in (self.tight, artificial):
+            for i in scan:
+                r = logical.get(i)
+                if r is None:
+                    continue
+                if basis[r] >= ncols and scan is not artificial:
+                    artificial.append(i)
+                    continue
+                cells = originals[i][1]
+                a = 0
+                for j, x in cells.items():
+                    w = get(j)
+                    if w:
+                        a += x * w
+                if a and (a > 0) == (cells[basis[r]] > 0):
+                    return r
+
+        self.column_gathers += 1
+        # Compare ratios num / den > 0 by cross-multiplication; a held row's is rhs / c.
+        leave, best_num, best_den = -1, 0, 1
+        for r, _, c, rhs in meets:
+            if c > 0:
+                diff = rhs * best_den - best_num * c
+                if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
+                    leave, best_num, best_den = r, rhs, c
+        cell: dict[int, int] = {}
+        for j, w in weight.items():
+            for i, a in self.columns[j]:
+                cell[i] = cell.get(i, 0) + a * w
+        # A logical row's ratio is (gap / gaps_den) / (cell / big), both times +-1.
+        gaps, gaps_den = self.gaps, self.gaps_den
         for i, a in cell.items():
             r = logical.get(i)
             if r is None or not a:
                 continue
-            _, cells, rhs = self.originals[i]
-            sign = 1 if cells[basis[r]] > 0 else -1
-            a *= sign
-            # Every right-hand side is >= 0, so no ratio beats 0 with a higher basic column.
-            if a < 0 or (not best_rhs and leave >= 0 and basis[r] > basis[leave]):
+            sign = 1 if originals[i][1][basis[r]] > 0 else -1
+            if sign * a < 0:
                 continue
-            rhs *= big
-            for j, x in cells.items():
-                value = held_rhs.get(j)
-                if value is not None:
-                    rhs -= x * value
-            rhs *= sign
-            diff = rhs * best_a - best_rhs * a
+            num, den = sign * gaps[i] * big, sign * a * gaps_den
+            diff = num * best_den - best_num * den
             if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
-                leave, best_rhs, best_a = r, rhs, a
+                leave, best_num, best_den = r, num, den
         return leave
 
     def _kernel(self, objrow: _Row) -> tuple[str, _Row]:
@@ -339,6 +423,8 @@ class _Solver:
         ``leave_row`` is the tableau row at ``leave``, as :meth:`_tableau_row` gives it.
         """
         self.pivots += 1
+        if leave_row[2]:  # a nonzero step moves the vertex
+            self.stale = True
         pivot_row = _reduce(leave_row, enter)
         peak = pivot_row[0].bit_length()
         for r, row in self.rows.items():
@@ -400,7 +486,10 @@ class _Solver:
 
     def _stats(self) -> SolveStats:
         return SolveStats(
-            self.phase1_pivots, self.pivots - self.phase1_pivots, self.cells_touched
+            self.phase1_pivots,
+            self.pivots - self.phase1_pivots,
+            self.cells_touched,
+            self.column_gathers,
         )
 
     def run(self) -> SimplexSolution:

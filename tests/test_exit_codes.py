@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import support
 from qcmass import cli
 from qcmass.grid import builtin_grid, grid_payload
+from qcmass.lp import LPError
 from qcmass.rational import parse_rational
 
 SEEDED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -298,6 +299,36 @@ def test_dimension_options_reject_small_or_junk(value: str) -> None:
         ("conjecture", "--max-dim", value),
     ):
         assert_usage_error(run(*args), args)
+
+
+@SEEDED
+@given(
+    value=st.one_of(st.integers(min_value=cli.MAX_CONJECTURE_DIM + 1), st.just(10**20)).map(str)
+)
+def test_conjecture_rejects_too_many_dimensions(value: str) -> None:
+    # Each dimension up to --max-dim is solved in turn; past the limit the
+    # command must refuse at once, before any program is built or solved.
+    def no_build(*args):
+        raise AssertionError("program built for a --max-dim above the limit")
+
+    args = ("conjecture", "--max-dim", value)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_symmetric_lp", no_build)
+        mp.setattr(cli, "solve", no_build)
+        result = run(*args)
+    assert_usage_error(result, args)
+    assert f"at most {cli.MAX_CONJECTURE_DIM}" in result.output
+
+
+def test_conjecture_accepts_the_largest_dimension(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The limit itself is a valid --max-dim: it reaches the solver.
+    def stop(*args):
+        raise LPError("reached the solver")
+
+    monkeypatch.setattr(cli, "solve", stop)
+    result = run("conjecture", "--max-dim", str(cli.MAX_CONJECTURE_DIM))
+    assert result.exit_code == 2
+    assert result.output == "error: reached the solver\n"
 
 
 @SEEDED

@@ -136,6 +136,25 @@ def test_extremal_solve_stats(n: int, sense: str) -> None:
     ) == KNOWN_STATS[(n, sense)]
 
 
+# Ratio tests that found no zero ratio and gathered the whole entering column
+# (SolveStats.column_gathers); every other one ended at a zero ratio.
+KNOWN_GATHERS = {
+    (2, "min"): 1,
+    (2, "max"): 1,
+    (3, "min"): 1,
+    (3, "max"): 1,
+    (4, "min"): 7,
+    (4, "max"): 2,
+    (5, "min"): 6,
+    (5, "max"): 5,
+}
+
+
+@pytest.mark.parametrize("n,sense", sorted(KNOWN_GATHERS))
+def test_extremal_column_gathers(n: int, sense: str) -> None:
+    assert solve(build_extremal_lp(n, sense)[0]).stats.column_gathers == KNOWN_GATHERS[(n, sense)]
+
+
 def test_extremal_optima_n6() -> None:
     for sense, objective, pivots in (("min", F(-75, 16), 982), ("max", F(11, 2), 874)):
         lp, layout = build_extremal_lp(6, sense)
@@ -333,6 +352,136 @@ def test_random_solve_matches_dense_oracle(monkeypatch: pytest.MonkeyPatch) -> N
     statuses = [assert_matches_dense(random_small_lp(rng)).status for _ in range(300)]
     assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 30
     assert pivot_outs
+
+
+class RatioCheckedSolver(simplex._Solver):
+    """The solver, checking every ratio test against a plain one.
+
+    The reference rebuilds every position's tableau row, takes the least
+    ``Fraction`` ratio rhs / cell over the positive cells and breaks ties by
+    the lowest basic column.  Whenever the tight rows are not marked stale,
+    they must be the program rows i with a_i . x = b_i, where x holds the
+    structural basics' values, recomputed in ``Fraction``s from the rows as
+    posed.  The reference's rebuilds are left out of the solver's stats.
+    ``slack_first`` counts the zero-ratio tests won by a slack column over an
+    artificial one of a lower program row, where basic-column order and row
+    order disagree.
+    """
+
+    tests = 0
+    tight_checks = 0
+    zero_ratios = 0
+    slack_first = 0
+    pivot_outs = 0
+    vertex = None
+
+    def _reference_leaving(self, enter: int) -> int:
+        touched, peak = self.cells_touched, self.peak_bits
+        best = None
+        at_zero = []  # basic columns of the rows at value 0 with a positive cell
+        for r, basic in enumerate(self.basis):
+            den, cells, rhs = self._tableau_row(r)
+            cell = F(cells.get(enter, 0), den)
+            if cell > 0:
+                key = (F(rhs, den) / cell, basic)
+                if best is None or key < best[0]:
+                    best = key, r
+                if not rhs:
+                    at_zero.append(basic)
+        self.cells_touched, self.peak_bits = touched, peak
+        if best is None:
+            return -1
+        (ratio, winner), leave = best
+        if ratio == 0:
+            self.zero_ratios += 1
+            if self.num_vars <= winner < self.ncols and any(
+                b >= self.ncols and self._owner(b) < self._owner(winner) for b in at_zero
+            ):
+                self.slack_first += 1
+        return leave
+
+    def _leaving(self, enter):
+        expected = self._reference_leaving(enter)
+        leave = super()._leaving(enter)
+        assert leave == expected, (enter, leave, expected)
+        self.tests += 1
+        if not self.stale:
+            assert self.tight == self._reference_tight()
+            self.tight_checks += 1
+        return leave
+
+    def _reference_tight(self) -> list[int]:
+        x = {self.basis[r]: F(rhs, den) for r, (den, _, rhs) in self.rows.items() if rhs}
+        vertex = tuple(sorted(x.items()))
+        if vertex != self.vertex:  # the tight rows depend on x alone
+            self.vertex = vertex
+            self.tight_rows = [
+                i
+                for i, row in enumerate(self.lp.rows)
+                if sum((c * x.get(j, 0) for j, c in row.coeffs), F(0)) == row.rhs
+            ]
+        return self.tight_rows
+
+    def _pivot(self, leave, enter, objrow, leave_row):
+        if objrow is None:  # an artificial left basic at zero after phase 1
+            self.pivot_outs += 1
+        return super()._pivot(leave, enter, objrow, leave_row)
+
+
+def ratio_checked(lp: LinearProgram):
+    """Solve ``lp`` checking every ratio test; the solution must equal ``solve``'s, stats too."""
+    solver = RatioCheckedSolver(lp)
+    solution = solver.run()
+    assert solution == solve(lp)
+    assert solver.tight_checks or not solver.tests
+    return solver, solution
+
+
+def with_upper_twins(rng: random.Random, lp: LinearProgram) -> LinearProgram:
+    """``lp`` with a "<=" twin appended for most ">=" rows with a positive right-hand side.
+
+    The twin is the row scaled, on the same hyperplane or one unit above.
+    Once phase 1 reaches that hyperplane, the ">=" row's artificial and the
+    twin's slack can both be basic at value 0, the artificial on the lower
+    program row, so the ratio test's basic-column order is not row order.
+    """
+    rows = list(lp.rows)
+    for row in lp.rows:
+        if row.relation == ">=" and row.rhs > 0 and rng.random() < 0.7:
+            k = F(rng.randint(1, 3), rng.randint(1, 2))
+            twin = tuple((j, k * c) for j, c in row.coeffs)
+            rows.append(Row("", twin, "<=", k * row.rhs + rng.choice((0, 0, 1))))
+    return LinearProgram(lp.num_vars, lp.var_names, lp.sense, lp.objective, tuple(rows))
+
+
+def test_ratio_tests_match_reference_on_random_programs() -> None:
+    rng = random.Random("ratio-test-reference")
+    statuses, zero, slack_first, gathers, pivot_outs = [], 0, 0, 0, 0
+    for k in range(600):
+        lp = random_small_lp(rng)
+        solver, solution = ratio_checked(with_upper_twins(rng, lp) if k % 2 else lp)
+        statuses.append(solution.status)
+        zero += solver.zero_ratios
+        slack_first += solver.slack_first
+        gathers += solver.column_gathers
+        pivot_outs += solver.pivot_outs
+    # degenerate and nondegenerate ratio tests, every status, and pivot-outs
+    assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 30
+    assert zero >= 100 and gathers >= 100 and pivot_outs and slack_first
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ratio_tests_match_reference_on_extremal_programs(n: int, sense: str) -> None:
+    lp, _ = build_extremal_lp(n, sense)
+    rows = list(lp.rows)
+    random.Random(f"ratio-shuffle-{n}-{sense}").shuffle(rows)
+    shuffled = LinearProgram(lp.num_vars, lp.var_names, lp.sense, lp.objective, tuple(rows))
+    for program in (lp, shuffled):
+        solver, solution = ratio_checked(program)
+        assert solution.status == "optimal"
+        assert solver.tests == solver.pivots
+        assert solver.zero_ratios == solver.tests - solver.column_gathers
 
 
 class PivotOutSolver(simplex._Solver):
