@@ -37,7 +37,6 @@ from .lp import (
     check_assignment,
     check_point,
     conjectured_bound,
-    conjectured_box,
     export_lp,
     reference_witness,
     symmetric_candidate,
@@ -315,9 +314,12 @@ def run_conjecture(max_dim: int) -> CommandResult:
                 ),
             )
         bound = conjectured_bound(n)
-        lo, hi = conjectured_box(n).intervals[0]
-        # candidate_pattern(n) is symmetric, so this point decides its feasibility.
-        feasible = check_point(lp, symmetric_candidate(n)).feasible
+        # candidate_pattern(n) is symmetric, so this point decides its
+        # feasibility; its corner a and side s give the box [a, a + s]^n.
+        candidate = symmetric_candidate(n)
+        feasible = check_point(lp, candidate).feasible
+        lo = candidate[0]
+        hi = lo + candidate[1]
         if solution.objective == bound:
             verdict = "matches"
         elif solution.objective < bound:

@@ -38,15 +38,18 @@ cell in the entering column.  The right-hand side of T_l is the gap
 structural basics' values, so the solver keeps the vertex's tight rows, the
 program rows with a_i . x = b_i.  A pivot moves the vertex only when its
 leaving row's right-hand side is nonzero; only such a pivot marks the tight
-rows stale, and the next ratio test rebuilds them, with every row's gap, in
-one pass.  The extremal programs are highly degenerate (at n=6, 966 of the
-982 ratio tests of the min solve end at 0), so most ratio tests compute the
-entering cell of a few tight rows, one row at a time, and stop.  Only when no
-zero ratio exists is the whole entering column gathered, with the logical
-rows' right-hand sides read off the kept gaps.  The held rows are exactly the
-rows a full tableau would have at those positions, and the ratios and the
-tie-break are exact and the same, so the pivots, basis and every reported
-number are those of the full-tableau simplex.
+rows stale, and the next ratio test rebuilds them, with every row's gap.  The
+extremal programs are highly degenerate (at n=6, 966 of the 982 ratio tests
+of the min solve end at 0), so most ratio tests compute the entering cell of
+a few tight rows, one row at a time, and stop.  Only when no zero ratio
+exists is every logical row's entering cell computed, with its right-hand
+side read off the kept gaps; only such a test can move the vertex, so the
+gaps are rebuilt at most once more often than it runs.  A gap or an entering
+cell is one weighted sum over a program row (:func:`_dot`), so the program
+is kept once, by rows.  The held rows are exactly the rows a full tableau
+would have at those positions, and the ratios and the tie-break are exact
+and the same, so the pivots, basis and every reported number are those of
+the full-tableau simplex.
 
 Standard form and index conventions, shared by :func:`solve` and
 :func:`certify`:
@@ -74,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .grid import NBox, ZERO
 from .lp import ExtremalLayout, LinearProgram, LPError, VertexAssignment, _slack, check_point
@@ -189,6 +192,16 @@ def _clear(row: _Row, c: int, pivot_row: _Row) -> _Row:
     return _normalize(den, cells, rhs - c * prhs)
 
 
+def _dot(cells: dict[int, int], weight: Callable[[int], int | None]) -> int:
+    """The sum of ``cells[j] * weight(j)`` over a row's cells; a weight of None counts as 0."""
+    total = 0
+    for j, x in cells.items():
+        w = weight(j)
+        if w:
+            total += x * w
+    return total
+
+
 def _written(row: _Row, pivot_row: _Row) -> int:
     """Cells, right-hand side included, that :func:`_clear` writes in ``row``.
 
@@ -211,6 +224,7 @@ class _Solver:
     computes only its entering cell, reading its right-hand side off
     ``gaps[i]``.  ``gaps`` and ``tight`` describe the vertex as of the
     last :meth:`_refresh`; ``stale`` says the vertex has moved since.
+    ``originals`` is the only copy of the program the solver keeps.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -240,11 +254,6 @@ class _Solver:
                 self.basis.append(nv + i)
             self.originals.append((den, cells, sign * num))
         self.num_art = len(self.art_rows)
-        # Column j of the program rows, as (row, cell) pairs.
-        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols + self.num_art)]
-        for i, (_, cells, _) in enumerate(self.originals):
-            for j, a in cells.items():
-                self.columns[j].append((i, a))
         self.rows: dict[int, _Row] = {}  # position -> tableau row, for structural basics
         self.position: dict[int, int] = {}  # structural basic column -> its position
         self.logical: dict[int, int] = {i: i for i in range(len(lp.rows))}  # row -> position
@@ -302,16 +311,13 @@ class _Solver:
         Over the row's integer form (den_i, a_ij, rhs_i) it is kept times
         den_i * L, as the integer rhs_i * L - sum over structural basics j of
         a_ij * X_j, where x_j = X_j / L and L (``gaps_den``) is the lcm of the
-        held denominators of the nonzero x_j.  One pass over the program
-        columns of the nonzero structural basics.
+        held denominators of the nonzero x_j.  One :func:`_dot` per program
+        row, with the X_j as the weights.
         """
         nonzero = [(self.basis[r], den, rhs) for r, (den, _, rhs) in self.rows.items() if rhs]
         big = lcm(*(den for _, den, _ in nonzero))
-        gaps = [rhs * big for _, _, rhs in self.originals]
-        for j, den, rhs in nonzero:
-            x = rhs * (big // den)
-            for i, a in self.columns[j]:
-                gaps[i] -= a * x
+        x = {j: rhs * (big // den) for j, den, rhs in nonzero}.get
+        gaps = [rhs * big - _dot(cells, x) for _, cells, rhs in self.originals]
         self.gaps, self.gaps_den = gaps, big
         self.tight = [i for i, gap in enumerate(gaps) if not gap]
         self.stale = False
@@ -329,16 +335,16 @@ class _Solver:
           structural columns come before every logical column;
         * otherwise the tight rows whose logical column is basic (their
           logical row's right-hand side is 0) are scanned in basic-column
-          order, and the first whose cell is positive wins.  For the logical
-          row of program row i that cell is a_ie - sum over held rows j of
-          a_ij * T_j[e], times +-1, computed for that row alone as an integer
-          over L = lcm of the denominators of the held rows that meet ``enter``.
+          order, and the first whose cell is positive wins.
 
-        Only when no zero ratio exists is the whole entering column gathered:
-        every logical row's cell from the program columns of ``enter`` and of
-        the held rows that meet it, over L, and its right-hand side read off
-        the gaps that :meth:`_refresh` keeps, which only a pivot that moves
-        the vertex makes stale.
+        The logical row of program row i has the cell a_ie - sum over held
+        rows j of a_ij * T_j[e], times +-1: over L = lcm of the denominators
+        of the held rows that meet ``enter``, it is the :func:`_dot` of
+        program row i with the weights L at ``enter`` and -T_j[e] * L at each
+        such held row's basic column j.  Only when no zero ratio exists is
+        that cell computed for every logical row, with its right-hand side
+        read off the gaps that :meth:`_refresh` keeps, which only a pivot
+        that moves the vertex makes stale.
         """
         basis = self.basis
         meets = [
@@ -369,11 +375,7 @@ class _Solver:
                     artificial.append(i)
                     continue
                 cells = originals[i][1]
-                a = 0
-                for j, x in cells.items():
-                    w = get(j)
-                    if w:
-                        a += x * w
+                a = _dot(cells, get)
                 if a and (a > 0) == (cells[basis[r]] > 0):
                     return r
 
@@ -385,20 +387,15 @@ class _Solver:
                 diff = rhs * best_den - best_num * c
                 if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
                     leave, best_num, best_den = r, rhs, c
-        cell: dict[int, int] = {}
-        for j, w in weight.items():
-            for i, a in self.columns[j]:
-                cell[i] = cell.get(i, 0) + a * w
         # A logical row's ratio is (gap / gaps_den) / (cell / big), both times +-1.
         gaps, gaps_den = self.gaps, self.gaps_den
-        for i, a in cell.items():
-            r = logical.get(i)
-            if r is None or not a:
+        for i, r in logical.items():
+            cells = originals[i][1]
+            sign = 1 if cells[basis[r]] > 0 else -1
+            a = sign * _dot(cells, get)
+            if a <= 0:
                 continue
-            sign = 1 if originals[i][1][basis[r]] > 0 else -1
-            if sign * a < 0:
-                continue
-            num, den = sign * gaps[i] * big, sign * a * gaps_den
+            num, den = sign * gaps[i] * big, a * gaps_den
             diff = num * best_den - best_num * den
             if leave < 0 or diff < 0 or (diff == 0 and basis[r] < basis[leave]):
                 leave, best_num, best_den = r, num, den
@@ -512,7 +509,9 @@ class _Solver:
         assignment = {j: ZERO for j in range(self.num_vars)}
         for r, (den, _, rhs) in self.rows.items():
             assignment[self.basis[r]] = Fraction(rhs, den)
-        reduced = {j: flip * Fraction(ocells.get(j, 0), oden) for j in range(self.ncols)}
+        reduced = dict.fromkeys(range(self.ncols), ZERO)
+        for j, a in ocells.items():  # every artificial column was cut
+            reduced[j] = Fraction(flip * a, oden)
         return SimplexSolution(
             "optimal",
             flip * internal,

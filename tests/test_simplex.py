@@ -362,7 +362,11 @@ class RatioCheckedSolver(simplex._Solver):
     the lowest basic column.  Whenever the tight rows are not marked stale,
     they must be the program rows i with a_i . x = b_i, where x holds the
     structural basics' values, recomputed in ``Fraction``s from the rows as
-    posed.  The reference's rebuilds are left out of the solver's stats.
+    posed.  After each refresh every program row's gap, tight or not, must
+    be b_i - a_i . x so recomputed, negated with the row when the solver
+    negates it, times den_i * ``gaps_den``: the gather reads the gaps of
+    rows that are not tight.  The reference's rebuilds are left out of the
+    solver's stats.
     ``slack_first`` counts the zero-ratio tests won by a slack column over an
     artificial one of a lower program row, where basic-column order and row
     order disagree.
@@ -370,6 +374,7 @@ class RatioCheckedSolver(simplex._Solver):
 
     tests = 0
     tight_checks = 0
+    refreshes = 0
     zero_ratios = 0
     slack_first = 0
     pivot_outs = 0
@@ -410,8 +415,12 @@ class RatioCheckedSolver(simplex._Solver):
             self.tight_checks += 1
         return leave
 
+    def _reference_x(self) -> dict[int, F]:
+        """The structural basics' nonzero values, as ``Fraction``s."""
+        return {self.basis[r]: F(rhs, den) for r, (den, _, rhs) in self.rows.items() if rhs}
+
     def _reference_tight(self) -> list[int]:
-        x = {self.basis[r]: F(rhs, den) for r, (den, _, rhs) in self.rows.items() if rhs}
+        x = self._reference_x()
         vertex = tuple(sorted(x.items()))
         if vertex != self.vertex:  # the tight rows depend on x alone
             self.vertex = vertex
@@ -421,6 +430,16 @@ class RatioCheckedSolver(simplex._Solver):
                 if sum((c * x.get(j, 0) for j, c in row.coeffs), F(0)) == row.rhs
             ]
         return self.tight_rows
+
+    def _refresh(self):
+        super()._refresh()
+        self.refreshes += 1
+        x = self._reference_x()
+        for row, gap in zip(self.lp.rows, self.gaps, strict=True):
+            negated = row.rhs < 0 or (row.rhs == 0 and row.relation == ">=")
+            expected = row.rhs - sum((c * x.get(j, 0) for j, c in row.coeffs), F(0))
+            scale = row.integer_form[0] * self.gaps_den
+            assert F(gap, scale) == (-expected if negated else expected)
 
     def _pivot(self, leave, enter, objrow, leave_row):
         if objrow is None:  # an artificial left basic at zero after phase 1
@@ -434,6 +453,7 @@ def ratio_checked(lp: LinearProgram):
     solution = solver.run()
     assert solution == solve(lp)
     assert solver.tight_checks or not solver.tests
+    assert solver.refreshes <= solver.column_gathers + 1
     return solver, solution
 
 
@@ -482,6 +502,28 @@ def test_ratio_tests_match_reference_on_extremal_programs(n: int, sense: str) ->
         assert solution.status == "optimal"
         assert solver.tests == solver.pivots
         assert solver.zero_ratios == solver.tests - solver.column_gathers
+
+
+class RefreshCountingSolver(simplex._Solver):
+    """The solver, counting how often it recomputes the gaps and tight rows."""
+
+    refreshes = 0
+
+    def _refresh(self):
+        self.refreshes += 1
+        super()._refresh()
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_refreshes_at_most_one_more_than_column_gathers(n: int, sense: str) -> None:
+    # Only a ratio test that gathers can pick a leaving row at a nonzero
+    # value, so only its pivot moves the vertex: the pass over every program
+    # row that rebuilds the gaps runs at most once more than a gather does.
+    solver = RefreshCountingSolver(build_extremal_lp(n, sense)[0])
+    solution = solver.run()
+    assert solution.status == "optimal"
+    assert 1 <= solver.refreshes <= solution.stats.column_gathers + 1
 
 
 class PivotOutSolver(simplex._Solver):
