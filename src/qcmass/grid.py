@@ -19,7 +19,7 @@ from itertools import chain, combinations, product
 from math import lcm, prod
 from operator import add, gt, itemgetter, lt, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .rational import _over_one_den, format_rational, parse_rational
 
@@ -676,7 +676,7 @@ def grid_from_json(text: str | bytes) -> MassGrid:
         raise GridError("masses must be a list")
     masses = _bulk_masses(entries)
     if masses is None:
-        masses = _scanned_masses(entries)
+        _raise_first_fault(entries)
     return MassGrid(partitions, masses)
 
 
@@ -709,10 +709,14 @@ def _bulk_masses(entries: list) -> dict[tuple[int, ...], Fraction] | None:
     return masses if len(masses) == len(entries) else None
 
 
-def _scanned_masses(entries: list) -> dict[tuple[int, ...], Fraction]:
-    """The cell masses of ``entries``, one entry at a time; GridError names the first bad one."""
-    masses: dict[tuple[int, ...], Fraction] = {}
-    parsed: dict[str, Fraction] = {}
+def _raise_first_fault(entries: list) -> NoReturn:
+    """Raise the :class:`GridError` that names the first bad entry, in file order.
+
+    Called only when :func:`_bulk_masses` refused ``entries``, so some entry
+    is malformed, has a malformed cell index or mass, or repeats a cell.
+    """
+    seen: set[tuple[int, ...]] = set()
+    parsed: set[str] = set()
     for entry in entries:
         # Two keys, both of them present: exactly "cell" and "mass".
         if (
@@ -726,16 +730,14 @@ def _scanned_masses(entries: list) -> dict[tuple[int, ...], Fraction]:
         if type(cell_raw) is not list or not all(type(c) is int for c in cell_raw):
             raise GridError(f"malformed cell index: {cell_raw!r}")
         cell = tuple(cell_raw)
-        if cell in masses:
+        if cell in seen:
             raise GridError(f"duplicate cell {cell}")
+        seen.add(cell)
         literal = entry["mass"]
-        mass = parsed.get(literal) if type(literal) is str else None
-        if mass is None:
+        if type(literal) is not str or literal not in parsed:
             try:
-                mass = parse_rational(literal)
+                parse_rational(literal)
             except ValueError as exc:
                 raise GridError(f"malformed mass for cell {cell}: {exc}") from exc
-            # parse_rational accepts only strings, so `literal` is one here.
-            parsed[literal] = mass
-        masses[cell] = mass
-    return masses
+            parsed.add(literal)
+    raise AssertionError("the column checks refused entries that pass one by one")

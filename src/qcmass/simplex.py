@@ -17,11 +17,17 @@ throughout; no floating point enters anywhere.  The entering column is always
 chosen by Bland's rule (lowest index with a negative reduced cost), which
 terminates on every input.
 
+The basis is one list, ``basis`` (position -> column), and its inverse,
+``where`` (basic column -> position).  Position i starts as program row i
+with its logical column basic: its slack, column ``num_vars + i``, or its
+artificial, column ``ncols + i``, if it has one (see below).  So columns run
+structural, then slacks by row, then artificials by row.
+
 The solver holds a tableau row only where the basic column is structural, so
 at most ``num_vars`` rows however many rows the program has (at n=5 the
 extremal program has 357 rows and 42 variables).  Every other basic column is
-the logical column l (slack or artificial) of its own program row i, whose
-coefficient a_il there is +-1.  Since the tableau is B^-1 A and row i of B
+the logical column l of its own program row i, whose coefficient a_il there
+is +-1.  Since the tableau is B^-1 A and row i of B
 meets only the structural basics and l, that row of the tableau is
 
     T_l = (a_i - sum over basic structural j of a_ij * T_j) / a_il,
@@ -58,9 +64,11 @@ Standard form and index conventions, shared by :func:`solve` and
   rows with rhs <= 0 and "<=" rows with rhs < 0 are negated, swapping the
   relation), then column ``num_vars + i`` holds the slack of row i, with
   coefficient +1 when the normalized relation is "<=" and -1 when it is ">=";
-* phase 1 introduces artificial variables only for normalized ">=" rows
-  (their slack starts negative at the origin), and ends with every
-  artificial pivoted out of the basis, so every row is kept;
+* phase 1 introduces an artificial variable, column ``ncols + i`` with
+  ``ncols = num_vars + len(rows)``, only for a normalized ">=" row i (its
+  slack starts negative at the origin), and ends with every artificial
+  pivoted out of the basis, so every row is kept and no artificial column
+  appears in a reported basis;
 * ``basis`` and ``reduced_costs`` use these column indices; maximization is
   solved by negating the objective, and reduced costs are reported for the
   problem as posed, so at an optimum they are >= 0 for "min" programs and
@@ -215,14 +223,14 @@ def _written(row: _Row, pivot_row: _Row) -> int:
 class _Solver:
     """One solve in progress.
 
-    Position r of the basis starts as row r of the program with its slack or
-    artificial basic; positions never reorder or drop.  ``rows`` holds the
-    tableau row of each position whose basic column is structural, so never
-    more than ``num_vars`` rows.  A position whose basic column is the logical
-    column (slack or artificial) of program row i holds nothing: its row is
-    rebuilt from ``originals[i]`` when it is needed whole, and the ratio test
-    computes only its entering cell, reading its right-hand side off
-    ``gaps[i]``.  ``gaps`` and ``tight`` describe the vertex as of the
+    ``basis`` (position -> column) and its inverse ``where`` are the whole
+    basis, laid out as the module docstring says; positions never reorder or
+    drop.  ``rows`` holds the tableau row of each position whose basic
+    column is structural, so never more than ``num_vars`` rows.  A position
+    whose basic column is the logical column of program row i holds nothing:
+    its row is rebuilt from ``originals[i]`` when it is needed whole, and the
+    ratio test computes only its entering cell, reading its right-hand side
+    off ``gaps[i]``.  ``gaps`` and ``tight`` describe the vertex as of the
     last :meth:`_refresh`; ``stale`` says the vertex has moved since.
     ``originals`` is the only copy of the program the solver keeps.
     """
@@ -237,26 +245,22 @@ class _Solver:
 
         # Program row i in standard form with its slack and artificial cells.
         self.originals: list[_Row] = []
-        self.basis: list[int] = []
-        self.art_rows: list[int] = []  # artificial column ncols + k belongs to row art_rows[k]
+        self.basis: list[int] = []  # position -> basic column
         for i, row in enumerate(lp.rows):
             den, ints, num = row.integer_form
             geq = row.relation == ">="
             sign = -1 if num < 0 or (num == 0 and geq) else 1  # to a right-hand side >= 0
             cells = {j: sign * a for (j, _), a in zip(row.coeffs, ints)}
             if geq == (sign == 1):  # ">=" once the sign is applied
-                art = ncols + len(self.art_rows)
-                cells[nv + i], cells[art] = -den, den  # a cell equal to den is a 1
-                self.basis.append(art)
-                self.art_rows.append(i)
+                cells[nv + i], cells[ncols + i] = -den, den  # a cell equal to den is a 1
+                self.basis.append(ncols + i)
             else:
                 cells[nv + i] = den
                 self.basis.append(nv + i)
             self.originals.append((den, cells, sign * num))
-        self.num_art = len(self.art_rows)
+        self.where = {b: r for r, b in enumerate(self.basis)}  # basic column -> position
+        self.num_art = sum(b >= ncols for b in self.basis)
         self.rows: dict[int, _Row] = {}  # position -> tableau row, for structural basics
-        self.position: dict[int, int] = {}  # structural basic column -> its position
-        self.logical: dict[int, int] = {i: i for i in range(len(lp.rows))}  # row -> position
         self.peak_bits = max((den.bit_length() for den, _, _ in self.originals), default=1)
         self.column_gathers = 0  # ratio tests that gathered the whole entering column
         self.stale = True  # the vertex moved since the gaps were computed
@@ -266,7 +270,7 @@ class _Solver:
 
     def _owner(self, col: int) -> int:
         """The program row of a logical column."""
-        return col - self.num_vars if col < self.ncols else self.art_rows[col - self.ncols]
+        return col - self.num_vars if col < self.ncols else col - self.ncols
 
     def _tableau_row(self, r: int) -> _Row:
         """The tableau row at position ``r``, reduced on its basic column.
@@ -279,15 +283,16 @@ class _Solver:
         row = self.rows.get(r)
         if row is not None:
             return row
-        den, cells, rhs = self.originals[self._owner(self.basis[r])]
+        b = self.basis[r]
+        den, cells, rhs = self.originals[self._owner(b)]
         row = den, dict(cells), rhs  # a copy: _clear may update its cells in place
+        nv, where = self.num_vars, self.where
         for j in cells:
-            p = self.position.get(j)
-            if p is not None:
-                held = self.rows[p]
+            if j < nv and j in where:
+                held = self.rows[where[j]]
                 self.cells_touched += _written(row, held)
                 row = _clear(row, row[1][j], held)
-        row = _reduce(row, self.basis[r])
+        row = _reduce(row, b)
         self.peak_bits = max(self.peak_bits, row[0].bit_length())
         return row
 
@@ -335,7 +340,8 @@ class _Solver:
           structural columns come before every logical column;
         * otherwise the tight rows whose logical column is basic (their
           logical row's right-hand side is 0) are scanned in basic-column
-          order, and the first whose cell is positive wins.
+          order, and the first whose cell is positive wins: one pass over
+          ``tight`` at the slacks, then, if any, one at the artificials.
 
         The logical row of program row i has the cell a_ie - sum over held
         rows j of a_ij * T_j[e], times +-1: over L = lcm of the denominators
@@ -346,7 +352,7 @@ class _Solver:
         read off the gaps that :meth:`_refresh` keeps, which only a pivot
         that moves the vertex makes stale.
         """
-        basis = self.basis
+        basis, where = self.basis, self.where
         meets = [
             (r, den, cells[enter], rhs)
             for r, (den, cells, rhs) in self.rows.items()
@@ -361,23 +367,15 @@ class _Solver:
         big = lcm(*(den for _, den, _, _ in meets))
         weight = {basis[r]: -c * (big // den) for r, den, c, _ in meets}
         weight[enter] = big
-        get, logical, originals, ncols = weight.get, self.logical, self.originals, self.ncols
-        # Slack column num_vars + i and artificial column ncols + k both grow
-        # with the row i, so basic-column order is the slack-basic rows by i,
-        # then the artificial-basic ones, which the first pass sets aside.
-        artificial: list[int] = []
-        for scan in (self.tight, artificial):
-            for i in scan:
-                r = logical.get(i)
-                if r is None:
-                    continue
-                if basis[r] >= ncols and scan is not artificial:
-                    artificial.append(i)
-                    continue
-                cells = originals[i][1]
-                a = _dot(cells, get)
-                if a and (a > 0) == (cells[basis[r]] > 0):
-                    return r
+        get, originals, nv, ncols = weight.get, self.originals, self.num_vars, self.ncols
+        for base in (nv, ncols) if self.num_art else (nv,):
+            for i in self.tight:
+                r = where.get(base + i)
+                if r is not None:
+                    cells = originals[i][1]
+                    a = _dot(cells, get)
+                    if a and (a > 0) == (cells[base + i] > 0):
+                        return r
 
         self.column_gathers += 1
         # Compare ratios num / den > 0 by cross-multiplication; a held row's is rhs / c.
@@ -389,9 +387,12 @@ class _Solver:
                     leave, best_num, best_den = r, rhs, c
         # A logical row's ratio is (gap / gaps_den) / (cell / big), both times +-1.
         gaps, gaps_den = self.gaps, self.gaps_den
-        for i, r in logical.items():
+        for b, r in where.items():
+            if b < nv:
+                continue
+            i = self._owner(b)
             cells = originals[i][1]
-            sign = 1 if cells[basis[r]] > 0 else -1
+            sign = 1 if cells[b] > 0 else -1
             a = sign * _dot(cells, get)
             if a <= 0:
                 continue
@@ -438,29 +439,22 @@ class _Solver:
             peak = max(peak, objrow[0].bit_length())
         self.peak_bits = max(self.peak_bits, peak)
 
-        left = self.basis[leave]
-        if left < self.num_vars:
-            del self.position[left]
-            del self.rows[leave]
-        else:
-            del self.logical[self._owner(left)]
+        del self.where[self.basis[leave]]
+        self.where[enter], self.basis[leave] = leave, enter
+        self.rows.pop(leave, None)
         if enter < self.num_vars:
-            self.position[enter] = leave
             self.rows[leave] = pivot_row
-        else:
-            self.logical[self._owner(enter)] = leave
-        self.basis[leave] = enter
         return objrow
 
     def _phase_one(self) -> bool:
         """Drive artificials to zero; False means the program is infeasible."""
-        costs = dict.fromkeys(range(self.ncols, self.ncols + self.num_art), 1)
+        costs = {b: 1 for b in self.basis if b >= self.ncols}
         status, (_, _, orhs) = self._kernel(self._reduced_cost_row((1, costs, 0)))
         assert status == "optimal"  # phase-1 objective is bounded below by 0
         if orhs:
             return False
-        for r in range(len(self.basis)):
-            if self.basis[r] < self.ncols:
+        for r, b in enumerate(self.basis):
+            if b < self.ncols:
                 continue
             # An artificial still basic, at value 0.  Every row owns its own
             # slack column, so [A | +-I] has full row rank and this row has a
@@ -478,8 +472,8 @@ class _Solver:
             for r, (den, cells, rhs) in self.rows.items()
         }
         # The artificial cell equals the denominator, so the program rows stay primitive.
-        for k, i in enumerate(self.art_rows):
-            del self.originals[i][1][ncols + k]
+        for i, (_, cells, _) in enumerate(self.originals):
+            cells.pop(ncols + i, None)
 
     def _stats(self) -> SolveStats:
         return SolveStats(

@@ -13,7 +13,13 @@ from click.testing import CliRunner
 from qcmass import cli
 from qcmass.cli import main
 from qcmass.grid import MassGrid, builtin_example, grid_from_json, grid_to_json, marginalize
-from qcmass.lp import MAX_PROGRAM_ROWS, build_extremal_lp, export_lp
+from qcmass.lp import (
+    MAX_PROGRAM_ROWS,
+    VertexAssignment,
+    build_extremal_lp,
+    export_lp,
+    reference_witness,
+)
 from qcmass.simplex import CertificateReport
 
 F = Fraction
@@ -545,6 +551,41 @@ def test_check_witness_unrecorded_dimension(
         result = invoke(runner, "check-witness", "-n", n)
         assert result.exit_code == 2
         assert "dimension 4" in result.output
+
+
+def broken_witness(n: int, sense: str) -> VertexAssignment:
+    """The recorded witness with its top corner raised to 1 (min) or its bottom corner at -1/7 (max)."""
+    witness = reference_witness(n, sense)
+    values = dict(witness.values)
+    if sense == "min":
+        values[(True,) * n] = F(1)
+    else:
+        values[(False,) * n] = F(-1, 7)
+    return VertexAssignment(witness.box, values)
+
+
+def test_check_witness_reports_violations(
+    runner: CliRunner, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the raised corner breaks the four edge bounds into it and its four
+    # per-axis caps; the negative corner breaks only its own bound
+    monkeypatch.setattr(cli, "reference_witness", broken_witness)
+    result = invoke(runner, "check-witness", "-n", "4")
+    assert result.exit_code == 1
+    assert result.output == (
+        "direction min\n"
+        "objective -5/7\n"
+        "expected -9/7\n"
+        "feasible false\n"
+        + "".join(f"violation E {k} 1/7 <= 0\n" for k in (19, 35, 51, 67))
+        + "".join(f"violation F {k} 1/7 <= 0\n" for k in (144, 145, 146, 147))
+        + "direction max\n"
+        "objective 13/7\n"
+        "expected 2\n"
+        "feasible false\n"
+        "violation N q_llll -1/7 >= 0\n"
+        "verdict fail\n"
+    )
 
 
 # ------------------------------------------------------------- determinism

@@ -243,6 +243,17 @@ def test_node_values_come_from_the_grid() -> None:
         GridQuasiCopula(grid, qc.node_values)
 
 
+def test_node_values_refuse_keys_off_the_lattice() -> None:
+    # a 3 x 2 node lattice: a key of the wrong arity, past an axis or below
+    # it, or not a tuple at all, is no node
+    qc = make_grid_qc(MassGrid((unit_partition(2), unit_partition(1)), {(1, 0): F(1)}))
+    assert qc.node_values[(2, 1)] == F(1)
+    for key in [(1,), (1, 1, 1), (), (3, 1), (2, 2), (-1, 0), [2, 1], 2, "21"]:
+        with pytest.raises(KeyError):
+            qc.node_values[key]
+        assert key not in qc.node_values
+
+
 def test_lattice_is_grounded_by_construction() -> None:
     """Every node with a zero coordinate is 0, on q1, q2 and seeded signed grids, n = 1..5.
 

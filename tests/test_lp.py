@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,60 @@ def test_symmetric_rows_are_the_full_rows_at_symmetric_points(n: int) -> None:
         assert full.evaluate_objective(lifted) == reduced.evaluate_objective(x)
 
 
+def orbit_quotient(n: int, sense: str) -> tuple[dict[Row, int], dict[int, Fraction]]:
+    """The full program with a_i, s_i and q_v mapped to a, s and q_|v|.
+
+    Each full row's coefficients are merged under the map; the merged rows,
+    each once in order of first occurrence, come with the number of full
+    rows that merge to them, and the objective is merged the same way.
+    """
+    full, layout = build_extremal_lp(n, sense)
+    to_reduced = {j: 0 for j in layout.corner_vars}
+    to_reduced |= {j: 1 for j in layout.length_vars}
+    to_reduced |= {j: 2 + sum(v) for v, j in layout.vertex_vars.items()}
+
+    def merged(terms) -> dict[int, Fraction]:
+        coeffs: dict[int, Fraction] = {}
+        for j, c in terms:
+            coeffs[to_reduced[j]] = coeffs.get(to_reduced[j], F(0)) + c
+        return coeffs
+
+    orbits: dict[Row, int] = {}
+    for row in full.rows:
+        key = Row(row.family, tuple(merged(row.coeffs).items()), row.relation, row.rhs)
+        orbits[key] = orbits.get(key, 0) + 1
+    return orbits, merged(full.objective)
+
+
+def symmetric_orbit_sizes(n: int) -> list[int]:
+    """How many full rows each row of ``build_symmetric_lp(n, ...)`` stands for, in its row order."""
+    sizes = [n]  # D
+    for k in range(n):
+        sizes += [n * comb(n - 1, k)] * 2  # E: an axis and a lower corner with k upper ends
+    for k in range(n + 1):
+        sizes.append(comb(n, k))  # F lower
+        if k < n:
+            sizes.append((n - k) * comb(n, k))  # F upper on an axis at its lower end
+        if k > 0:
+            sizes.append(k * comb(n, k))  # F upper on an axis at its upper end
+    return sizes
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_symmetric_program_is_the_orbit_quotient(n: int, sense: str) -> None:
+    # Row for row, in order, and in its objective.  A reduced row's dual,
+    # divided evenly over the row's orbit, is a dual of the full program's
+    # rows, so the orbit sizes are pinned too.
+    orbits, objective = orbit_quotient(n, sense)
+    reduced = build_symmetric_lp(n, sense)
+    assert list(orbits) == list(reduced.rows)
+    assert objective == dict(reduced.objective)
+    sizes = list(orbits.values())
+    assert sizes == symmetric_orbit_sizes(n)
+    assert sum(sizes) == n + (2 * n + 1) * 2**n
+
+
 # Full optima: solved here up to n = 5; the n = 6 solve takes seconds, so its
 # values are the ones test_simplex.py::test_extremal_optima_n6 pins.
 FULL_N6 = {"min": F(-75, 16), "max": F(11, 2)}
@@ -564,6 +619,15 @@ ROW_FAULTS = {
     "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 -1:1\nobj 0": "^line 3: negative variable index -1 in row$",
 }
 
+# Faults that parse_lp finds in a line's own fields.
+LINE_FAULTS = {
+    "qclp 1 1 min\nvar 0 x\nrow D <= 1 x 0:1\nobj 0": "^line 3: malformed term count$",
+    "qclp 1 1 min\nvar 0 x\nobj": "^line 3: malformed term count$",
+    "qclp 1 1 min\nvar x x\nobj 0": "^line 2: malformed var index$",
+    "qclp 1 1 min\nvar 0 x\nrow D <= 1\nobj 0": "^line 3: misplaced or malformed row line$",
+    "qclp 1 1 min\nvar 0 x\nobj 0\nrow D <= 1 1 0:1": "^line 4: misplaced or malformed row line$",
+}
+
 
 @pytest.mark.parametrize(
     "text",
@@ -586,10 +650,11 @@ ROW_FAULTS = {
         "qclp 1 1 min\nvar 0 x\nnope 1\nobj 0",
         "qclp 1 2 min\nvar 0 x\nobj 0",
         *ROW_FAULTS,
+        *LINE_FAULTS,
     ],
 )
 def test_parse_rejects(text: str) -> None:
-    with pytest.raises(LPError, match=ROW_FAULTS.get(text)):
+    with pytest.raises(LPError, match=(ROW_FAULTS | LINE_FAULTS).get(text)):
         parse_lp(text)
 
 

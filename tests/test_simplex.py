@@ -369,7 +369,8 @@ class RatioCheckedSolver(simplex._Solver):
     solver's stats.
     ``slack_first`` counts the zero-ratio tests won by a slack column over an
     artificial one of a lower program row, where basic-column order and row
-    order disagree.
+    order disagree.  A test must gather the whole entering column exactly
+    when its least ratio is not 0.
     """
 
     tests = 0
@@ -406,9 +407,12 @@ class RatioCheckedSolver(simplex._Solver):
         return leave
 
     def _leaving(self, enter):
+        zeros, gathers = self.zero_ratios, self.column_gathers
         expected = self._reference_leaving(enter)
         leave = super()._leaving(enter)
         assert leave == expected, (enter, leave, expected)
+        # a zero ratio, and only a zero ratio, is found without the gather
+        assert (self.zero_ratios > zeros) == (self.column_gathers == gathers)
         self.tests += 1
         if not self.stale:
             assert self.tight == self._reference_tight()
