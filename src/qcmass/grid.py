@@ -16,12 +16,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, gt, itemgetter, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .rational import _over_one_den, format_rational, parse_rational
+from .rational import _over_one_den, _parse_ratio, format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -99,10 +99,23 @@ def corner_sign(flags: tuple[bool, ...]) -> int:
 def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) -> bool:
     """Whether each axis's least index is at least 0 and its greatest below the axis size.
 
-    The cells must all have ``len(shape)`` indices.  Each axis is read in its
-    own pass, so no column is built beside the cells.  False also when some
-    index does not compare with an int.
+    The cells must all have ``len(shape)`` indices.  When every index fits
+    in a byte, the indices are packed into one :class:`bytes`, and each
+    axis's strided slice of it must be empty once the bytes below the axis
+    size are deleted.  Otherwise each axis is read in its own pass, so no
+    column is built beside the cells.  False also when some index does not
+    compare with an int.
     """
+    try:
+        packed = bytes(chain.from_iterable(cells))
+    except (TypeError, ValueError):  # an index outside 0..255, or not an int
+        pass
+    else:
+        n = len(shape)
+        return not any(
+            packed[axis::n].translate(None, bytes(range(min(size, 256))))
+            for axis, size in enumerate(shape)
+        )
     try:
         return all(
             0 <= min(map(itemgetter(axis), cells), default=0)
@@ -113,20 +126,103 @@ def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) ->
         return False
 
 
+def _least_den(den: int, scaled: dict) -> tuple[int, dict]:
+    """The values ``scaled[k] / den`` over their least denominator: both divided by their gcd.
+
+    Every denominator that turns the values into integers is a multiple of
+    the least one, so the gcd of ``den`` and the values is ``den`` over it.
+    """
+    g = gcd(den, *scaled.values())
+    if g == 1:
+        return den, scaled
+    return den // g, {k: m // g for k, m in scaled.items()}
+
+
+def _checked_masses(
+    masses: Mapping[tuple[int, ...], object], shape: tuple[int, ...]
+) -> dict[tuple[int, ...], Fraction]:
+    """``masses`` with tuple cells and :class:`Fraction` masses, walking the cells in order.
+
+    Raises :class:`GridError` for the first cell of wrong arity or out of
+    range.  Zero masses are kept; :class:`MassGrid` drops them.
+    """
+    checked: dict[tuple[int, ...], Fraction] = {}
+    for cell, mass in masses.items():
+        cell = tuple(cell)
+        if len(cell) != len(shape):
+            raise GridError(f"cell {cell} has wrong arity")
+        if min(cell) < 0 or not all(map(lt, cell, shape)):
+            i = next(i for i, c in enumerate(cell) if not 0 <= c < shape[i])
+            raise GridError(f"cell {cell} out of range on axis {i}")
+        checked[cell] = mass if type(mass) is Fraction else Fraction(mass)
+    return checked
+
+
+class _CellMasses(Mapping[tuple[int, ...], Fraction]):
+    """Cell masses as Python integers over one common denominator ``den``.
+
+    ``ints`` maps each cell to its mass times ``den``, in the order the cells
+    were given.  Once a :class:`MassGrid` holds it, every mass is nonzero and
+    ``den`` is the lcm of the masses' reduced denominators (1 for no cells),
+    so the form is unique for each grid.  Reading a cell builds its reduced
+    :class:`Fraction`; the code in this module works on ``ints`` directly.
+    """
+
+    __slots__ = ("den", "ints")
+
+    def __init__(self, den: int, ints: dict[tuple[int, ...], int]) -> None:
+        self.den = den
+        self.ints = ints
+
+    def __getitem__(self, cell: tuple[int, ...]) -> Fraction:
+        return Fraction(self.ints[cell], self.den)
+
+    def get(self, cell, default=None):
+        mass = self.ints.get(cell)
+        return default if mass is None else Fraction(mass, self.den)
+
+    def __contains__(self, cell: object) -> bool:
+        return cell in self.ints
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.ints)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is _CellMasses:
+            return self.den == other.den and self.ints == other.ints
+        return super().__eq__(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class MassGrid:
     """Signed rational mass per cell of a rectilinear partition of [0,1]^n.
 
     Cells are indexed by tuples of per-axis slab indices.  Zero masses are
     dropped on construction, so equality of grids is equality of the support.
-    ``cell_masses`` is a read-only view of a copy taken on construction, so
-    a grid, and every function built from it, never changes.
+
+    The masses are held once, as Python integers over one denominator: the
+    lcm of their reduced denominators, so the form is unique for each grid
+    (:attr:`integer_form`).  ``cell_masses`` is a read-only view of it that
+    builds a reduced :class:`Fraction` for each cell read, and compares equal
+    to a plain dict of the same masses.  Given any other mapping of cells to
+    masses, construction copies and converts it once, so a grid, and every
+    function built from it, never changes.  :func:`grid_from_json` and
+    :func:`marginalize` hand over the integer form they built, and only its
+    cells are checked.
 
     Construction checks whole columns at once: every cell a tuple of the
     grid's arity, the per-axis least and greatest index inside the shape,
-    every mass a nonzero :class:`Fraction`.  When any of these fails it walks
-    the cells in order, converting masses, dropping zeros and raising
-    :class:`GridError` for the first cell of wrong arity or out of range.
+    every mass a :class:`Fraction`.  When any of these fails it walks the
+    cells in order, converting masses and raising :class:`GridError` for the
+    first cell of wrong arity or out of range.
     """
 
     partitions: tuple[AxisPartition, ...]
@@ -139,28 +235,26 @@ class MassGrid:
             raise GridError("grid needs at least one axis")
         shape = tuple(p.num_cells for p in parts)
         masses = self.cell_masses
-        if (
-            set(map(type, masses)) <= {tuple}
+        made_here = type(masses) is _CellMasses
+        if not (
+            (made_here or set(map(type, masses)) <= {tuple})
             and set(map(len, masses)) <= {len(shape)}
             and _cells_in_range(masses, shape)
-            and set(map(type, masses.values())) <= {Fraction}
-            and all(masses.values())
+            and (made_here or set(map(type, masses.values())) <= {Fraction})
         ):
-            object.__setattr__(self, "cell_masses", MappingProxyType(dict(masses)))
-            return
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for cell, mass in masses.items():
-            cell = tuple(cell)
-            if len(cell) != len(shape):
-                raise GridError(f"cell {cell} has wrong arity")
-            if min(cell) < 0 or not all(map(lt, cell, shape)):
-                i = next(i for i, c in enumerate(cell) if not 0 <= c < shape[i])
-                raise GridError(f"cell {cell} out of range on axis {i}")
-            if type(mass) is not Fraction:
-                mass = Fraction(mass)
-            if mass:
-                cleaned[cell] = mass
-        object.__setattr__(self, "cell_masses", MappingProxyType(cleaned))
+            masses = _checked_masses(masses, shape)
+        if type(masses) is not _CellMasses:
+            den, ints = _over_one_den(masses.values())
+            masses = _CellMasses(den, dict(zip(masses, ints)))
+        if not all(masses.ints.values()):
+            masses = _CellMasses(masses.den, {c: m for c, m in masses.ints.items() if m})
+        object.__setattr__(self, "cell_masses", masses)
+
+    @property
+    def integer_form(self) -> tuple[int, Mapping[tuple[int, ...], int]]:
+        """``(den, ints)``: the grid's denominator and a read-only map of cell to mass * den."""
+        masses = self.cell_masses
+        return masses.den, MappingProxyType(masses.ints)
 
     @property
     def dimension(self) -> int:
@@ -171,9 +265,9 @@ class MassGrid:
         return tuple(p.num_cells for p in self.partitions)
 
     def total_mass(self) -> Fraction:
-        """The sum of the cell masses, as one integer sum over the lcm of their denominators."""
-        den, ints = _over_one_den(self.cell_masses.values())
-        return Fraction(sum(ints), den)
+        """The sum of the cell masses, one integer sum over their common denominator."""
+        masses = self.cell_masses
+        return Fraction(sum(masses.ints.values()), masses.den)
 
     def cell_box(self, cell: tuple[int, ...]) -> NBox:
         return NBox(
@@ -195,9 +289,10 @@ class MassGrid:
         the product of the per-axis covered fractions of its slabs.  That is
         the inclusion-exclusion sum of the induced function over the box's
         corners, read off the cells without building a node lattice.  The
-        fractions are integers over one denominator per axis and the masses
-        integers over the lcm of theirs, so the sum is one integer.  An axis
-        the box covers no part of (a zero-width interval) makes it 0 at once.
+        fractions are integers over one denominator per axis, and the masses
+        are read in the grid's integer form, so the sum is one integer.  An
+        axis the box covers no part of (a zero-width interval) makes it 0 at
+        once.
         """
         if box.dimension != self.dimension:
             raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
@@ -215,15 +310,14 @@ class MassGrid:
             scale *= den
             weights.append(axis_weights)
         masses = self.cell_masses
-        mass_den, mass_ints = _over_one_den(masses.values())
         total = 0
-        for cell, w in zip(masses, mass_ints):
+        for cell, w in masses.ints.items():
             for axis_weights, c in zip(weights, cell):
                 w *= axis_weights[c]
                 if not w:
                     break
             total += w
-        return Fraction(total, mass_den * scale)
+        return Fraction(total, masses.den * scale)
 
 
 @dataclass(frozen=True)
@@ -288,10 +382,11 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
     def from_grid(cls, grid: MassGrid) -> "_NodeLattice":
         """Orthant masses of ``grid`` at every node, by per-axis prefix sums.
 
-        Node values are integers over ``den``, the lcm of the cell-mass
-        denominators.  Each cell's scaled mass is placed on its upper node
-        c+1, at flat position ``sum(strides) + sum(c_i * strides[i])``, and
-        one prefix-sum pass per axis turns those into orthant sums: for each
+        Node values are integers over ``den``, the denominator of the grid's
+        :attr:`MassGrid.integer_form`, whose scaled masses are read as they
+        are.  Each cell's scaled mass is placed on its upper node c+1, at
+        flat position ``sum(strides) + sum(c_i * strides[i])``, and one
+        prefix-sum pass per axis turns those into orthant sums: for each
         coordinate j >= 1 of the axis, in increasing order, every node with
         coordinate j adds its neighbour at j-1, one ``map(add, ...)`` per
         slice of :meth:`coordinate_slices`.  GridError when the lattice has
@@ -304,11 +399,10 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
                 f"grid lattice has {count} nodes, more than the limit of {MAX_LATTICE_NODES}"
             )
         masses = grid.cell_masses
-        den, mass_ints = _over_one_den(masses.values())
-        lattice = cls(sizes, den, [0] * count)
+        lattice = cls(sizes, masses.den, [0] * count)
         ints, strides = lattice.ints, lattice.strides
         base = sum(strides)
-        for cell, mass in zip(masses, mass_ints):
+        for cell, mass in masses.ints.items():
             ints[base + sum(map(mul, cell, strides))] = mass
         for axis, size in enumerate(sizes):
             lowers = lattice.coordinate_slices(axis, 0)
@@ -556,21 +650,21 @@ def marginalize(grid: MassGrid, axis: int) -> MassGrid:
     The induced function of the result is Q with coordinate ``axis`` pinned
     to 1: collapsing a cell index sums exactly the masses that the orthant
     count of any surviving node picks up along the dropped axis.  The masses
-    are summed as integers over the lcm of their denominators; a reduced
-    cell whose sum cancels to 0 is dropped, and each other one gets one
-    :class:`Fraction`.
+    are summed in the grid's integer form, and the sums divided by their gcd
+    with the denominator give the result's integer form directly; a reduced
+    cell whose sum cancels to 0 is dropped.  No :class:`Fraction` is made.
     """
     if grid.dimension < 2:
         raise GridError("cannot marginalize a one-dimensional grid")
     if not 0 <= axis < grid.dimension:
         raise GridError(f"axis {axis} out of range for dimension {grid.dimension}")
     parts = grid.partitions[:axis] + grid.partitions[axis + 1 :]
-    den, ints = _over_one_den(grid.cell_masses.values())
+    masses = grid.cell_masses
     sums: dict[tuple[int, ...], int] = {}
-    for cell, mass in zip(grid.cell_masses, ints):
+    for cell, mass in masses.ints.items():
         reduced = cell[:axis] + cell[axis + 1 :]
         sums[reduced] = sums.get(reduced, 0) + mass
-    return MassGrid(parts, {cell: Fraction(m, den) for cell, m in sums.items() if m})
+    return MassGrid(parts, _CellMasses(*_least_den(masses.den, sums)))
 
 
 def builtin_example(name: str) -> GridQuasiCopula:
@@ -636,8 +730,12 @@ def grid_from_json(text: str | bytes) -> MassGrid:
 
     JSON types are tested with ``type(x) is ...``: ``true`` and ``false``
     load as bool, a subclass of int, and must not pass as cell indices or a
-    dimension.  Each distinct mass literal is parsed once, however many cells
-    share it.  Cell arity and range are left to :class:`MassGrid`.
+    dimension.  The masses go straight to the grid's integer form
+    (:attr:`MassGrid.integer_form`), with no :class:`Fraction` per cell: each
+    distinct mass literal is parsed once into integers, however many cells
+    share it, and scaled once to the lcm of the literals' reduced
+    denominators.  Cell arity and range are left to :class:`MassGrid`, which
+    also drops explicit zeros ("0", "0/7", "-0.0") once their cells pass.
 
     The mass entries are checked a column at a time (every entry, every
     cell, every index, every literal) with builtins.  Only when one of those
@@ -680,13 +778,15 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     return MassGrid(partitions, masses)
 
 
-def _bulk_masses(entries: list) -> dict[tuple[int, ...], Fraction] | None:
-    """The cell masses of ``entries``, checked a column at a time; None if any entry is bad.
+def _bulk_masses(entries: list) -> _CellMasses | None:
+    """The masses of ``entries`` in integer form, checked by columns; None if any entry is bad.
 
     Every entry must be a two-key dict with a ``cell`` list of exact ints and
     a ``mass`` string, every distinct literal must parse, and no cell may
     repeat: the masses dict is shorter than ``entries`` exactly when one does.
-    The column lists die with this call, before the grid is built.
+    Zero masses stay in, over the lcm of the nonzero literals' reduced
+    denominators.  The column lists die with this call, before the grid is
+    built.
     """
     if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}):
         return None
@@ -702,11 +802,13 @@ def _bulk_masses(entries: list) -> dict[tuple[int, ...], Fraction] | None:
     ):
         return None
     try:
-        parsed = {literal: parse_rational(literal) for literal in set(literals)}
+        ratios = [(literal, *_parse_ratio(literal)) for literal in set(literals)]
     except ValueError:
         return None
-    masses = dict(zip(map(tuple, cells), map(parsed.__getitem__, literals)))
-    return masses if len(masses) == len(entries) else None
+    den = lcm(*[q for _, _, q in ratios])
+    den, scaled = _least_den(den, {literal: p * (den // q) for literal, p, q in ratios})
+    ints = dict(zip(map(tuple, cells), map(scaled.__getitem__, literals)))
+    return _CellMasses(den, ints) if len(ints) == len(entries) else None
 
 
 def _raise_first_fault(entries: list) -> NoReturn:
@@ -736,7 +838,7 @@ def _raise_first_fault(entries: list) -> NoReturn:
         literal = entry["mass"]
         if type(literal) is not str or literal not in parsed:
             try:
-                parse_rational(literal)
+                _parse_ratio(literal)
             except ValueError as exc:
                 raise GridError(f"malformed mass for cell {cell}: {exc}") from exc
             parsed.add(literal)

@@ -32,19 +32,37 @@ def parse_rational(text: str) -> Fraction:
     ("6/14" parses to 3/7).  Anything else, including a zero denominator,
     raises :class:`RationalParseError`.
     """
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """``text`` as unreduced integers ``(p, q)``, q > 0, with :func:`parse_rational`'s errors.
+
+    A decimal gives ``q = 10**k`` for its k digits after the point ("-0.25"
+    is (-25, 100)).  As in :class:`Fraction`'s string constructor, the
+    digits before and after the point are converted separately, so a
+    decimal is too long to convert exactly when that constructor finds it so.
+    """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    num, _, den = text.partition("/")
+    num, slash, den = text.partition("/")
     try:
-        # Fraction's own string constructor handles decimals exactly.
-        return Fraction(int(num), int(den)) if den else Fraction(text)
-    except ZeroDivisionError as exc:
-        raise RationalParseError(f"zero denominator: {text!r}") from exc
+        if slash:
+            p, q = int(num), int(den)
+        else:
+            whole, _, digits = num.partition(".")
+            p, q = int(whole), 1
+            if digits:
+                q = 10 ** len(digits)
+                p = p * q - int(digits) if whole[0] == "-" else p * q + int(digits)
     except ValueError as exc:
         # int() refuses literals longer than sys.get_int_max_str_digits()
         raise RationalParseError(
             f"rational literal too long: {len(text)} characters"
         ) from exc
+    if not q:
+        raise RationalParseError(f"zero denominator: {text!r}")
+    return p, q
 
 
 def format_rational(value: Fraction) -> str:

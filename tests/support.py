@@ -19,7 +19,11 @@ formatted field) at a time, the references for the integer sums of
 ``marginalize`` and ``check_point``, the preformatted slabs of the ``margin``
 csv, and the integer form each ``Row`` stores and the solver's program rows
 read.  The dense oracles take their standard form from ``ref_prepared_rows``
-and ``ref_internal_costs``, not from the solver.
+and ``ref_internal_costs``, not from the solver.  ``mass_literal``,
+``grid_text_in_other_forms`` and ``spread_over_new_axis`` make the same grid
+by other routes (a file of unreduced, decimal and zero literals, a grid
+whose margin it is) with string and ``Fraction`` operations only, never with
+the integer parser or integer form of ``qcmass``.
 """
 
 from __future__ import annotations
@@ -492,6 +496,82 @@ def ref_margin_csv(margin: MassGrid) -> str:
             fields += [format_rational(part.breakpoints[c]), format_rational(part.breakpoints[c + 1])]
         lines.append(",".join(fields + [format_rational(mass)]))
     return "\n".join(lines) + "\n"
+
+
+ZERO_LITERALS = ("0", "-0", "0/7", "-0/3", "0.0", "-0.0", "0.000")
+
+
+def mass_literal(rng: random.Random, mass: Fraction) -> str:
+    """``mass`` as a grid file literal in a random one of its forms.
+
+    The canonical "p/q", an unreduced "(kp)/(kq)", or, when q has no prime
+    factor but 2 and 5, a decimal with up to two trailing zeros ("0.25",
+    "-0.50", "3.0").  Written with string and integer operations only.
+    """
+    p, q = mass.numerator, mass.denominator
+    forms = [f"{p}/{q}" if q > 1 else str(p)]
+    k = rng.randint(2, 9)
+    forms.append(f"{p * k}/{q * k}")
+    places = next((d for d in range(1, 40) if 10**d % q == 0), None)
+    if places is not None:
+        places += rng.randint(0, 2)
+        digits = str(abs(p) * (10**places // q)).rjust(places + 1, "0")
+        sign = "-" if p < 0 else ""
+        forms.append(f"{sign}{digits[:-places]}.{digits[-places:]}")
+    return rng.choice(forms)
+
+
+def grid_text_in_other_forms(rng: random.Random, grid: MassGrid, zeros: int) -> str:
+    """A grid file for ``grid`` whose literals are drawn by :func:`mass_literal`.
+
+    Up to ``zeros`` cells outside the support get an explicit zero literal,
+    and the entries are shuffled.
+    """
+    entries = [
+        {"cell": list(cell), "mass": mass_literal(rng, mass)}
+        for cell, mass in grid.cell_masses.items()
+    ]
+    empty = [
+        cell
+        for cell in product(*(range(p.num_cells) for p in grid.partitions))
+        if cell not in grid.cell_masses
+    ]
+    for cell in rng.sample(empty, min(zeros, len(empty))):
+        entries.append({"cell": list(cell), "mass": rng.choice(ZERO_LITERALS)})
+    rng.shuffle(entries)
+    partitions = [[format_rational(t) for t in p.breakpoints] for p in grid.partitions]
+    return json.dumps({"dimension": grid.dimension, "partitions": partitions, "masses": entries})
+
+
+def spread_over_new_axis(
+    rng: random.Random, grid: MassGrid, axis: int, part: AxisPartition
+) -> MassGrid:
+    """A grid with ``part`` inserted as axis ``axis`` whose margin over that axis is ``grid``.
+
+    Each cell's mass is split into random signed pieces along the new axis,
+    and one fibre over a cell outside the support (if any) gets pieces that
+    sum to 0, so the margin has a cell that cancels.
+    """
+    k = part.num_cells
+    masses: dict[tuple[int, ...], Fraction] = {}
+
+    def spread(cell: tuple[int, ...], mass: Fraction) -> None:
+        pieces = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 8, 10))) for _ in range(k - 1)]
+        pieces.append(mass - sum(pieces, ZERO))
+        for j, piece in enumerate(pieces):
+            masses[cell[:axis] + (j,) + cell[axis:]] = piece
+
+    for cell, mass in grid.cell_masses.items():
+        spread(cell, mass)
+    empty = [
+        cell
+        for cell in product(*(range(p.num_cells) for p in grid.partitions))
+        if cell not in grid.cell_masses
+    ]
+    if empty and k > 1:
+        spread(rng.choice(empty), ZERO)
+    parts = grid.partitions[:axis] + (part,) + grid.partitions[axis:]
+    return MassGrid(parts, masses)
 
 
 def ref_check_point(lp: LinearProgram, x) -> FeasibilityReport:

@@ -1,7 +1,9 @@
 """Mass grids, node values, axiom checks, margins, and the file format."""
 
 import json
+import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -173,18 +175,36 @@ def test_mass_grid_names_first_bad_cell(first: str, second: str) -> None:
     assert built({k: first, m: second}) == alone
 
 
-@pytest.mark.parametrize("mass", [F(1, 3), 1], ids=["fraction", "int"])
-def test_mass_grid_masses_are_read_only(mass) -> None:
-    # Fraction masses take the column-check path, an int mass the per-cell scan.
+def made_grid(how: str, source: dict) -> MassGrid:
+    """A 2x2 grid of ``source``'s masses, made from them directly, by a file, or as a margin."""
+    parts = (unit_partition(2),) * 2
+    if how in ("fraction", "int"):
+        return MassGrid(parts, source)
+    if how == "loaded":
+        return grid_from_json(grid_to_json(MassGrid(parts, dict(source))))
+    # Each mass spread evenly over the two slabs of a third axis, summed out again.
+    spread = {cell + (j,): F(mass, 2) for cell, mass in source.items() for j in range(2)}
+    return marginalize(MassGrid(parts + (unit_partition(2),), spread), 2)
+
+
+@pytest.mark.parametrize("how", ["fraction", "int", "loaded", "marginal"])
+def test_mass_grid_masses_are_read_only(how: str) -> None:
+    # Fraction masses take the column-check path, an int mass the per-cell
+    # scan; a loaded or marginal grid is handed its integer form.
+    mass = 1 if how == "int" else F(1, 3)
     source = {(0, 0): mass, (1, 1): F(2, 3)}
-    grid = MassGrid((unit_partition(2),) * 2, source)
+    grid = made_grid(how, source)
     qc = make_grid_qc(grid)
     with pytest.raises(TypeError):
         grid.cell_masses[(0, 1)] = F(1)
     with pytest.raises(TypeError):
         del grid.cell_masses[(0, 0)]
+    den, ints = grid.integer_form
+    with pytest.raises(TypeError):
+        ints[(0, 1)] = den  # type: ignore[index]
     source[(0, 1)] = F(1)
     assert (0, 1) not in grid.cell_masses
+    assert grid.cell_masses == {(0, 0): F(mass), (1, 1): F(2, 3)}
     assert qc.node_values[(1, 2)] == F(mass)
     assert qc.box_volume(NBox(((F(0), HALF), (F(0), F(1))))) == F(mass)
 
@@ -846,29 +866,152 @@ def test_loader_names_first_offender(first: str, second: str) -> None:
 
 
 def test_loader_parses_each_mass_literal_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    calls: list[str] = []
-    parse = grid_module.parse_rational
+    # Masses go through the integer parser, breakpoints through parse_rational.
+    calls: dict[str, list[str]] = {}
+    for name in ("_parse_ratio", "parse_rational"):
+        parse, seen = getattr(grid_module, name), calls.setdefault(name, [])
 
-    def counted(text):
-        calls.append(text)
-        return parse(text)
+        def counted(text, parse=parse, seen=seen):
+            seen.append(text)
+            return parse(text)
 
-    monkeypatch.setattr(grid_module, "parse_rational", counted)
+        monkeypatch.setattr(grid_module, name, counted)
     axis = [f"{i}/8" for i in range(9)]
     cells = list(product(range(8), repeat=3))[:500]
+    # Three spellings of 1/500, each a distinct literal.
+    literals = ["1/500", "2/1000", "0.002"]
     text = json.dumps(
         {
             "dimension": 3,
             "partitions": [axis] * 3,
-            "masses": [{"cell": list(cell), "mass": "1/500"} for cell in cells],
+            "masses": [
+                {"cell": list(cell), "mass": literals[k % 3]} for k, cell in enumerate(cells)
+            ],
         }
     )
     grid = grid_from_json(text)
     assert len(grid.cell_masses) == 500 and grid.total_mass() == 1
-    assert len(calls) <= 1 + 3 * len(axis)
-    assert calls.count("1/500") == 1
+    assert sorted(calls["_parse_ratio"]) == sorted(literals)
+    assert len(calls["parse_rational"]) <= 3 * len(axis)
+    assert grid.integer_form[0] == 500
     monkeypatch.undo()
     assert support.ref_grid_from_json(text) == grid
+
+
+def test_each_grid_mass_is_converted_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A grid made from Fractions converts its masses to integers once; a
+    # loaded or marginal grid is handed its integer form, and every consumer
+    # reads it.  box_volume converts one list per axis, the covered parts of
+    # the axis's slabs, and no masses.
+    calls: list[int] = []
+    over_one_den = grid_module._over_one_den
+
+    def counted(values):
+        values = list(values)
+        calls.append(len(values))
+        return over_one_den(values)
+
+    monkeypatch.setattr(grid_module, "_over_one_den", counted)
+    rng = random.Random("converted-once")
+    for n in range(2, 6):
+        source = support.random_signed_grid(rng, n)
+        masses = dict(source.cell_masses)
+        calls.clear()
+        grid = MassGrid(source.partitions, masses)
+        assert calls == [len(masses)] and len(masses) > 1
+        calls.clear()
+        assert grid_from_json(grid_to_json(grid)) == grid
+        assert not calls
+        axis_cells = [p.num_cells for p in grid.partitions]
+        whole = NBox(((F(0), F(1)),) * n)
+        assert grid.box_volume(whole) == grid.total_mass()
+        assert calls == axis_cells
+        for _ in range(4):
+            calls.clear()
+            grid.box_volume(support.random_box(rng, grid))
+            assert calls == axis_cells[: len(calls)]
+        calls.clear()
+        qc = make_grid_qc(grid)
+        qc.verify_axioms()
+        qc.frechet_envelope_check()
+        for axis in range(n):
+            make_grid_qc(marginalize(grid, axis))
+        assert not calls
+
+
+def decimal_grid(rng: random.Random, n: int) -> MassGrid:
+    """A signed grid whose masses mostly have decimal forms (denominators 1, 2, 4, 5, 8, 10, 20)."""
+    cuts = [{F(rng.randint(1, 9), 10) for _ in range(rng.randint(0, 2))} for _ in range(n)]
+    parts = tuple(AxisPartition((F(0), *sorted(axis_cuts), F(1))) for axis_cuts in cuts)
+    masses = {
+        cell: F(rng.randint(-20, 20), rng.choice((1, 2, 4, 5, 8, 10, 20, 3, 7)))
+        for cell in product(*(range(p.num_cells) for p in parts))
+        if rng.random() < 0.8
+    }
+    return MassGrid(parts, masses)
+
+
+def test_grids_made_three_ways_match_the_oracles() -> None:
+    """One grid from Fractions, from a file of other spellings, and as a margin, as the oracles say."""
+    rng = random.Random("three-ways")
+    spellings: dict[str, int] = {"unreduced": 0, "decimal": 0, "zero": 0}
+    boxes = 0
+    for case in range(60):
+        n = 1 + case % 4
+        want = support.random_signed_grid(rng, n) if case % 2 else decimal_grid(rng, n)
+        masses = dict(want.cell_masses)
+        text = support.grid_text_in_other_forms(rng, want, zeros=3)
+        axis = rng.randrange(n + 1)
+        new_part = support.random_mixed_partition(rng, 3)
+        lifted = support.spread_over_new_axis(rng, want, axis, new_part)
+        made = [MassGrid(want.partitions, masses), grid_from_json(text), marginalize(lifted, axis)]
+        den = math.lcm(*(m.denominator for m in masses.values()))
+        for grid in made:
+            assert grid == want and grid.cell_masses == masses, case
+            assert grid.integer_form == (den, {c: int(m * den) for c, m in masses.items()}), case
+            assert all(type(m) is Fraction for m in grid.cell_masses.values()), case
+        for entry in json.loads(text)["masses"]:
+            literal = entry["mass"]
+            if F(literal) == 0:
+                spellings["zero"] += 1
+            elif "." in literal:
+                spellings["decimal"] += 1
+            elif "/" in literal and math.gcd(*map(int, literal.split("/"))) > 1:
+                spellings["unreduced"] += 1
+        grid = made[1]
+        assert grid.total_mass() == sum(masses.values(), F(0)), case
+        values = support.ref_node_values(grid)
+        for _ in range(3):
+            box = support.random_box(rng, grid)
+            got = grid.box_volume(box)
+            assert got == support.box_mass_direct(grid, box), case
+            if n <= 3:
+                assert got == support.ref_box_volume(grid, values, box), case
+                boxes += 1
+        if n > 1:
+            for a in range(n):
+                assert marginalize(grid, a) == support.ref_marginalize(grid, a), (case, a)
+        qc = make_grid_qc(grid)
+        assert qc.verify_axioms() == support.ref_verify_axioms(grid, values), case
+        assert qc.frechet_envelope_check() == support.ref_frechet_envelope_check(grid, values), case
+    assert min(spellings.values()) >= 25 and boxes >= 100, (spellings, boxes)
+
+
+@pytest.mark.parametrize("zero", support.ZERO_LITERALS)
+def test_zero_mass_cells_are_checked_before_they_are_dropped(zero: str) -> None:
+    # A zero mass is dropped, but only once its cell passes: a zero cell out
+    # of range or of the wrong arity is refused, before a later bad cell.
+    def text(*entries: tuple[list[int], str]) -> str:
+        masses = [{"cell": cell, "mass": mass} for cell, mass in entries]
+        return json.dumps({"dimension": 2, "partitions": [["0", "1/2", "1"]] * 2, "masses": masses})
+
+    kept = text(([0, 0], "1"), ([1, 1], zero))
+    assert grid_from_json(kept).cell_masses == {(0, 0): F(1)}
+    for bad in ([0, 2], [1, 1, 0], [-1, 0]):
+        broken = text(([0, 0], "1"), (bad, zero), ([0, 5], "1/2"))
+        assert support.assert_loaders_agree(broken) is None
+        with pytest.raises(GridError, match=re.escape(str(tuple(bad)))):
+            grid_from_json(broken)
 
 
 def test_json_rejects_integer_too_long_to_convert() -> None:
