@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import click
@@ -263,13 +263,19 @@ def run_margin(
     header = ",".join(f"cell_lo_{i + 1},cell_hi_{i + 1}" for i in range(m)) + ",mass"
     lines = [header]
     # Each slab's "lo,hi" is formatted once; product() walks the slabs in
-    # the same lexicographic order as iter_cells() walks the cells.
+    # the same lexicographic order as it walks the cells.  Each mass is read
+    # in the margin's integer form and printed as format_rational() would
+    # print it: over its own denominator in lowest terms, "p" when that is 1.
     slabs = [
         [f"{format_rational(lo)},{format_rational(hi)}" for lo, hi in zip(pts, pts[1:])]
         for pts in (part.breakpoints for part in margin.partitions)
     ]
-    for (_, mass), fields in zip(margin.iter_cells(), product(*slabs)):
-        lines.append(f"{','.join(fields)},{format_rational(mass)}")
+    den, ints = margin.integer_form
+    for cell, fields in zip(product(*map(range, margin.shape)), product(*slabs)):
+        mass = ints.get(cell, 0)
+        g = gcd(mass, den)
+        text = str(mass // g) if g == den else f"{mass // g}/{den // g}"
+        lines.append(f"{','.join(fields)},{text}")
     return CommandResult(0, "\n".join(lines) + "\n")
 
 

@@ -99,23 +99,10 @@ def corner_sign(flags: tuple[bool, ...]) -> int:
 def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) -> bool:
     """Whether each axis's least index is at least 0 and its greatest below the axis size.
 
-    The cells must all have ``len(shape)`` indices.  When every index fits
-    in a byte, the indices are packed into one :class:`bytes`, and each
-    axis's strided slice of it must be empty once the bytes below the axis
-    size are deleted.  Otherwise each axis is read in its own pass, so no
-    column is built beside the cells.  False also when some index does not
-    compare with an int.
+    The cells must all have ``len(shape)`` indices.  Each axis is read in its
+    own pass, so no column is built beside the cells.  False also when some
+    index does not compare with an int.
     """
-    try:
-        packed = bytes(chain.from_iterable(cells))
-    except (TypeError, ValueError):  # an index outside 0..255, or not an int
-        pass
-    else:
-        n = len(shape)
-        return not any(
-            packed[axis::n].translate(None, bytes(range(min(size, 256))))
-            for axis, size in enumerate(shape)
-        )
     try:
         return all(
             0 <= min(map(itemgetter(axis), cells), default=0)
@@ -159,40 +146,43 @@ def _checked_masses(
 
 
 class _CellMasses(Mapping[tuple[int, ...], Fraction]):
-    """Cell masses as Python integers over one common denominator ``den``.
+    """Cell masses as Python integers over one common denominator ``_den``.
 
-    ``ints`` maps each cell to its mass times ``den``, in the order the cells
-    were given.  Once a :class:`MassGrid` holds it, every mass is nonzero and
-    ``den`` is the lcm of the masses' reduced denominators (1 for no cells),
-    so the form is unique for each grid.  Reading a cell builds its reduced
-    :class:`Fraction`; the code in this module works on ``ints`` directly.
+    ``_ints`` maps each cell to its mass times ``_den``, in the order the
+    cells were given.  Once a :class:`MassGrid` holds it, every mass is
+    nonzero and ``_den`` is the lcm of the masses' reduced denominators (1
+    for no cells), so the form is unique for each grid.  Reading a cell
+    builds its reduced :class:`Fraction`; the code in this module works on
+    ``_ints`` directly, and :attr:`MassGrid.integer_form` hands out a
+    read-only view of it.  Nothing writes either attribute after
+    construction, so grids built from one another may share one.
     """
 
-    __slots__ = ("den", "ints")
+    __slots__ = ("_den", "_ints")
 
     def __init__(self, den: int, ints: dict[tuple[int, ...], int]) -> None:
-        self.den = den
-        self.ints = ints
+        self._den = den
+        self._ints = ints
 
     def __getitem__(self, cell: tuple[int, ...]) -> Fraction:
-        return Fraction(self.ints[cell], self.den)
+        return Fraction(self._ints[cell], self._den)
 
     def get(self, cell, default=None):
-        mass = self.ints.get(cell)
-        return default if mass is None else Fraction(mass, self.den)
+        mass = self._ints.get(cell)
+        return default if mass is None else Fraction(mass, self._den)
 
     def __contains__(self, cell: object) -> bool:
-        return cell in self.ints
+        return cell in self._ints
 
     def __len__(self) -> int:
-        return len(self.ints)
+        return len(self._ints)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.ints)
+        return iter(self._ints)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is _CellMasses:
-            return self.den == other.den and self.ints == other.ints
+            return self._den == other._den and self._ints == other._ints
         return super().__eq__(other)
 
     __hash__ = None  # type: ignore[assignment]
@@ -246,15 +236,15 @@ class MassGrid:
         if type(masses) is not _CellMasses:
             den, ints = _over_one_den(masses.values())
             masses = _CellMasses(den, dict(zip(masses, ints)))
-        if not all(masses.ints.values()):
-            masses = _CellMasses(masses.den, {c: m for c, m in masses.ints.items() if m})
+        if not all(masses._ints.values()):
+            masses = _CellMasses(masses._den, {c: m for c, m in masses._ints.items() if m})
         object.__setattr__(self, "cell_masses", masses)
 
     @property
     def integer_form(self) -> tuple[int, Mapping[tuple[int, ...], int]]:
         """``(den, ints)``: the grid's denominator and a read-only map of cell to mass * den."""
         masses = self.cell_masses
-        return masses.den, MappingProxyType(masses.ints)
+        return masses._den, MappingProxyType(masses._ints)
 
     @property
     def dimension(self) -> int:
@@ -267,7 +257,7 @@ class MassGrid:
     def total_mass(self) -> Fraction:
         """The sum of the cell masses, one integer sum over their common denominator."""
         masses = self.cell_masses
-        return Fraction(sum(masses.ints.values()), masses.den)
+        return Fraction(sum(masses._ints.values()), masses._den)
 
     def cell_box(self, cell: tuple[int, ...]) -> NBox:
         return NBox(
@@ -311,13 +301,13 @@ class MassGrid:
             weights.append(axis_weights)
         masses = self.cell_masses
         total = 0
-        for cell, w in masses.ints.items():
+        for cell, w in masses._ints.items():
             for axis_weights, c in zip(weights, cell):
                 w *= axis_weights[c]
                 if not w:
                     break
             total += w
-        return Fraction(total, masses.den * scale)
+        return Fraction(total, masses._den * scale)
 
 
 @dataclass(frozen=True)
@@ -399,10 +389,10 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
                 f"grid lattice has {count} nodes, more than the limit of {MAX_LATTICE_NODES}"
             )
         masses = grid.cell_masses
-        lattice = cls(sizes, masses.den, [0] * count)
+        lattice = cls(sizes, masses._den, [0] * count)
         ints, strides = lattice.ints, lattice.strides
         base = sum(strides)
-        for cell, mass in masses.ints.items():
+        for cell, mass in masses._ints.items():
             ints[base + sum(map(mul, cell, strides))] = mass
         for axis, size in enumerate(sizes):
             lowers = lattice.coordinate_slices(axis, 0)
@@ -661,10 +651,10 @@ def marginalize(grid: MassGrid, axis: int) -> MassGrid:
     parts = grid.partitions[:axis] + grid.partitions[axis + 1 :]
     masses = grid.cell_masses
     sums: dict[tuple[int, ...], int] = {}
-    for cell, mass in masses.ints.items():
+    for cell, mass in masses._ints.items():
         reduced = cell[:axis] + cell[axis + 1 :]
         sums[reduced] = sums.get(reduced, 0) + mass
-    return MassGrid(parts, _CellMasses(*_least_den(masses.den, sums)))
+    return MassGrid(parts, _CellMasses(*_least_den(masses._den, sums)))
 
 
 def builtin_example(name: str) -> GridQuasiCopula:

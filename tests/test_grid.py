@@ -202,6 +202,12 @@ def test_mass_grid_masses_are_read_only(how: str) -> None:
     den, ints = grid.integer_form
     with pytest.raises(TypeError):
         ints[(0, 1)] = den  # type: ignore[index]
+    # The view has no public attribute to write the form through.
+    for name in ("den", "ints"):
+        with pytest.raises(AttributeError):
+            setattr(grid.cell_masses, name, 2)
+    # A grid built from another's masses shares them and stays equal to it.
+    assert MassGrid(grid.partitions, grid.cell_masses) == grid
     source[(0, 1)] = F(1)
     assert (0, 1) not in grid.cell_masses
     assert grid.cell_masses == {(0, 0): F(mass), (1, 1): F(2, 3)}
