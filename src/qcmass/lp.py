@@ -21,8 +21,12 @@ instead of 2n + 2^n and n + (2n+1) 2^n, with the same optimum (the argument
 is in its docstring).  :func:`lift_symmetric` turns a point of it back into
 corner values of the full program.
 
-A :class:`Row` is canonical from construction, so a :class:`LinearProgram`
-keeps the rows it is given and checks only that their indices are in range.
+A :class:`Row` holds its numbers once, as integers over one denominator,
+and is canonical from construction, so a :class:`LinearProgram` keeps the
+rows it is given and checks only that their indices are in range.  The
+feasibility check and the solver read those integers; only the text export,
+the report of a violated row and callers outside the package build a row's
+:class:`Fraction` values.
 """
 
 from __future__ import annotations
@@ -48,51 +52,78 @@ def _fraction(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _exact(value: object) -> int | Fraction:
+    """``value`` as is if it is an int, else as a :class:`Fraction`."""
+    return value if type(value) is int else _fraction(value)
+
+
 def _canonical_terms(
-    terms: Iterable[tuple[int, Fraction]], where: str
-) -> tuple[tuple[int, Fraction], ...]:
-    """Sort sparse terms by variable index, drop zeros, reject negative or repeated indices."""
+    terms: Iterable[tuple[int, object]], where: str
+) -> list[tuple[int, int | Fraction]]:
+    """Sort sparse terms by variable index, reject negative or repeated indices, drop zeros.
+
+    Each coefficient is made exact (:func:`_exact`) before it is tested for zero.
+    """
     terms = sorted(terms, key=itemgetter(0))
     if terms and terms[0][0] < 0:
         raise LPError(f"negative variable index {terms[0][0]} in {where}")
     for (j, _), (k, _) in zip(terms, terms[1:]):
         if j == k:
             raise LPError(f"duplicate variable index {j} in {where}")
-    return tuple((j, _fraction(coef)) for j, coef in terms if coef)
+    return [(j, exact) for j, coef in terms if (exact := _exact(coef))]
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, frozen=True, slots=True)
 class Row:
     """One inequality: sparse coefficients, relation, right-hand side.
 
-    A row is canonical from construction: its terms are sorted by variable
-    index, each coefficient is a nonzero :class:`Fraction`, and a negative
-    or repeated index, or no term left, raises :class:`LPError`.  ``family``
-    is a short tag carried for reporting ("D", "E", "F" for the extremal
-    program; anything, including "", for ad hoc programs).
+    ``Row(family, coeffs, relation, rhs)`` takes ``(index, coefficient)``
+    terms in any order; a coefficient or ``rhs`` may be an int, a
+    :class:`Fraction` or anything :class:`Fraction` accepts.  A negative or
+    repeated index, or no nonzero term, raises :class:`LPError`.
+    ``family`` is a short tag carried for reporting ("D", "E", "F" for the
+    extremal program; anything, including "", for ad hoc programs).
 
-    ``integer_form`` is ``(den, ints, num)``, made once here: ``den`` is the
-    lcm of the denominators of ``rhs`` and every coefficient, ``ints`` the
-    coefficients times ``den`` in ``coeffs`` order, ``num`` is ``rhs * den``.
+    The row holds its numbers once, as integers over one denominator:
+    ``den`` is the lcm of the reduced denominators of the right-hand side
+    and every coefficient, ``terms`` the ``(index, coefficient * den)``
+    pairs sorted by index with no zero coefficient, and ``num`` is
+    ``rhs * den``.  The form is unique for each row, so two rows of the same
+    family and relation are equal, and hash alike, exactly when their
+    coefficients and right-hand sides are equal as rationals.  ``coeffs``
+    and ``rhs`` are read-only views that build reduced :class:`Fraction`
+    values from it.
     """
 
     family: str
-    coeffs: tuple[tuple[int, Fraction], ...]
     relation: str
-    rhs: Fraction
-    integer_form: tuple[int, tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    den: int
+    terms: tuple[tuple[int, int], ...]
+    num: int
 
-    def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
-            raise LPError(f"unsupported relation {self.relation!r}")
-        coeffs = _canonical_terms(self.coeffs, "row")
-        if not coeffs:
+    def __init__(
+        self, family: str, coeffs: Iterable[tuple[int, object]], relation: str, rhs: object
+    ) -> None:
+        if relation not in _RELATIONS:
+            raise LPError(f"unsupported relation {relation!r}")
+        terms = _canonical_terms(coeffs, "row")
+        if not terms:
             raise LPError("row references no variables")
-        rhs = _fraction(self.rhs)
-        den, (num, *ints) = _over_one_den((rhs, *map(itemgetter(1), coeffs)))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "integer_form", (den, tuple(ints), num))
+        den, (num, *ints) = _over_one_den([_exact(rhs), *map(itemgetter(1), terms)])
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", tuple(zip(map(itemgetter(0), terms), ints)))
+        object.__setattr__(self, "num", num)
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, Fraction], ...]:
+        den = self.den
+        return tuple((j, Fraction(a, den)) for j, a in self.terms)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 @dataclass(frozen=True)
@@ -119,7 +150,9 @@ class LinearProgram:
             raise LPError("variable names must be unique, nonempty, whitespace-free")
         if self.sense not in ("min", "max"):
             raise LPError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        objective = _canonical_terms(self.objective, "objective")
+        objective = tuple(
+            (j, _fraction(coef)) for j, coef in _canonical_terms(self.objective, "objective")
+        )
         den, ints = _over_one_den(map(itemgetter(1), objective))
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "integer_objective", (den, tuple(ints)))
@@ -128,8 +161,8 @@ class LinearProgram:
         if objective and objective[-1][0] >= self.num_vars:
             raise LPError(f"variable index {objective[-1][0]} out of range in objective")
         for k, row in enumerate(self.rows):
-            if row.coeffs[-1][0] >= self.num_vars:
-                raise LPError(f"variable index {row.coeffs[-1][0]} out of range in row {k}")
+            if row.terms[-1][0] >= self.num_vars:
+                raise LPError(f"variable index {row.terms[-1][0]} out of range in row {k}")
 
     def evaluate_objective(self, x: Sequence[Fraction]) -> Fraction:
         return sum((coef * x[j] for j, coef in self.objective), ZERO)
@@ -240,29 +273,27 @@ def build_extremal_lp(
         + ["q_" + "".join("u" if f else "l" for f in v) for v in flags_list]
     )
 
-    one, minus = ONE, -ONE
     rows: list[Row] = []
     for i in range(n):
-        rows.append(Row("D", ((i, one), (n + i, one)), "<=", one))
+        rows.append(Row("D", ((i, 1), (n + i, 1)), "<=", 1))
     for i in range(n):
         for v in flags_list:
             if v[i]:
                 continue
             u = v[:i] + (True,) + v[i + 1 :]
             qu, qv = vertex_vars[u], vertex_vars[v]
-            rows.append(Row("E", ((qu, one), (qv, minus)), ">=", ZERO))
-            rows.append(Row("E", ((qu, one), (qv, minus), (n + i, minus)), "<=", ZERO))
-    floor = Fraction(-(n - 1))
+            rows.append(Row("E", ((qu, 1), (qv, -1)), ">=", 0))
+            rows.append(Row("E", ((qu, 1), (qv, -1), (n + i, -1)), "<=", 0))
     for v in flags_list:
         q = vertex_vars[v]
-        lower = [(q, one)] + [(i, minus) for i in range(n)]
-        lower += [(n + i, minus) for i in range(n) if v[i]]
-        rows.append(Row("F", tuple(lower), ">=", floor))
+        lower = [(q, 1)] + [(i, -1) for i in range(n)]
+        lower += [(n + i, -1) for i in range(n) if v[i]]
+        rows.append(Row("F", tuple(lower), ">=", 1 - n))
         for i in range(n):
-            upper = [(q, one), (i, minus)]
+            upper = [(q, 1), (i, -1)]
             if v[i]:
-                upper.append((n + i, minus))
-            rows.append(Row("F", tuple(upper), "<=", ZERO))
+                upper.append((n + i, -1))
+            rows.append(Row("F", tuple(upper), "<=", 0))
 
     objective = tuple(
         (vertex_vars[v], Fraction(corner_sign(v))) for v in flags_list
@@ -303,23 +334,20 @@ def build_symmetric_lp(n: int, sense: str) -> LinearProgram:
     """
     if n < 2:
         raise LPError("extremal program needs dimension >= 2")
-    one = ONE
     a, s = 0, 1
     names = ["a", "s"] + [f"q_{k}" for k in range(n + 1)]
-    rows = [Row("D", ((a, one), (s, one)), "<=", one)]
+    rows = [Row("D", ((a, 1), (s, 1)), "<=", 1)]
     for k in range(n):
         lower, upper = k + 2, k + 3
-        rows.append(Row("E", ((upper, one), (lower, -one)), ">=", ZERO))
-        rows.append(Row("E", ((s, -one), (upper, one), (lower, -one)), "<=", ZERO))
+        rows.append(Row("E", ((upper, 1), (lower, -1)), ">=", 0))
+        rows.append(Row("E", ((s, -1), (upper, 1), (lower, -1)), "<=", 0))
     for k in range(n + 1):
         q = k + 2
-        rows.append(
-            Row("F", ((a, Fraction(-n)), (s, Fraction(-k)), (q, one)), ">=", Fraction(-(n - 1)))
-        )
+        rows.append(Row("F", ((a, -n), (s, -k), (q, 1)), ">=", 1 - n))
         if k < n:
-            rows.append(Row("F", ((a, -one), (q, one)), "<=", ZERO))
+            rows.append(Row("F", ((a, -1), (q, 1)), "<=", 0))
         if k > 0:
-            rows.append(Row("F", ((a, -one), (s, -one), (q, one)), "<=", ZERO))
+            rows.append(Row("F", ((a, -1), (s, -1), (q, 1)), "<=", 0))
     objective = []
     binomial = 1  # C(n, k)
     for k in range(n + 1):
@@ -371,9 +399,9 @@ def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
     """Exactly test a variable vector against every row and the implicit bounds x >= 0.
 
     ``x`` is put over one common denominator, so each row's slack is one
-    integer sum over its stored integer form (:func:`_slack`); no row is
-    converted here.  A :class:`Fraction` is built only for the left-hand side
-    of a violated row.
+    integer sum over the row's integers (:func:`_slack`); no row is
+    converted here.  A row's :class:`Fraction` values are built only for the
+    report of a violated row.
     """
     if len(x) != lp.num_vars:
         raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
@@ -385,8 +413,9 @@ def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
     for k, row in enumerate(lp.rows):
         slack, scale = _slack(row, den, xs)
         if slack < 0:
-            lhs = row.rhs + Fraction(slack if row.relation == ">=" else -slack, scale)
-            violations.append(RowViolation(k, row.family, lhs, row.relation, row.rhs))
+            rhs = row.rhs
+            lhs = rhs + Fraction(slack if row.relation == ">=" else -slack, scale)
+            violations.append(RowViolation(k, row.family, lhs, row.relation, rhs))
     return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
 
 
@@ -395,11 +424,10 @@ def _slack(row: Row, den: int, xs: Sequence[int]) -> tuple[int, int]:
 
     The slack is ``lhs - rhs`` for ">=" and ``rhs - lhs`` for "<=", so it is
     >= 0 exactly when the row holds.  It is one integer sum over the row's
-    :attr:`Row.integer_form`, over the denominator ``scale = row_den * den``.
+    integer ``terms``, over the denominator ``scale = row.den * den``.
     """
-    row_den, ints, num = row.integer_form
-    slack = sum([a * xs[j] for a, (j, _) in zip(ints, row.coeffs)]) - num * den
-    return (slack if row.relation == ">=" else -slack), row_den * den
+    slack = sum([a * xs[j] for j, a in row.terms]) - row.num * den
+    return (slack if row.relation == ">=" else -slack), row.den * den
 
 
 def reference_witness(n: int, sense: str) -> VertexAssignment:
@@ -473,7 +501,7 @@ def export_lp(lp: LinearProgram) -> str:
         family = row.family if row.family else "-"
         lines.append(
             f"row {family} {row.relation} {format_rational(row.rhs)} "
-            f"{len(row.coeffs)} {terms}".rstrip()
+            f"{len(row.terms)} {terms}".rstrip()
         )
     terms = " ".join(f"{j}:{format_rational(c)}" for j, c in lp.objective)
     lines.append(f"obj {len(lp.objective)} {terms}".rstrip())

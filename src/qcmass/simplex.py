@@ -4,18 +4,18 @@ Tableau rows, objective row included, are sparse integer rows: each row
 stores one positive integer denominator, its nonzero integer cells as a
 ``{column: cell}`` dict, and an integer right-hand side.  A row over a
 denominator above 1 has no common factor; one over denominator 1 may keep
-one, as ``(1, {0: 2, 1: 4}, 6)`` does.  Program and cost rows are read off
-:attr:`qcmass.lp.Row.integer_form` and
-:attr:`qcmass.lp.LinearProgram.integer_objective`, made once when a row or
-program is built, so the solver converts no rational coefficient.  One row
-update, :func:`_clear`, does every exact elimination in the module: it clears
-the pivot column of a row by integer cross-multiplication over the nonzeros
-of the reduced pivot row, then a gcd reduction.  When the reduced pivot cell
-is 1 (the common case on the extremal programs), a row just loses a multiple
-of the pivot row in place, with no scaling pass.  This is exact arithmetic
-throughout; no floating point enters anywhere.  The entering column is always
-chosen by Bland's rule (lowest index with a negative reduced cost), which
-terminates on every input.
+one, as ``(1, {0: 2, 1: 4}, 6)`` does.  Program rows are read off the
+integers a :class:`qcmass.lp.Row` holds (``den``, ``terms``, ``num``), and
+the cost row off :attr:`qcmass.lp.LinearProgram.integer_objective`, so the
+solver converts no rational coefficient.  One row update, :func:`_clear`,
+does every exact elimination in the module: it clears the pivot column of a
+row by integer cross-multiplication over the nonzeros of the reduced pivot
+row, then a gcd reduction.  When the reduced pivot cell is 1 (the common
+case on the extremal programs), a row just loses a multiple of the pivot row
+in place, with no scaling pass.  This is exact arithmetic throughout; no
+floating point enters anywhere.  The entering column is always chosen by
+Bland's rule (lowest index with a negative reduced cost), which terminates on
+every input.
 
 The basis is one list, ``basis`` (position -> column), and its inverse,
 ``where`` (basic column -> position).  Position i starts as program row i
@@ -247,10 +247,10 @@ class _Solver:
         self.originals: list[_Row] = []
         self.basis: list[int] = []  # position -> basic column
         for i, row in enumerate(lp.rows):
-            den, ints, num = row.integer_form
+            den, num = row.den, row.num
             geq = row.relation == ">="
             sign = -1 if num < 0 or (num == 0 and geq) else 1  # to a right-hand side >= 0
-            cells = {j: sign * a for (j, _), a in zip(row.coeffs, ints)}
+            cells = {j: sign * a for j, a in row.terms}
             if geq == (sign == 1):  # ">=" once the sign is applied
                 cells[nv + i], cells[ncols + i] = -den, den  # a cell equal to den is a 1
                 self.basis.append(ncols + i)
@@ -552,9 +552,11 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
 
     Negating a row, as the solver does to make its right-hand side
     nonnegative, negates its dual and leaves every reduced cost as it is, so
-    the solver's reduced costs apply to the rows as posed.  A slack's value
-    is read off the row's stored integer form by :func:`qcmass.lp._slack`,
-    as in :func:`qcmass.lp.check_point`, so no row is converted here.
+    the solver's reduced costs apply to the rows as posed.  A row holds its
+    coefficients as integers ``terms`` over ``den``, so ``y_i a_i`` is
+    ``y_i / den`` times each integer term.  A slack's value is read off the
+    same integers by :func:`qcmass.lp._slack`, as in
+    :func:`qcmass.lp.check_point`, so no row is converted here.
 
     Then for every feasible point ``(x', s')``, ``c x' = y b + d (x', s') >=
     y b``, and for the claimed point the last term is 0, so ``c x = y b`` is
@@ -594,8 +596,9 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
         if reduced:
             sigma = 1 if row.relation == "<=" else -1
             y = -sigma * flip * Fraction(reduced)
-            for j, coef in row.coeffs:
-                d[j] -= y * coef
+            per_unit = y / row.den
+            for j, a in row.terms:
+                d[j] -= per_unit * a
             d[nv + i] -= y * sigma
     den, xs = _over_one_den(x)
     for j, dj in enumerate(d):

@@ -619,7 +619,7 @@ def ref_integer_row(coeffs: dict[int, Fraction], rhs: Fraction) -> tuple[int, di
 
     Each coefficient and the right-hand side are multiplied by the lcm of
     their denominators, and the row is divided by its gcd.  The reference
-    for a row's stored ``integer_form`` and the program rows of the solver.
+    for the integers a row holds and the program rows of the solver.
     """
     den = lcm(rhs.denominator, *(coef.denominator for coef in coeffs.values()))
     cells = {j: int(coef * den) for j, coef in coeffs.items()}

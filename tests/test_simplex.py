@@ -304,8 +304,7 @@ def test_integer_row_matches_fraction_reference() -> None:
         for row, (den, cells, num), prepared in zip(
             lp.rows, solver.originals, ref_prepared_rows(lp)
         ):
-            row_den, ints, row_num = row.integer_form
-            stored = row_den, {j: a for (j, _), a in zip(row.coeffs, ints)}, row_num
+            stored = row.den, dict(row.terms), row.num
             assert stored == ref_integer_row(dict(row.coeffs), row.rhs)
             held = den, {j: a for j, a in cells.items() if j < solver.ncols}, num
             assert held == ref_integer_row(*prepared)
@@ -442,7 +441,7 @@ class RatioCheckedSolver(simplex._Solver):
         for row, gap in zip(self.lp.rows, self.gaps, strict=True):
             negated = row.rhs < 0 or (row.rhs == 0 and row.relation == ">=")
             expected = row.rhs - sum((c * x.get(j, 0) for j, c in row.coeffs), F(0))
-            scale = row.integer_form[0] * self.gaps_den
+            scale = row.den * self.gaps_den
             assert F(gap, scale) == (-expected if negated else expected)
 
     def _pivot(self, leave, enter, objrow, leave_row):
