@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -88,11 +89,12 @@ class Row:
     ``den`` is the lcm of the reduced denominators of the right-hand side
     and every coefficient, ``terms`` the ``(index, coefficient * den)``
     pairs sorted by index with no zero coefficient, and ``num`` is
-    ``rhs * den``.  The form is unique for each row, so two rows of the same
-    family and relation are equal, and hash alike, exactly when their
-    coefficients and right-hand sides are equal as rationals.  ``coeffs``
-    and ``rhs`` are read-only views that build reduced :class:`Fraction`
-    values from it.
+    ``rhs * den``.  An int has denominator 1, so only the other values enter
+    the lcm, and a row of ints has ``den == 1`` with its ints kept as given.
+    The form is unique for each row, so two rows of the same family and
+    relation are equal, and hash alike, exactly when their coefficients and
+    right-hand sides are equal as rationals.  ``coeffs`` and ``rhs`` are
+    read-only views that build reduced :class:`Fraction` values from it.
     """
 
     family: str
@@ -109,11 +111,18 @@ class Row:
         terms = _canonical_terms(coeffs, "row")
         if not terms:
             raise LPError("row references no variables")
-        den, (num, *ints) = _over_one_den([_exact(rhs), *map(itemgetter(1), terms)])
+        rhs = _exact(rhs)
+        # An int is over every denominator already, so only Fractions enter the lcm.
+        den = lcm(*[v.denominator for v in (rhs, *map(itemgetter(1), terms)) if type(v) is not int])
+        terms = [
+            (j, a * den if type(a) is int else a.numerator * (den // a.denominator))
+            for j, a in terms
+        ]
+        num = rhs * den if type(rhs) is int else rhs.numerator * (den // rhs.denominator)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "terms", tuple(zip(map(itemgetter(0), terms), ints)))
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "num", num)
 
     @property
@@ -398,25 +407,27 @@ def check_assignment(
 def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
     """Exactly test a variable vector against every row and the implicit bounds x >= 0.
 
-    ``x`` is put over one common denominator, so each row's slack is one
-    integer sum over the row's integers (:func:`_slack`); no row is
-    converted here.  A row's :class:`Fraction` values are built only for the
-    report of a violated row.
+    ``x`` is put over one common denominator, so the bounds are tested on
+    its integers, each row's slack is one integer sum over the row's
+    integers (:func:`_slack`), and the objective is one integer sum over
+    :attr:`LinearProgram.integer_objective`, made a :class:`Fraction` once;
+    no row is converted here.  A row's :class:`Fraction` values are built
+    only for the report of a violated row, and a negative value is reported
+    as it was given.
     """
     if len(x) != lp.num_vars:
         raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
-    violations: list[RowViolation] = []
-    for j, value in enumerate(x):
-        if value < ZERO:
-            violations.append(RowViolation(j, "N", value, ">=", ZERO))
     den, xs = _over_one_den(x)
+    violations = [RowViolation(j, "N", x[j], ">=", ZERO) for j, v in enumerate(xs) if v < 0]
     for k, row in enumerate(lp.rows):
         slack, scale = _slack(row, den, xs)
         if slack < 0:
             rhs = row.rhs
             lhs = rhs + Fraction(slack if row.relation == ">=" else -slack, scale)
             violations.append(RowViolation(k, row.family, lhs, row.relation, rhs))
-    return FeasibilityReport(not violations, lp.evaluate_objective(x), tuple(violations))
+    oden, oints = lp.integer_objective
+    total = sum([a * xs[j] for (j, _), a in zip(lp.objective, oints)])
+    return FeasibilityReport(not violations, Fraction(total, oden * den), tuple(violations))
 
 
 def _slack(row: Row, den: int, xs: Sequence[int]) -> tuple[int, int]:

@@ -77,7 +77,10 @@ Standard form and index conventions, shared by :func:`solve` and
 :func:`certify` checks a claimed optimum as a primal-dual pair: the
 assignment must be feasible, the row duals read off the slack columns'
 reduced costs must be dual feasible, and the two must meet complementary
-slackness.  It reads neither the basis nor the kept rows.
+slackness.  It reads neither the basis nor the kept rows.  Like the solver
+it works in integers: every reduced cost it recomputes is one integer over a
+common denominator, and a :class:`Fraction` is built only for the text of a
+failure.
 """
 
 from __future__ import annotations
@@ -88,7 +91,15 @@ from math import gcd, lcm
 from typing import Callable, Mapping
 
 from .grid import NBox, ZERO
-from .lp import ExtremalLayout, LinearProgram, LPError, VertexAssignment, _slack, check_point
+from .lp import (
+    ExtremalLayout,
+    LinearProgram,
+    LPError,
+    VertexAssignment,
+    _fraction,
+    _slack,
+    check_point,
+)
 from .rational import _over_one_den
 
 
@@ -552,11 +563,20 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
 
     Negating a row, as the solver does to make its right-hand side
     nonnegative, negates its dual and leaves every reduced cost as it is, so
-    the solver's reduced costs apply to the rows as posed.  A row holds its
-    coefficients as integers ``terms`` over ``den``, so ``y_i a_i`` is
-    ``y_i / den`` times each integer term.  A slack's value is read off the
-    same integers by :func:`qcmass.lp._slack`, as in
-    :func:`qcmass.lp.check_point`, so no row is converted here.
+    the solver's reduced costs apply to the rows as posed.
+
+    The check runs in integers.  Each nonzero dual is read once, as
+    ``y_i = p_i / q_i``, and every reduced cost is held as the integer
+    ``d_j * big``, ``big`` the lcm of the objective's denominator and every
+    ``q_i * den_i`` (row i holds its coefficients as integer ``terms`` over
+    ``den_i``).  A structural column starts at its integer cost times
+    ``big`` over the objective's denominator and loses
+    ``p_i * big / (q_i * den_i)`` times each integer term of row i; the
+    slack column of row i is ``-sigma_i * p_i * big / q_i``.  Each is
+    compared with 0 as an int, and a value is read off the point's integers
+    over one denominator, a slack's by :func:`qcmass.lp._slack` as in
+    :func:`qcmass.lp.check_point`, so no row is converted here.  A
+    :class:`Fraction` is built only for the text of a failure.
 
     Then for every feasible point ``(x', s')``, ``c x' = y b + d (x', s') >=
     y b``, and for the claimed point the last term is 0, so ``c x = y b`` is
@@ -569,7 +589,7 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     nv = lp.num_vars
     if set(solution.assignment) != set(range(nv)):
         return CertificateReport(False, ("assignment must cover every variable",))
-    x = [Fraction(solution.assignment[j]) for j in range(nv)]
+    x = [_fraction(solution.assignment[j]) for j in range(nv)]
     report = check_point(lp, x)
     failures = [
         f"variable {lp.var_names[v.index]} is negative: {v.lhs}"
@@ -588,29 +608,35 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
         return CertificateReport(False, tuple(failures))
 
     flip = 1 if lp.sense == "min" else -1
-    d = [ZERO] * ncols  # reduced costs, starting from the internal (minimized) costs
-    for j, coef in lp.objective:
-        d[j] = flip * coef
+    oden, oints = lp.integer_objective
+    duals = []  # (i, row, sigma_i, p, q) with the dual y_i = p / q
     for i, row in enumerate(lp.rows):
         reduced = solution.reduced_costs[nv + i]
         if reduced:
+            p, q = _fraction(reduced).as_integer_ratio()
             sigma = 1 if row.relation == "<=" else -1
-            y = -sigma * flip * Fraction(reduced)
-            per_unit = y / row.den
-            for j, a in row.terms:
-                d[j] -= per_unit * a
-            d[nv + i] -= y * sigma
+            duals.append((i, row, sigma, -sigma * flip * p, q))
+    # Each reduced cost is held times ``big``, a multiple of every denominator met.
+    big = lcm(oden, *[q * row.den for _, row, _, _, q in duals])
+    d = [0] * ncols  # starting from the internal (minimized) costs
+    scale = big // oden
+    for (j, _), a in zip(lp.objective, oints):
+        d[j] = flip * a * scale
+    for i, row, sigma, p, q in duals:
+        per_unit = p * (big // (q * row.den))
+        for j, a in row.terms:
+            d[j] -= per_unit * a
+        d[nv + i] = -sigma * p * (big // q)
     den, xs = _over_one_den(x)
     for j, dj in enumerate(d):
-        if dj < ZERO:
-            failures.append(f"column {j} has negative reduced cost {dj}")
-        elif dj != ZERO:
+        if dj < 0:
+            failures.append(f"column {j} has negative reduced cost {Fraction(dj, big)}")
+        elif dj and (xs[j] if j < nv else _slack(lp.rows[j - nv], den, xs)[0]):
             value = x[j] if j < nv else Fraction(*_slack(lp.rows[j - nv], den, xs))
-            if value != ZERO:
-                failures.append(
-                    f"complementary slackness fails on column {j}: "
-                    f"value {value}, reduced cost {dj}"
-                )
+            failures.append(
+                f"complementary slackness fails on column {j}: "
+                f"value {value}, reduced cost {Fraction(dj, big)}"
+            )
     return CertificateReport(not failures, tuple(failures))
 
 

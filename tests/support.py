@@ -7,7 +7,9 @@ functions are the node-lattice consumers written plainly over a dict of
 ``Fraction`` node values, the reference for the integer lattice in
 qcmass.grid.  Likewise ``dense_certify`` checks a claimed optimum's
 primal-dual pair on the dense matrix of every row and column, the reference
-for the sparse pass of ``qcmass.simplex.certify``, and ``dense_solve`` runs
+for the sparse pass of ``qcmass.simplex.certify``; ``reference_certify``
+does that sparse pass in ``Fraction`` arithmetic, the reference for its sums
+over one integer denominator.  ``dense_solve`` runs
 the simplex on dense integer rows, the reference for the sparse rows of
 ``qcmass.simplex.solve``.  ``ref_box_volume``
 reads a box's mass off the node lattice, the reference for the cell sum of
@@ -685,6 +687,69 @@ def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateRe
                 f"complementary slackness fails on column {j}: "
                 f"value {values[j]}, reduced cost {d}"
             )
+    return CertificateReport(not failures, tuple(failures))
+
+
+def reference_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
+    """Reference certificate: the sparse primal-dual pair check in ``Fraction`` arithmetic.
+
+    The primal half is :func:`ref_check_point`, one ``Fraction`` product per
+    term, objective included.  Each dual ``y_i`` is a ``Fraction``, and every
+    reduced cost is built one ``Fraction`` multiply and subtract per row term,
+    then compared with zero; a slack's value is its row's ``Fraction``
+    residual.  ``qcmass.simplex.certify`` does the same over integers on one
+    denominator and must return the same ``ok`` and ``failures`` on every claim.
+    """
+    if solution.status != "optimal":
+        raise LPError("only optimal solutions can be certified")
+    nv = lp.num_vars
+    if set(solution.assignment) != set(range(nv)):
+        return CertificateReport(False, ("assignment must cover every variable",))
+    x = [Fraction(solution.assignment[j]) for j in range(nv)]
+    report = ref_check_point(lp, x)
+    failures = [
+        f"variable {lp.var_names[v.index]} is negative: {v.lhs}"
+        if v.family == "N"
+        else f"row {v.index} violated: {v.lhs} {v.relation} {v.rhs}"
+        for v in report.violations
+    ]
+    if report.objective_value != solution.objective:
+        failures.append(
+            f"objective mismatch: assignment gives {report.objective_value}, "
+            f"solution claims {solution.objective}"
+        )
+    ncols = nv + len(lp.rows)
+    if set(solution.reduced_costs) != set(range(ncols)):
+        failures.append("reduced costs must cover every column")
+        return CertificateReport(False, tuple(failures))
+
+    flip = 1 if lp.sense == "min" else -1
+    d = [ZERO] * ncols
+    for j, coef in lp.objective:
+        d[j] = flip * coef
+    for i, row in enumerate(lp.rows):
+        reduced = solution.reduced_costs[nv + i]
+        if reduced:
+            sigma = 1 if row.relation == "<=" else -1
+            y = -sigma * flip * Fraction(reduced)
+            for j, coef in row.coeffs:
+                d[j] -= y * coef
+            d[nv + i] -= y * sigma
+
+    def slack(row: Row) -> Fraction:
+        lhs = sum((coef * x[j] for j, coef in row.coeffs), ZERO)
+        return lhs - row.rhs if row.relation == ">=" else row.rhs - lhs
+
+    for j, dj in enumerate(d):
+        if dj < ZERO:
+            failures.append(f"column {j} has negative reduced cost {dj}")
+        elif dj != ZERO:
+            value = x[j] if j < nv else slack(lp.rows[j - nv])
+            if value != ZERO:
+                failures.append(
+                    f"complementary slackness fails on column {j}: "
+                    f"value {value}, reduced cost {dj}"
+                )
     return CertificateReport(not failures, tuple(failures))
 
 

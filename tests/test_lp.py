@@ -747,6 +747,60 @@ def test_row_equality_is_rational_equality() -> None:
         assert other != base
 
 
+def test_one_row_written_several_ways_has_one_form() -> None:
+    # Each group spells one row, as (coeffs, rhs), in several ways: ints,
+    # Fractions, ratio and decimal strings, bools, ints and Fractions mixed.
+    groups = [
+        ("<=", [
+            (((0, 1), (3, 1), (5, 0)), 1),
+            (((0, F(1)), (3, F(2, 2)), (5, F(0))), F(1)),
+            (((0, "1"), (3, "2/2"), (5, "0.0")), "1.00"),
+            (((0, True), (3, True), (5, False)), True),
+            (((3, F(3, 3)), (0, 1), (5, 0)), F(1)),
+        ]),
+        (">=", [
+            (((0, -2), (4, 3)), 0),
+            (((0, F(-2)), (4, F(6, 2))), F(0)),
+            (((0, "-4/2"), (4, "3.0")), "-0.0"),
+            (((0, -2), (4, F(3))), False),
+        ]),
+        ("<=", [
+            (((1, F(1, 2)), (2, F(-2)), (6, F(3, 4))), F(-5, 6)),
+            (((1, "1/2"), (2, "-2"), (6, "0.75")), "-10/12"),
+            (((1, "0.5"), (2, "-4/2"), (6, "3/4")), "-5/6"),
+            (((6, F(6, 8)), (2, -2), (1, F(2, 4))), F(-5, 6)),
+        ]),
+    ]
+    dens = []
+    for relation, spellings in groups:
+        rows = [Row("F", coeffs, relation, rhs) for coeffs, rhs in spellings]
+        first = rows[0]
+        for row in rows[1:]:
+            assert (row.den, row.terms, row.num) == (first.den, first.terms, first.num)
+            assert row == first and hash(row) == hash(first)
+        assert all(type(a) is int for _, a in first.terms) and type(first.num) is int
+        dens.append(first.den)
+    assert dens == [1, 1, 12]
+
+
+def test_row_den_is_one_exactly_for_integer_values() -> None:
+    rng = random.Random("row-den")
+
+    def value() -> Fraction:
+        return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 1, 2, 3, 4)))
+
+    def spell(v: Fraction) -> int | Fraction:
+        """An integer value written as an int half the time."""
+        return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+    for _ in range(500):
+        rhs = rng.choice((F(0), value()))
+        coeffs = [(j, value()) for j in range(rng.randint(1, 4))]
+        row = Row("", [(j, spell(c)) for j, c in coeffs], "<=", spell(rhs))
+        assert (row.den == 1) == all(v.denominator == 1 for v in [rhs, *dict(coeffs).values()])
+        assert row.rhs == rhs and row.coeffs == tuple(coeffs)
+
+
 def test_program_keeps_the_rows_it_is_given(monkeypatch) -> None:
     lp, _ = build_extremal_lp(3, "min")
     rows = lp.rows
@@ -776,8 +830,8 @@ def test_each_extremal_row_is_canonicalized_once(monkeypatch) -> None:
 
 
 def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
-    # Building the program makes each row's integers once, the objective's
-    # too; solving it, checking a feasible point and certifying it convert no
+    # Building the program makes each row once and the objective's integers
+    # once; solving it, checking a feasible point and certifying it make no
     # row and read none of a row's Fraction views.
     from qcmass import lp as lp_module, simplex
 
@@ -785,6 +839,9 @@ def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
     for name in ("coeffs", "rhs"):
         view = getattr(Row, name)
         monkeypatch.setattr(Row, name, property(lambda row, view=view: reads.append(row) or view.fget(row)))
+    built = []
+    init = Row.__init__
+    monkeypatch.setattr(Row, "__init__", lambda row, *args: built.append(row) or init(row, *args))
     calls = []
     over_one_den = lp_module._over_one_den
 
@@ -795,9 +852,12 @@ def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
     monkeypatch.setattr(lp_module, "_over_one_den", counted)
     monkeypatch.setattr(simplex, "_over_one_den", counted)
     for sense in ("min", "max"):
+        built.clear()
         calls.clear()
         lp, _ = build_extremal_lp(5, sense)
-        assert len(calls) == len(lp.rows) + 1 == 5 + 11 * 2**5 + 1
+        assert len(built) == len(lp.rows) == 5 + 11 * 2**5
+        assert len(calls) == 1  # the objective
+        built.clear()
         calls.clear()
         solution = solve(lp)
         assert not calls
@@ -805,6 +865,7 @@ def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
         assert len(calls) == 2  # the point, once in check_point and once in certify
         x = [solution.assignment[j] for j in range(lp.num_vars)]
         assert check_point(lp, x).feasible
+        assert not built
         assert not reads
     export_lp(lp)  # the text export reads both views of every row, so the count is live
     assert len(reads) == 2 * len(lp.rows)

@@ -19,7 +19,14 @@ from qcmass.lp import (
 )
 from qcmass.simplex import SolveStats, certify, solution_to_assignment, solve
 
-from support import dense_certify, dense_solve, random_small_lp, ref_integer_row, ref_prepared_rows
+from support import (
+    dense_certify,
+    dense_solve,
+    random_small_lp,
+    ref_integer_row,
+    ref_prepared_rows,
+    reference_certify,
+)
 
 F = Fraction
 
@@ -688,6 +695,56 @@ def test_certify_matches_dense_oracle(n: int, sense: str) -> None:
         assert (fast.ok, fast.failures) == (dense.ok, dense.failures)
         verdicts.append(fast.ok)
     assert verdicts[0] and not all(verdicts)
+
+
+def _edited_claims(rng: random.Random, lp: LinearProgram, solution) -> list:
+    """The solver's claim and six edits of it, each of one kind a faulty solver could make."""
+    nv = lp.num_vars
+    duals = [k for k in range(nv, nv + len(lp.rows)) if solution.reduced_costs[k]]
+    claims = [solution]
+    scaled = dict(solution.reduced_costs)
+    for k in duals:
+        scaled[k] *= F(3, 2)
+    claims.append(replace(solution, reduced_costs=scaled))
+    if duals:
+        flipped = dict(solution.reduced_costs)
+        k = rng.choice(duals)
+        flipped[k] = -flipped[k]
+        claims.append(replace(solution, reduced_costs=flipped))
+    for value in (lambda v: v + F(1, 7), lambda v: F(-1, 3)):
+        assignment = dict(solution.assignment)
+        j = rng.randrange(nv)
+        assignment[j] = value(assignment[j])
+        claims.append(replace(solution, assignment=assignment))
+    claims.append(replace(solution, objective=solution.objective + 1))
+    dropped = dict(solution.reduced_costs)
+    dropped.pop(rng.choice(sorted(dropped)))
+    claims.append(replace(solution, reduced_costs=dropped))
+    return claims
+
+
+def test_certify_matches_fraction_reference() -> None:
+    # The integer certificate and its Fraction-arithmetic reference agree on
+    # every claim: the same verdict, and the same failures in the same order.
+    rng = random.Random("certify-reference")
+    programs = [build_extremal_lp(n, sense)[0] for n in range(2, 6) for sense in ("min", "max")]
+    programs += [build_symmetric_lp(n, sense) for n in range(2, 13) for sense in ("min", "max")]
+    fractional = 0
+    while fractional < 40:
+        lp = random_small_lp(rng)
+        if any(row.den > 1 for row in lp.rows):
+            programs.append(lp)
+            fractional += 1
+    verdicts = []
+    for lp in programs:
+        solution = solve(lp)
+        if solution.status != "optimal":
+            continue
+        for claim in _edited_claims(rng, lp, solution):
+            fast, ref = certify(lp, claim), reference_certify(lp, claim)
+            assert (fast.ok, fast.failures) == (ref.ok, ref.failures)
+            verdicts.append(fast.ok)
+    assert verdicts.count(False) > len(programs)
 
 
 def test_certify_passes_only_true_optima() -> None:
