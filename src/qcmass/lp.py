@@ -409,36 +409,41 @@ def check_point(lp: LinearProgram, x: Sequence[Fraction]) -> FeasibilityReport:
 
     ``x`` is put over one common denominator, so the bounds are tested on
     its integers, each row's slack is one integer sum over the row's
-    integers (:func:`_slack`), and the objective is one integer sum over
+    integers, and the objective is one integer sum over
     :attr:`LinearProgram.integer_objective`, made a :class:`Fraction` once;
     no row is converted here.  A row's :class:`Fraction` values are built
     only for the report of a violated row, and a negative value is reported
     as it was given.
     """
+    return _point_slacks(lp, x)[0]
+
+
+def _point_slacks(
+    lp: LinearProgram, x: Sequence[Fraction]
+) -> tuple[FeasibilityReport, int, list[int], list[int]]:
+    """:func:`check_point`'s one pass, with the integers it sums: ``(report, den, xs, slacks)``.
+
+    ``x`` is ``xs / den``, and ``slacks[k]`` is row k's slack at ``x`` over
+    ``rows[k].den * den``: ``lhs - rhs`` for ">=" and ``rhs - lhs`` for
+    "<=", so it is >= 0 exactly when the row holds.
+    """
     if len(x) != lp.num_vars:
         raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
     den, xs = _over_one_den(x)
     violations = [RowViolation(j, "N", x[j], ">=", ZERO) for j, v in enumerate(xs) if v < 0]
+    slacks = []
     for k, row in enumerate(lp.rows):
-        slack, scale = _slack(row, den, xs)
+        lhs_minus_rhs = sum([a * xs[j] for j, a in row.terms]) - row.num * den
+        slack = lhs_minus_rhs if row.relation == ">=" else -lhs_minus_rhs
+        slacks.append(slack)
         if slack < 0:
             rhs = row.rhs
-            lhs = rhs + Fraction(slack if row.relation == ">=" else -slack, scale)
+            lhs = rhs + Fraction(lhs_minus_rhs, row.den * den)
             violations.append(RowViolation(k, row.family, lhs, row.relation, rhs))
     oden, oints = lp.integer_objective
     total = sum([a * xs[j] for (j, _), a in zip(lp.objective, oints)])
-    return FeasibilityReport(not violations, Fraction(total, oden * den), tuple(violations))
-
-
-def _slack(row: Row, den: int, xs: Sequence[int]) -> tuple[int, int]:
-    """The value of a row's slack at the point ``xs / den``, as ``(num, scale)``.
-
-    The slack is ``lhs - rhs`` for ">=" and ``rhs - lhs`` for "<=", so it is
-    >= 0 exactly when the row holds.  It is one integer sum over the row's
-    integer ``terms``, over the denominator ``scale = row.den * den``.
-    """
-    slack = sum([a * xs[j] for j, a in row.terms]) - row.num * den
-    return (slack if row.relation == ">=" else -slack), row.den * den
+    report = FeasibilityReport(not violations, Fraction(total, oden * den), tuple(violations))
+    return report, den, xs, slacks
 
 
 def reference_witness(n: int, sense: str) -> VertexAssignment:
@@ -491,8 +496,10 @@ def symmetric_candidate(n: int) -> list[Fraction]:
     a = s = (n-1)/(2n-1), and q_k = a for k >= n-1, 0 below; the pattern is
     symmetric, so it is feasible exactly when this point is.
     """
-    lo, hi = conjectured_box(n).intervals[0]
-    return [lo, hi - lo] + [lo if k >= n - 1 else ZERO for k in range(n + 1)]
+    if n < 2:
+        raise LPError("box is defined for dimension >= 2")
+    lo = Fraction(n - 1, 2 * n - 1)
+    return [lo, lo] + [lo if k >= n - 1 else ZERO for k in range(n + 1)]
 
 
 def export_lp(lp: LinearProgram) -> str:

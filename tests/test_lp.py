@@ -294,6 +294,8 @@ def test_conjectured_box_values() -> None:
         conjectured_box(1)
     with pytest.raises(LPError):
         conjectured_bound(1)
+    with pytest.raises(LPError):
+        symmetric_candidate(1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -524,6 +526,7 @@ def test_symmetric_candidate_decides_candidate_pattern(n: int) -> None:
     reduced = build_symmetric_lp(n, "min")
     point = symmetric_candidate(n)
     assert lift_symmetric(n, point) == candidate_pattern(n)
+    assert lift_symmetric(n, point).box == conjectured_box(n)
     # the verdicts agree on the candidate and on two symmetric edits of it:
     # the top corner raised to 1, and every corner value raised by 1/(2n-1)
     bump = F(1, 2 * n - 1)
@@ -850,7 +853,7 @@ def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
         return over_one_den(values)
 
     monkeypatch.setattr(lp_module, "_over_one_den", counted)
-    monkeypatch.setattr(simplex, "_over_one_den", counted)
+    assert not hasattr(simplex, "_over_one_den")  # certify reads the point through lp
     for sense in ("min", "max"):
         built.clear()
         calls.clear()
@@ -862,7 +865,7 @@ def test_each_extremal_row_is_converted_once(monkeypatch) -> None:
         solution = solve(lp)
         assert not calls
         assert certify(lp, solution).ok
-        assert len(calls) == 2  # the point, once in check_point and once in certify
+        assert len(calls) == 1  # the point, in the one pass check_point and certify share
         x = [solution.assignment[j] for j in range(lp.num_vars)]
         assert check_point(lp, x).feasible
         assert not built

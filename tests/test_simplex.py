@@ -86,6 +86,109 @@ def test_negative_rhs_geq_row_feasible() -> None:
     assert solution.objective == F(0)
 
 
+# ----------------------------------------------------------- row arithmetic
+
+
+def row_value(row) -> tuple[dict, Fraction]:
+    """A tableau row ``(den, cells, rhs)`` as Fractions: its cells and right-hand side."""
+    den, cells, rhs = row
+    return {j: F(x, den) for j, x in cells.items()}, F(rhs, den)
+
+
+def assert_normal(before, after) -> None:
+    """``after`` is ``before`` normalized: same value, no zero cell, primitive unless over 1."""
+    den, cells, rhs = after
+    assert den > 0 and all(cells.values())
+    assert row_value(after) == row_value(before)
+    if before[0] == 1:
+        assert after == before  # a den-1 row keeps any common factor
+    else:
+        assert gcd(den, rhs, *cells.values()) == 1
+
+
+def test_normalize_matches_fraction_reference() -> None:
+    # Four kinds of row, each then scaled by a random factor:
+    # gcd(den, rhs) == 1; gcd(den, rhs) > 1 with the cells coprime to it, so
+    # only the second gcd, over the cells, shows the row is primitive; rhs
+    # == 0; and a den-1 row that keeps a common factor.
+    rng = random.Random("normalize")
+    cases = [(6, {0: 4, 1: 9}, 3), (4, {0: 2, 1: 6}, 0), (1, {0: 2, 1: 4}, 6), (5, {2: 10}, 3)]
+    for _ in range(200):
+        kind = rng.randrange(4)
+        den = 1 if kind == 3 else rng.randint(2, 30)
+        cells = {j: rng.choice((-1, 1)) * rng.randint(1, 40) for j in rng.sample(range(12), 4)}
+        rhs = 0 if kind == 2 else rng.randint(0, 60)
+        if kind == 0:
+            rhs = rhs * den + 1
+        elif kind == 1:
+            p = rng.choice((2, 3, 5, 7))
+            den, rhs = den * p, rhs * p
+            cells[12] = p * rng.randint(1, 5) + 1  # coprime to p
+        factor = rng.randint(1, 6)
+        scaled = {j: x * factor for j, x in cells.items()}
+        cases.append((den * factor if den > 1 else 1, scaled, rhs * factor))
+    kinds = set()
+    for den, cells, rhs in cases:
+        kinds.add(
+            "den 1" if den == 1 else "rhs 0" if not rhs else "coprime" if gcd(den, rhs) == 1
+            else "cells coprime" if gcd(gcd(den, rhs), *cells.values()) == 1 else "divided"
+        )
+        assert_normal((den, dict(cells), rhs), simplex._normalize(den, dict(cells), rhs))
+    assert kinds == {"den 1", "rhs 0", "coprime", "cells coprime", "divided"}
+    assert simplex._normalize(6, {0: 4, 1: 9}, 3) == (6, {0: 4, 1: 9}, 3)
+    assert simplex._normalize(4, {0: 2, 1: 6}, 0) == (2, {0: 1, 1: 3}, 0)
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_clear_matches_fraction_reference(unit: bool) -> None:
+    # _clear against Fraction row operations on a dict of held rows, over a
+    # unit pivot row (reduced pivot cell 1) and scaled ones, with the count of
+    # cells written: the pivot row's cells plus the right-hand side for a
+    # unit pivot, the union of both rows' cells plus it for a scaled one.
+    rng = random.Random(f"clear-{unit}")
+    col = 3
+    for _ in range(100):
+        pden = 1 if unit else rng.randint(2, 9)
+        pcells = {j: rng.randint(-20, 20) for j in rng.sample(range(10), 5)}
+        pcells = {j: x for j, x in pcells.items() if x and j != col}
+        pcells[col] = pden
+        pivot_row = simplex._normalize(pden, pcells, rng.randint(0, 30))
+        if pivot_row[0] != pden:
+            continue  # normalized to a smaller pivot cell: not a reduced row
+        rows = {}
+        for k in range(8):
+            den = rng.choice((1, 1, 2, 3, 4, 6))
+            cells = {j: rng.randint(-9, 9) for j in rng.sample(range(10), 6)}
+            cells = {j: x for j, x in cells.items() if x}
+            rows[k] = simplex._normalize(den, cells, rng.randint(0, 20))
+        before = {k: (den, dict(cells), rhs) for k, (den, cells, rhs) in rows.items()}
+        expected_written = 0
+        expected = {}
+        pvalue, prhs = row_value(pivot_row)
+        for k, row in before.items():
+            value, rhs = row_value(row)
+            c = value.get(col, 0)
+            if c:
+                written = pivot_row[1] if unit else row[1].keys() | pivot_row[1].keys()
+                expected_written += 1 + len(written)
+                for j, b in pvalue.items():
+                    value[j] = value.get(j, 0) - c * b
+                value = {j: x for j, x in value.items() if x}
+                rhs -= c * prhs
+            expected[k] = (value, rhs)
+        cells_of = {k: rows[k][1] for k in rows}
+        assert simplex._clear(rows, col, pivot_row) == expected_written
+        for k, row in rows.items():
+            assert row_value(row) == expected[k]
+            assert col not in row[1]
+            if before[k][1].get(col) is None:
+                assert row == before[k]
+            elif before[k][0] > 1:
+                assert gcd(row[0], row[2], *row[1].values()) == 1
+            elif unit:
+                assert row[1] is cells_of[k]  # a unit pivot updates the cells in place
+
+
 # --------------------------------------------------------- extremal family
 
 KNOWN = {
@@ -163,13 +266,29 @@ def test_extremal_column_gathers(n: int, sense: str) -> None:
 
 
 def test_extremal_optima_n6() -> None:
-    for sense, objective, pivots in (("min", F(-75, 16), 982), ("max", F(11, 2), 874)):
+    # (phase1, phase2, cells_touched, peak bits) and column gathers, as in
+    # KNOWN_STATS and KNOWN_GATHERS.  Of the pinned solves, these and n=7 min
+    # make the most scaled row updates (2,515, 1,925 and 21,579), so they
+    # guard the cell count and the peak of both kinds of pivot.
+    known = (
+        ("min", F(-75, 16), 982, (0, 982, 1013373, 6), 16),
+        ("max", F(11, 2), 874, (0, 874, 861821, 4), 6),
+    )
+    for sense, objective, pivots, stats, gathers in known:
         lp, layout = build_extremal_lp(6, sense)
         solution = solve(lp)
         assert solution.status == "optimal"
         assert solution.objective == objective
         # both counts were confirmed once against the dense oracle
         assert solution.pivots == pivots
+        s = solution.stats
+        assert (
+            s.phase1_pivots,
+            s.phase2_pivots,
+            s.cells_touched,
+            solution.peak_denominator_bits,
+        ) == stats
+        assert s.column_gathers == gathers
         assert certify(lp, solution).ok
         report = check_assignment(lp, layout, solution_to_assignment(layout, solution))
         assert report.feasible
@@ -184,6 +303,14 @@ def test_extremal_optimum_n7() -> None:
     assert solution.status == "optimal"
     assert solution.objective == F(-19, 2)
     assert solution.pivots == 3062
+    s = solution.stats
+    assert (
+        s.phase1_pivots,
+        s.phase2_pivots,
+        s.cells_touched,
+        solution.peak_denominator_bits,
+    ) == (0, 3062, 9557098, 6)
+    assert s.column_gathers == 26
     assert solution.objective == solve(build_symmetric_lp(7, "min")).objective
     assert certify(lp, solution).ok
     assert check_assignment(lp, layout, solution_to_assignment(layout, solution)).feasible
