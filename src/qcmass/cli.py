@@ -13,38 +13,65 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
 from math import gcd, prod
 from pathlib import Path
 
 import click
 
-from .grid import (
-    MAX_LATTICE_NODES,
-    GridError,
-    MassGrid,
-    NBox,
-    builtin_grid,
-    grid_from_json,
-    grid_payload,
-    make_grid_qc,
-    marginalize,
-)
-from .lp import (
-    LPError,
-    build_extremal_lp,
-    build_symmetric_lp,
-    check_assignment,
-    check_point,
-    conjectured_bound,
-    export_lp,
-    reference_witness,
-    symmetric_candidate,
-)
+from .box import ONE, GridError, NBox
 from .rational import RationalParseError, format_rational, parse_rational
-from .simplex import certify, solution_to_assignment, solve
 
-ONE = Fraction(1)
+# The names each command takes from the grid half (grid.py) or the LP half
+# (lp.py and simplex.py).  Each run_* function loads the modules it uses
+# with _load before it reads any of these names, so a command never loads
+# the other half; the module __getattr__ below serves them to callers
+# outside, such as a test or a tracer that reads or replaces cli.solve.
+_HALVES = {
+    "grid": (
+        "MAX_LATTICE_NODES",
+        "MassGrid",
+        "builtin_grid",
+        "grid_from_json",
+        "grid_payload",
+        "make_grid_qc",
+        "marginalize",
+    ),
+    "lp": (
+        "LPError",
+        "build_extremal_lp",
+        "build_symmetric_lp",
+        "check_assignment",
+        "check_point",
+        "conjectured_bound",
+        "export_lp",
+        "reference_witness",
+        "symmetric_candidate",
+    ),
+    "simplex": ("certify", "solution_to_assignment", "solve"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import ``modules`` and bind their names here, keeping any already bound.
+
+    A name that is bound already, say to a wrapper set with setattr, stays
+    as it is, so every call still goes through this module's globals.
+    """
+    namespace = globals()
+    for module in modules:
+        source = import_module(f".{module}", __package__)
+        for name in _HALVES[module]:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _HALVES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -69,12 +96,22 @@ def _finish(result: CommandResult) -> None:
     sys.exit(result.exit_code)
 
 
+def _exit_2_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports with exit 2.
+
+    An LPError can exist only once qcmass.lp is loaded, and a grid command
+    does not load it.
+    """
+    lp = sys.modules.get(f"{__package__}.lp")
+    return (GridError, RationalParseError, OSError) + ((lp.LPError,) if lp else ())
+
+
 def _guarded(fn, *args, **kwargs) -> None:
     try:
         result = fn(*args, **kwargs)
-    except (GridError, LPError, RationalParseError, OSError) as exc:
-        _finish(CommandResult(2, error=f"error: {exc}\n"))
-        return
+    # The tuple is built only when an error reaches this clause.
+    except _exit_2_errors() as exc:
+        result = CommandResult(2, error=f"error: {exc}\n")
     _finish(result)
 
 
@@ -107,6 +144,7 @@ def _flags_key(flags: tuple[bool, ...]) -> str:
 def run_extremize(
     dimension: int, direction: str, fmt: str, emit_lp: str | None
 ) -> CommandResult:
+    _load("lp", "simplex")
     lp, layout = build_extremal_lp(dimension, direction)
     if emit_lp is not None:
         Path(emit_lp).write_text(export_lp(lp))
@@ -179,6 +217,7 @@ _CHECK_KINDS = (
 
 
 def run_verify(example: str | None, file: str | None) -> CommandResult:
+    _load("grid")
     qc = make_grid_qc(_load_grid(example, file))
     report = qc.verify_axioms()
     violations = list(report.violations) + list(qc.frechet_envelope_check())
@@ -217,6 +256,7 @@ def verify(example: str | None, file: str | None) -> None:
 
 
 def run_volume(example: str | None, file: str | None, box_text: str) -> CommandResult:
+    _load("grid")
     grid = _load_grid(example, file)
     box = _parse_box(box_text)
     return CommandResult(0, format_rational(grid.box_volume(box)) + "\n")
@@ -242,6 +282,7 @@ def volume(example: str | None, file: str | None, box_text: str) -> None:
 def run_margin(
     example: str | None, file: str | None, drop_axis: int, fmt: str
 ) -> CommandResult:
+    _load("grid")
     grid = _load_grid(example, file)
     if not 1 <= drop_axis <= grid.dimension:
         raise GridError(
@@ -299,6 +340,7 @@ MAX_CONJECTURE_DIM = 100
 
 
 def run_conjecture(max_dim: int) -> CommandResult:
+    _load("lp", "simplex")
     if max_dim < 2:
         raise LPError(f"--max-dim must be at least 2, got {max_dim}")
     if max_dim > MAX_CONJECTURE_DIM:
@@ -361,6 +403,7 @@ _RECORDED_OPTIMA = {"min": Fraction(-9, 7), "max": Fraction(2)}
 
 
 def run_check_witness(dimension: int, direction: str) -> CommandResult:
+    _load("lp")
     directions = ["min", "max"] if direction == "both" else [direction]
     # Look the witnesses up first: an unrecorded dimension is refused before
     # the program, whose size doubles with each step in dimension, is built.

@@ -21,14 +21,9 @@ from operator import add, gt, itemgetter, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
+# Re-exported: qcmass.grid.NBox, GridError and corner_sign are the box module's.
+from .box import ONE, ZERO, GridError, NBox, corner_sign
 from .rational import _over_one_den, _parse_ratio, format_rational, parse_rational
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-class GridError(ValueError):
-    """Raised for malformed partitions, boxes, grids, or grid files."""
 
 
 @dataclass(frozen=True)
@@ -61,39 +56,6 @@ class AxisPartition:
         if u == ONE:
             return self.num_cells - 1
         return bisect_right(self.breakpoints, u) - 1
-
-
-@dataclass(frozen=True)
-class NBox:
-    """An axis-aligned box inside [0,1]^n, given by per-axis closed intervals."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        ivs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        if not ivs:
-            raise GridError("box needs at least one axis")
-        for lo, hi in ivs:
-            if not (ZERO <= lo <= hi <= ONE):
-                raise GridError(f"interval [{lo}, {hi}] not nested in [0,1]")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.intervals)
-
-    def vertex(self, flags: tuple[bool, ...]) -> tuple[Fraction, ...]:
-        """The corner picking, per axis, the upper end where ``flags`` is True."""
-        return tuple(iv[1] if up else iv[0] for iv, up in zip(self.intervals, flags))
-
-
-def corner_sign(flags: tuple[bool, ...]) -> int:
-    """+1 when the corner has an even number of lower ends (False flags), else -1.
-
-    These are the signs of the inclusion-exclusion sum whose value is the
-    mass a distribution function assigns to the box.
-    """
-    return -1 if (len(flags) - sum(flags)) % 2 else 1
 
 
 def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) -> bool:

@@ -39,7 +39,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .grid import NBox, ZERO, ONE, corner_sign
+from .box import ONE, ZERO, NBox, corner_sign
 from .rational import _over_one_den, format_rational, parse_rational
 
 _RELATIONS = ("<=", ">=")

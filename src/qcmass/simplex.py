@@ -96,7 +96,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping
 
-from .grid import NBox, ZERO
+from .box import ZERO, NBox
 from .lp import (
     ExtremalLayout,
     LinearProgram,
