@@ -11,13 +11,16 @@ Two halves, sharing one arithmetic (``fractions.Fraction`` everywhere):
 
 ``qcmass.cli`` wires both into a deterministic command line tool.  The
 halves share only :mod:`qcmass.box` (boxes in the unit cube, re-exported by
-:mod:`qcmass.grid`) and :mod:`qcmass.rational`.
+:mod:`qcmass.grid`, and both error types, ``GridError`` and ``LPError``)
+and :mod:`qcmass.rational`.
 
 Every name in ``__all__`` is imported from its submodule the first time it
 is read, and so is each submodule read as an attribute (``qcmass.lp``).
 ``import qcmass`` therefore loads no submodule, and each ``qcmass`` command,
 which runs in a fresh process, loads only the half it uses.  The objects
-are the submodules' own: ``qcmass.NBox is qcmass.grid.NBox``.
+are the submodules' own: ``qcmass.NBox is qcmass.grid.NBox``.  One table,
+``_EXPORTS``, says which submodule each name lives in; ``qcmass.cli`` binds
+each half's names from it too.
 """
 
 from importlib import import_module
@@ -26,7 +29,7 @@ from importlib import import_module
 # the first time it is read, so ``import qcmass`` (and ``import qcmass.cli``,
 # which runs this file first) loads neither half.
 _EXPORTS = {
-    "box": ("GridError", "NBox", "corner_sign"),
+    "box": ("GridError", "LPError", "NBox", "corner_sign"),
     "grid": (
         "AxiomReport",
         "AxisPartition",
@@ -45,18 +48,15 @@ _EXPORTS = {
         "ExtremalLayout",
         "FeasibilityReport",
         "LinearProgram",
-        "LPError",
         "Row",
         "RowViolation",
         "VertexAssignment",
         "assignment_vector",
         "build_extremal_lp",
         "build_symmetric_lp",
-        "candidate_pattern",
         "check_assignment",
         "check_point",
         "conjectured_bound",
-        "conjectured_box",
         "export_lp",
         "lift_symmetric",
         "parse_lp",

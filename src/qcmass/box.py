@@ -1,10 +1,12 @@
-"""Boxes in the unit cube: the names the LP half borrows from the grid half.
+"""What both halves share: boxes in the unit cube and the two error types.
 
 :mod:`qcmass.lp` and :mod:`qcmass.simplex` describe their optimal box with
 :class:`NBox` and sign its corners with :func:`corner_sign`; they need
 nothing else of :mod:`qcmass.grid`.  Kept here, these names load without the
 grid code, and :mod:`qcmass.grid` re-exports every one of them, so
-``qcmass.grid.NBox`` is this class.
+``qcmass.grid.NBox`` is this class.  :class:`LPError` lives here too, beside
+:class:`GridError`, and :mod:`qcmass.lp` re-exports it: the command line
+maps both to exit 2 with one fixed tuple, whichever half a command loaded.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ ONE = Fraction(1)
 
 class GridError(ValueError):
     """Raised for malformed partitions, boxes, grids, or grid files."""
+
+
+class LPError(ValueError):
+    """Raised for malformed programs, layouts, assignments, or LP files."""
 
 
 @dataclass(frozen=True)

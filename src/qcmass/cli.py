@@ -5,6 +5,10 @@ emitted with sorted keys, cells and rows in lexicographic order), so outputs
 can be diffed and pinned in regression files.  Exit codes: 0 for success or
 a confirmed property, 1 for an honest negative finding (a failed check, an
 infeasible witness, a failed certificate), 2 for usage and parse errors.
+
+Each command loads only the half of the package it runs (:func:`_load`).
+Both exit-2 error types, ``GridError`` and ``LPError``, live in
+:mod:`qcmass.box`, so catching them loads neither half.
 """
 
 from __future__ import annotations
@@ -20,58 +24,33 @@ from pathlib import Path
 
 import click
 
-from .box import ONE, GridError, NBox
+from . import _EXPORTS, _HOME
+from .box import ONE, GridError, LPError, NBox
 from .rational import RationalParseError, format_rational, parse_rational
-
-# The names each command takes from the grid half (grid.py) or the LP half
-# (lp.py and simplex.py).  Each run_* function loads the modules it uses
-# with _load before it reads any of these names, so a command never loads
-# the other half; the module __getattr__ below serves them to callers
-# outside, such as a test or a tracer that reads or replaces cli.solve.
-_HALVES = {
-    "grid": (
-        "MAX_LATTICE_NODES",
-        "MassGrid",
-        "builtin_grid",
-        "grid_from_json",
-        "grid_payload",
-        "make_grid_qc",
-        "marginalize",
-    ),
-    "lp": (
-        "LPError",
-        "build_extremal_lp",
-        "build_symmetric_lp",
-        "check_assignment",
-        "check_point",
-        "conjectured_bound",
-        "export_lp",
-        "reference_witness",
-        "symmetric_candidate",
-    ),
-    "simplex": ("certify", "solution_to_assignment", "solve"),
-}
 
 
 def _load(*modules: str) -> None:
-    """Import ``modules`` and bind their names here, keeping any already bound.
+    """Import ``modules`` and bind the names the package exports from each here.
 
-    A name that is bound already, say to a wrapper set with setattr, stays
-    as it is, so every call still goes through this module's globals.
+    Each run_* function calls this before it reads a name of the grid half
+    (grid.py) or the LP half (lp.py and simplex.py), so a command never
+    loads the other half.  A name that is bound already, say to a wrapper
+    set with setattr, stays as it is, so every call still goes through this
+    module's globals.
     """
     namespace = globals()
     for module in modules:
         source = import_module(f".{module}", __package__)
-        for name in _HALVES[module]:
+        for name in _EXPORTS[module]:
             namespace.setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
-    for module, names in _HALVES.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Serve a package export to a reader outside, such as a test or a tracer."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -96,21 +75,10 @@ def _finish(result: CommandResult) -> None:
     sys.exit(result.exit_code)
 
 
-def _exit_2_errors() -> tuple[type[Exception], ...]:
-    """The errors a command reports with exit 2.
-
-    An LPError can exist only once qcmass.lp is loaded, and a grid command
-    does not load it.
-    """
-    lp = sys.modules.get(f"{__package__}.lp")
-    return (GridError, RationalParseError, OSError) + ((lp.LPError,) if lp else ())
-
-
 def _guarded(fn, *args, **kwargs) -> None:
     try:
         result = fn(*args, **kwargs)
-    # The tuple is built only when an error reaches this clause.
-    except _exit_2_errors() as exc:
+    except (GridError, LPError, RationalParseError, OSError) as exc:
         result = CommandResult(2, error=f"error: {exc}\n")
     _finish(result)
 
@@ -293,6 +261,8 @@ def run_margin(
         payload = grid_payload(margin)
         payload["schema"] = "qcmass.grid/1"
         return CommandResult(0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    from .grid import MAX_LATTICE_NODES
+
     # csv lists every cell, zeros included; a grid file of a few lines can
     # ask for 2^39 of them.
     count = prod(margin.shape)
@@ -362,8 +332,7 @@ def run_conjecture(max_dim: int) -> CommandResult:
                 ),
             )
         bound = conjectured_bound(n)
-        # candidate_pattern(n) is symmetric, so this point decides its
-        # feasibility; its corner a and side s give the box [a, a + s]^n.
+        # The conjectured point's corner a and side s give the box [a, a + s]^n.
         candidate = symmetric_candidate(n)
         feasible = check_point(lp, candidate).feasible
         lo = candidate[0]

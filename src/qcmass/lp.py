@@ -39,14 +39,10 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .box import ONE, ZERO, NBox, corner_sign
+from .box import ONE, ZERO, LPError, NBox, corner_sign
 from .rational import _over_one_den, format_rational, parse_rational
 
 _RELATIONS = ("<=", ">=")
-
-
-class LPError(ValueError):
-    """Raised for malformed programs, layouts, assignments, or LP files."""
 
 
 def _fraction(value: object) -> Fraction:
@@ -137,14 +133,19 @@ class Row:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``integer_objective`` is the objective over one denominator, ``(den, ints)``, as in a Row."""
+    """``integer_objective`` is the objective over one denominator, ``(den, terms)``, as in a Row.
+
+    ``terms`` is the ``(index, coefficient * den)`` pairs, in ``objective``'s order.
+    """
 
     num_vars: int
     var_names: tuple[str, ...]
     sense: str
     objective: tuple[tuple[int, Fraction], ...]
     rows: tuple[Row, ...]
-    integer_objective: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    integer_objective: tuple[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
@@ -164,7 +165,8 @@ class LinearProgram:
         )
         den, ints = _over_one_den(map(itemgetter(1), objective))
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "integer_objective", (den, tuple(ints)))
+        terms = tuple((j, a) for (j, _), a in zip(objective, ints))
+        object.__setattr__(self, "integer_objective", (den, terms))
         object.__setattr__(self, "rows", tuple(self.rows))
         # Terms are sorted, so the last index is the largest.
         if objective and objective[-1][0] >= self.num_vars:
@@ -440,8 +442,8 @@ def _point_slacks(
             rhs = row.rhs
             lhs = rhs + Fraction(lhs_minus_rhs, row.den * den)
             violations.append(RowViolation(k, row.family, lhs, row.relation, rhs))
-    oden, oints = lp.integer_objective
-    total = sum([a * xs[j] for (j, _), a in zip(lp.objective, oints)])
+    oden, oterms = lp.integer_objective
+    total = sum([a * xs[j] for j, a in oterms])
     report = FeasibilityReport(not violations, Fraction(total, oden * den), tuple(violations))
     return report, den, xs, slacks
 
@@ -449,16 +451,16 @@ def _point_slacks(
 def reference_witness(n: int, sense: str) -> VertexAssignment:
     """The known optimal assignments at dimension 4.
 
-    Minimizing: :func:`candidate_pattern` at n = 4, the box [3/7, 6/7]^4 with
-    corner value 3/7 wherever at least three coordinates sit at the upper end,
-    0 elsewhere; the box mass is -9/7.
+    Minimizing: the lift of :func:`symmetric_candidate` at n = 4, the box
+    [3/7, 6/7]^4 with corner value 3/7 wherever at least three coordinates
+    sit at the upper end, 0 elsewhere; the box mass is -9/7.
     Maximizing: box [1/2, 1]^4 with value 1 at the top corner, 1/2 at corners
     with two or three upper ends, 0 below; the box mass is 2.
     """
     if n != 4:
         raise LPError("reference witnesses are recorded for dimension 4 only")
     if sense == "min":
-        return candidate_pattern(4)
+        return lift_symmetric(4, symmetric_candidate(4))
     if sense != "max":
         raise LPError(f"sense must be 'min' or 'max', got {sense!r}")
     half = Fraction(1, 2)
@@ -472,29 +474,14 @@ def conjectured_bound(n: int) -> Fraction:
     return Fraction(-((n - 1) ** 2), 2 * n - 1)
 
 
-def conjectured_box(n: int) -> NBox:
-    """[(n-1)/(2n-1), (2n-2)/(2n-1)]^n, the box conjectured to attain the bound."""
-    if n < 2:
-        raise LPError("box is defined for dimension >= 2")
-    lo = Fraction(n - 1, 2 * n - 1)
-    return NBox(((lo, 2 * lo),) * n)
-
-
-def candidate_pattern(n: int) -> VertexAssignment:
-    """Corner values on the conjectured box generalizing the dimension-4 minimizer.
-
-    Value (n-1)/(2n-1) wherever at least n-1 coordinates sit at the upper end,
-    0 elsewhere.  Feasible for every n >= 2, with box mass equal to
-    :func:`conjectured_bound`; at n = 4 it is the recorded minimizing witness.
-    """
-    return lift_symmetric(n, symmetric_candidate(n))
-
-
 def symmetric_candidate(n: int) -> list[Fraction]:
-    """:func:`candidate_pattern` as a point ``(a, s, q_0 .. q_n)`` of :func:`build_symmetric_lp`.
+    """The point conjectured to attain :func:`conjectured_bound`, as ``(a, s, q_0 .. q_n)``.
 
-    a = s = (n-1)/(2n-1), and q_k = a for k >= n-1, 0 below; the pattern is
-    symmetric, so it is feasible exactly when this point is.
+    a = s = (n-1)/(2n-1), so the box is [(n-1)/(2n-1), (2n-2)/(2n-1)]^n, and
+    q_k = a for k >= n-1, 0 below.  A point of :func:`build_symmetric_lp` is
+    feasible exactly when its lift (:func:`lift_symmetric`) is feasible in
+    the full program; this one is, for every n >= 2, and at n = 4 its lift is
+    the recorded minimizing witness.
     """
     if n < 2:
         raise LPError("box is defined for dimension >= 2")

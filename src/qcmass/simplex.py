@@ -96,11 +96,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping
 
-from .box import ZERO, NBox
+from .box import ZERO, LPError, NBox
 from .lp import (
     ExtremalLayout,
     LinearProgram,
-    LPError,
     VertexAssignment,
     _fraction,
     _point_slacks,
@@ -514,9 +513,9 @@ class _Solver:
                 "infeasible", None, {}, (), (), {}, self.pivots, self.peak_bits, self._stats()
             )
         self._truncate()  # so no artificial column can enter in phase 2
-        oden, ints = self.lp.integer_objective
+        oden, oterms = self.lp.integer_objective
         flip = 1 if self.lp.sense == "min" else -1
-        costs = {j: flip * a for (j, _), a in zip(self.lp.objective, ints)}
+        costs = {j: flip * a for j, a in oterms}
         status, (oden, ocells, orhs) = self._kernel(self._reduced_cost_row((oden, costs, 0)))
         if status == "unbounded":
             return SimplexSolution(
@@ -620,7 +619,7 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
         return CertificateReport(False, tuple(failures))
 
     flip = 1 if lp.sense == "min" else -1
-    oden, oints = lp.integer_objective
+    oden, oterms = lp.integer_objective
     duals = []  # (i, row, sigma_i, p, q) with the dual y_i = p / q
     for i, row in enumerate(lp.rows):
         reduced = solution.reduced_costs[nv + i]
@@ -632,7 +631,7 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     big = lcm(oden, *[q * row.den for _, row, _, _, q in duals])
     d = [0] * ncols  # starting from the internal (minimized) costs
     scale = big // oden
-    for (j, _), a in zip(lp.objective, oints):
+    for j, a in oterms:
         d[j] = flip * a * scale
     for i, row, sigma, p, q in duals:
         per_unit = p * (big // (q * row.den))

@@ -28,15 +28,15 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 LP_HALF = ("qcmass.lp", "qcmass.simplex")
 
-# The package's public names, as before submodules were loaded lazily.
+# The package's public names.
 PUBLIC = [
     "AxiomReport", "AxisPartition", "CertificateReport", "ExtremalLayout",
     "FeasibilityReport", "GridError", "GridQuasiCopula", "LPError",
     "LinearProgram", "MassGrid", "NBox", "RationalParseError", "Row",
     "RowViolation", "SimplexSolution", "SolveStats", "VertexAssignment",
     "Violation", "assignment_vector", "build_extremal_lp", "build_symmetric_lp",
-    "builtin_example", "builtin_grid", "candidate_pattern", "certify",
-    "check_assignment", "check_point", "conjectured_bound", "conjectured_box",
+    "builtin_example", "builtin_grid", "certify",
+    "check_assignment", "check_point", "conjectured_bound",
     "corner_sign", "export_lp", "format_rational", "grid_from_json",
     "grid_payload", "grid_to_json", "lift_symmetric", "make_grid_qc",
     "marginalize", "parse_lp", "parse_rational", "reference_witness",
@@ -138,6 +138,48 @@ def test_lp_box_is_the_grid_box() -> None:
         print(box.intervals)
     """)
     assert out == "((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(2, 3)))\n"
+
+
+def test_lp_error_loads_with_the_box_alone() -> None:
+    out = _fresh("""
+        import json, sys
+        from qcmass.box import LPError
+        loaded = sorted(m for m in sys.modules if m.startswith("qcmass"))
+        import qcmass, qcmass.lp
+        assert qcmass.LPError is qcmass.lp.LPError is qcmass.box.LPError is LPError
+        print(json.dumps(loaded))
+    """)
+    assert json.loads(out) == ["qcmass", "qcmass.box"]
+
+
+def test_cli_binds_only_the_package_exports() -> None:
+    # Each name a command binds on qcmass.cli comes from the package's one
+    # export table and is the package's object.
+    out = _fresh("""
+        import json, qcmass
+        from qcmass import cli
+        before = set(vars(cli))
+        runs = sorted(name for name in before if name.startswith("run_"))
+        assert cli.run_extremize(2, "min", "text", None).exit_code == 0
+        assert cli.run_conjecture(3).exit_code == 0
+        assert cli.run_check_witness(4, "both").exit_code == 0
+        assert cli.run_verify("q1", None).exit_code == 0
+        assert cli.run_volume("q1", None, "0:1,0:1,0:1,0:1").exit_code == 0
+        assert cli.run_margin("q2", None, 1, "csv").exit_code == 0
+        gained = set(vars(cli)) - before
+        for name in gained:
+            assert getattr(cli, name) is getattr(qcmass, name), name
+        for name in qcmass._HOME:
+            assert getattr(cli, name) is getattr(qcmass, name), name
+        print(json.dumps([runs, sorted(gained)]))
+    """)
+    runs, gained = json.loads(out)
+    assert runs == [
+        "run_check_witness", "run_conjecture", "run_extremize",
+        "run_margin", "run_verify", "run_volume",
+    ]
+    halves = ("grid", "lp", "simplex")
+    assert gained == sorted(name for m in halves for name in qcmass._EXPORTS[m])
 
 
 def test_grid_commands_load_no_lp_half(tmp_path: Path) -> None:

@@ -21,11 +21,9 @@ from qcmass.lp import (
     assignment_vector,
     build_extremal_lp,
     build_symmetric_lp,
-    candidate_pattern,
     check_assignment,
     check_point,
     conjectured_bound,
-    conjectured_box,
     export_lp,
     lift_symmetric,
     parse_lp,
@@ -288,10 +286,8 @@ def test_conjectured_bound_values(n: int, bound: Fraction) -> None:
 
 
 def test_conjectured_box_values() -> None:
-    assert conjectured_box(4) == NBox(((F(3, 7), F(6, 7)),) * 4)
-    assert conjectured_box(5) == NBox(((F(4, 9), F(8, 9)),) * 5)
-    with pytest.raises(LPError):
-        conjectured_box(1)
+    assert lift_symmetric(4, symmetric_candidate(4)).box == NBox(((F(3, 7), F(6, 7)),) * 4)
+    assert lift_symmetric(5, symmetric_candidate(5)).box == NBox(((F(4, 9), F(8, 9)),) * 5)
     with pytest.raises(LPError):
         conjectured_bound(1)
     with pytest.raises(LPError):
@@ -301,7 +297,7 @@ def test_conjectured_box_values() -> None:
 @pytest.mark.parametrize("n", range(2, 9))
 def test_candidate_pattern_feasible_at_conjectured_value(n: int) -> None:
     lp, layout = build_extremal_lp(n, "min")
-    pattern = candidate_pattern(n)
+    pattern = lift_symmetric(n, symmetric_candidate(n))
     report = check_assignment(lp, layout, pattern)
     assert report.feasible, report.violations[:3]
     assert report.objective_value == conjectured_bound(n)
@@ -314,7 +310,7 @@ def test_candidate_pattern_matches_reference_at_4() -> None:
         for flags in product((False, True), repeat=4)
     }
     recorded = VertexAssignment(NBox(((F(3, 7), F(6, 7)),) * 4), values)
-    assert candidate_pattern(4) == reference_witness(4, "min") == recorded
+    assert lift_symmetric(4, symmetric_candidate(4)) == reference_witness(4, "min") == recorded
 
 
 # ------------------------------------------------------- symmetric program
@@ -525,8 +521,8 @@ def test_symmetric_candidate_decides_candidate_pattern(n: int) -> None:
     lp, layout = build_extremal_lp(n, "min")
     reduced = build_symmetric_lp(n, "min")
     point = symmetric_candidate(n)
-    assert lift_symmetric(n, point) == candidate_pattern(n)
-    assert lift_symmetric(n, point).box == conjectured_box(n)
+    lo = F(n - 1, 2 * n - 1)
+    assert lift_symmetric(n, point).box == NBox(((lo, 2 * lo),) * n)
     # the verdicts agree on the candidate and on two symmetric edits of it:
     # the top corner raised to 1, and every corner value raised by 1/(2n-1)
     bump = F(1, 2 * n - 1)

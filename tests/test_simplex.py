@@ -443,8 +443,9 @@ def test_integer_row_matches_fraction_reference() -> None:
             held = den, {j: a for j, a in cells.items() if j < solver.ncols}, num
             assert held == ref_integer_row(*prepared)
             rows += 1
-        oden, ints = lp.integer_objective
-        objective = oden, {j: a for (j, _), a in zip(lp.objective, ints)}, 0
+        oden, oterms = lp.integer_objective
+        assert [j for j, _ in oterms] == [j for j, _ in lp.objective]
+        objective = oden, dict(oterms), 0
         assert objective == ref_integer_row(dict(lp.objective), F(0))
     assert rows > 1000
 
