@@ -39,7 +39,6 @@ _EXPORTS = {
         "builtin_example",
         "builtin_grid",
         "grid_from_json",
-        "grid_payload",
         "grid_to_json",
         "make_grid_qc",
         "marginalize",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "conjectured_bound",
         "export_lp",
         "lift_symmetric",
-        "parse_lp",
         "reference_witness",
         "symmetric_candidate",
     ),

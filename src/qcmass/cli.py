@@ -258,9 +258,7 @@ def run_margin(
         )
     margin = marginalize(grid, drop_axis - 1)
     if fmt == "json":
-        payload = grid_payload(margin)
-        payload["schema"] = "qcmass.grid/1"
-        return CommandResult(0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return CommandResult(0, grid_to_json(margin))
     from .grid import MAX_LATTICE_NODES
 
     # csv lists every cell, zeros included; a grid file of a few lines can

@@ -587,9 +587,6 @@ class GridQuasiCopula:
             bad.append(Violation(kind, node, Fraction(ints[k], den), Fraction(bound, scale)))
         return tuple(bad)
 
-    def marginalize(self, axis: int) -> "GridQuasiCopula":
-        return make_grid_qc(marginalize(self.grid, axis))
-
 
 def make_grid_qc(grid: MassGrid) -> GridQuasiCopula:
     """The quasi-copula candidate ``grid`` induces, with its node values built."""
@@ -654,9 +651,16 @@ def builtin_grid(name: str) -> MassGrid:
     raise GridError(f"unknown example {name!r} (expected 'q1' or 'q2')")
 
 
-def grid_payload(grid: MassGrid) -> dict:
-    """The grid file structure as plain JSON types (sorted cells, zeros omitted)."""
-    return {
+def grid_to_json(grid: MassGrid) -> str:
+    """Serialize to the grid file format, the one writer of grid files.
+
+    A JSON object with keys ``dimension``, ``masses`` (sorted cells, zeros
+    omitted), ``partitions`` and ``"schema": "qcmass.grid/1"``, keys sorted,
+    indented by 2, with a trailing newline: the bytes ``qcmass margin
+    --format json`` prints.  :func:`grid_from_json` reads it back.
+    """
+    payload = {
+        "schema": "qcmass.grid/1",
         "dimension": grid.dimension,
         "partitions": [
             [format_rational(t) for t in p.breakpoints] for p in grid.partitions
@@ -666,11 +670,7 @@ def grid_payload(grid: MassGrid) -> dict:
             for cell, mass in sorted(grid.cell_masses.items())
         ],
     }
-
-
-def grid_to_json(grid: MassGrid) -> str:
-    """Serialize to the grid file format."""
-    return json.dumps(grid_payload(grid), indent=2) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def grid_from_json(text: str | bytes) -> MassGrid:

@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .box import ONE, ZERO, LPError, NBox, corner_sign
-from .rational import _over_one_den, format_rational, parse_rational
+from .rational import _over_one_den, format_rational
 
 _RELATIONS = ("<=", ">=")
 
@@ -490,7 +490,7 @@ def symmetric_candidate(n: int) -> list[Fraction]:
 
 
 def export_lp(lp: LinearProgram) -> str:
-    """Serialize to the LP text format.
+    """Serialize to the LP text format, for other solvers; qcmass reads none back.
 
     Line oriented: a header ``qclp 1 <num_vars> <sense>``, one ``var <index>
     <name>`` line per variable in index order, one ``row <family> <relation>
@@ -511,81 +511,3 @@ def export_lp(lp: LinearProgram) -> str:
     terms = " ".join(f"{j}:{format_rational(c)}" for j, c in lp.objective)
     lines.append(f"obj {len(lp.objective)} {terms}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-def _parse_terms(
-    fields: list[str], start: int, lineno: int
-) -> tuple[tuple[int, Fraction], ...]:
-    try:
-        count = int(fields[start])
-    except (IndexError, ValueError) as exc:
-        raise LPError(f"line {lineno}: malformed term count") from exc
-    raw = fields[start + 1 :]
-    if len(raw) != count:
-        raise LPError(f"line {lineno}: expected {count} terms, got {len(raw)}")
-    terms = []
-    for item in raw:
-        index_text, sep, coef_text = item.partition(":")
-        if not sep:
-            raise LPError(f"line {lineno}: malformed term {item!r}")
-        try:
-            terms.append((int(index_text), parse_rational(coef_text)))
-        except ValueError as exc:
-            raise LPError(f"line {lineno}: malformed term {item!r}") from exc
-    return tuple(terms)
-
-
-def parse_lp(text: str) -> LinearProgram:
-    """Parse the LP text format; inverse of :func:`export_lp`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise LPError("empty LP text")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "qclp" or header[1] != "1":
-        raise LPError(f"line 1: bad header {lines[0]!r}")
-    try:
-        num_vars = int(header[2])
-    except ValueError as exc:
-        raise LPError("line 1: malformed variable count") from exc
-    sense = header[3]
-    names: list[str] = []
-    rows: list[Row] = []
-    objective: tuple[tuple[int, Fraction], ...] | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        kind = fields[0]
-        if kind == "var":
-            if len(fields) != 3 or objective is not None or rows:
-                raise LPError(f"line {lineno}: misplaced or malformed var line")
-            try:
-                index = int(fields[1])
-            except ValueError as exc:
-                raise LPError(f"line {lineno}: malformed var index") from exc
-            if index != len(names):
-                raise LPError(f"line {lineno}: var lines must appear in index order")
-            names.append(fields[2])
-        elif kind == "row":
-            if len(fields) < 5 or objective is not None:
-                raise LPError(f"line {lineno}: misplaced or malformed row line")
-            family = "" if fields[1] == "-" else fields[1]
-            relation = fields[2]
-            try:
-                rhs = parse_rational(fields[3])
-            except ValueError as exc:
-                raise LPError(f"line {lineno}: malformed rhs") from exc
-            terms = _parse_terms(fields, 4, lineno)
-            try:
-                rows.append(Row(family, terms, relation, rhs))
-            except LPError as exc:
-                raise LPError(f"line {lineno}: {exc}") from exc
-        elif kind == "obj":
-            if objective is not None:
-                raise LPError(f"line {lineno}: duplicate obj line")
-            objective = _parse_terms(fields, 1, lineno)
-        else:
-            raise LPError(f"line {lineno}: unknown directive {kind!r}")
-    if objective is None:
-        raise LPError("missing obj line")
-    if len(names) != num_vars:
-        raise LPError(f"header declares {num_vars} variables, found {len(names)}")
-    return LinearProgram(num_vars, tuple(names), sense, objective, tuple(rows))

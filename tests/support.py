@@ -25,7 +25,9 @@ and ``ref_internal_costs``, not from the solver.  ``mass_literal``,
 ``grid_text_in_other_forms`` and ``spread_over_new_axis`` make the same grid
 by other routes (a file of unreduced, decimal and zero literals, a grid
 whose margin it is) with string and ``Fraction`` operations only, never with
-the integer parser or integer form of ``qcmass``.
+the integer parser or integer form of ``qcmass``.  ``read_lp`` reads
+well-formed ``export_lp`` text back, the round-trip oracle for the LP text
+format, which the package only writes.
 """
 
 from __future__ import annotations
@@ -795,6 +797,36 @@ def random_small_lp(rng: random.Random) -> LinearProgram:
     return LinearProgram(
         nv, tuple(f"x{j}" for j in range(nv)), rng.choice(("min", "max")), objective, tuple(rows)
     )
+
+
+def _lp_terms(items: list[str]) -> tuple[tuple[int, Fraction], ...]:
+    return tuple((int(j), parse_rational(c)) for j, c in (item.split(":") for item in items))
+
+
+def read_lp(text: str) -> LinearProgram:
+    """The program that well-formed ``export_lp`` text describes.
+
+    The round-trip oracle for the write-only LP text format: it trusts the
+    layout (header, ``var`` lines, ``row`` lines, one ``obj`` line) and
+    leaves every check on the numbers to ``Row`` and ``LinearProgram``.
+    """
+    header, *lines = text.splitlines()
+    _, _, num_vars, sense = header.split()
+    names: list[str] = []
+    rows: list[Row] = []
+    objective: tuple[tuple[int, Fraction], ...] = ()
+    for line in lines:
+        kind, *fields = line.split()
+        if kind == "var":
+            names.append(fields[1])
+        elif kind == "row":
+            family, relation, rhs, _, *items = fields
+            family = "" if family == "-" else family
+            rows.append(Row(family, _lp_terms(items), relation, parse_rational(rhs)))
+        else:
+            objective = _lp_terms(fields[1:])
+    return LinearProgram(int(num_vars), tuple(names), sense, objective, tuple(rows))
+
 
 # ------------------------------------------------------- dense simplex oracle
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import property_suites
 import support
 from qcmass.cli import main
-from qcmass.grid import NBox, builtin_example, grid_from_json, make_grid_qc
+from qcmass.grid import NBox, builtin_grid, grid_from_json, make_grid_qc, marginalize
 from qcmass.lp import build_extremal_lp, check_assignment
 from qcmass.simplex import certify, solution_to_assignment, solve
 
@@ -112,7 +112,7 @@ def test_acceptance_6_margins() -> None:
             assert marg.verify_axioms().all_ok
             assert marg.box_volume(sub) == F(1)
         for axis in range(4):
-            marg = builtin_example("q1").marginalize(axis)
+            marg = make_grid_qc(marginalize(builtin_grid("q1"), axis))
             assert marg.verify_axioms().all_ok
             assert marg.grid.cell_masses[(1, 1, 1)] == F(-5, 7)
 

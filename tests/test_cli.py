@@ -12,7 +12,14 @@ from click.testing import CliRunner
 
 from qcmass import cli
 from qcmass.cli import main
-from qcmass.grid import MassGrid, builtin_example, grid_from_json, grid_to_json, marginalize
+from qcmass.grid import (
+    MassGrid,
+    builtin_example,
+    builtin_grid,
+    grid_from_json,
+    grid_to_json,
+    marginalize,
+)
 from qcmass.lp import (
     MAX_PROGRAM_ROWS,
     VertexAssignment,
@@ -415,6 +422,17 @@ def test_margin_json_parses_back(runner: CliRunner) -> None:
     parsed = grid_from_json(result.output)
     assert parsed == marginalize(builtin_example("q1").grid, 1)
     assert json.loads(result.output)["schema"] == "qcmass.grid/1"
+
+
+@pytest.mark.parametrize("name", ["q1", "q2"])
+def test_margin_json_is_grid_to_json(name: str) -> None:
+    # Grid files have one writer: ``margin --format json`` prints its bytes.
+    grid = builtin_grid(name)
+    for axis in range(grid.dimension):
+        margin = marginalize(grid, axis)
+        text = cli.run_margin(name, None, axis + 1, "json").output
+        assert text == grid_to_json(margin), axis
+        assert grid_from_json(text) == margin, axis
 
 
 def test_margin_json_feeds_volume(runner: CliRunner, tmp_path: Path) -> None:

@@ -614,7 +614,7 @@ def test_margin_cells_match_cylinder_masses(name: str) -> None:
 def test_margins_of_examples_are_quasi_copulas() -> None:
     for name in ("q1", "q2"):
         for axis in range(4):
-            marg = builtin_example(name).marginalize(axis)
+            marg = make_grid_qc(marginalize(builtin_example(name).grid, axis))
             assert marg.verify_axioms().all_ok
             assert marg.frechet_envelope_check() == ()
 

@@ -21,7 +21,7 @@ import textwrap
 from pathlib import Path
 
 import qcmass
-from qcmass.grid import builtin_grid, grid_payload, marginalize
+from qcmass.grid import builtin_grid, grid_to_json, marginalize
 
 SRC = Path(qcmass.__file__).resolve().parents[1]
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -35,11 +35,10 @@ PUBLIC = [
     "LinearProgram", "MassGrid", "NBox", "RationalParseError", "Row",
     "RowViolation", "SimplexSolution", "SolveStats", "VertexAssignment",
     "Violation", "assignment_vector", "build_extremal_lp", "build_symmetric_lp",
-    "builtin_example", "builtin_grid", "certify",
-    "check_assignment", "check_point", "conjectured_bound",
-    "corner_sign", "export_lp", "format_rational", "grid_from_json",
-    "grid_payload", "grid_to_json", "lift_symmetric", "make_grid_qc",
-    "marginalize", "parse_lp", "parse_rational", "reference_witness",
+    "builtin_example", "builtin_grid", "certify", "check_assignment",
+    "check_point", "conjectured_bound", "corner_sign", "export_lp",
+    "format_rational", "grid_from_json", "grid_to_json", "lift_symmetric",
+    "make_grid_qc", "marginalize", "parse_rational", "reference_witness",
     "solution_to_assignment", "solve", "symmetric_candidate",
 ]
 
@@ -184,7 +183,7 @@ def test_cli_binds_only_the_package_exports() -> None:
 
 def test_grid_commands_load_no_lp_half(tmp_path: Path) -> None:
     path = tmp_path / "margin.json"
-    path.write_text(json.dumps(grid_payload(marginalize(builtin_grid("q1"), 0))))
+    path.write_text(grid_to_json(marginalize(builtin_grid("q1"), 0)))
     loaded = _loaded(f"""
         from qcmass import cli
         assert cli.run_verify("q1", None).exit_code == 0
@@ -244,7 +243,7 @@ def test_tracer_reads_every_wrapped_name_before_any_command() -> None:
 
 def test_wrappers_set_before_any_command_see_its_calls(tmp_path: Path) -> None:
     path = tmp_path / "q2.json"
-    path.write_text(json.dumps(grid_payload(builtin_grid("q2"))))
+    path.write_text(grid_to_json(builtin_grid("q2")))
     out = _fresh(f"""
         from collections import Counter
         from qcmass import cli

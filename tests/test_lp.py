@@ -26,7 +26,6 @@ from qcmass.lp import (
     conjectured_bound,
     export_lp,
     lift_symmetric,
-    parse_lp,
     reference_witness,
     symmetric_candidate,
 )
@@ -575,7 +574,7 @@ def test_lift_and_check_point_reject_wrong_length() -> None:
 
 def assert_roundtrips(lp: LinearProgram) -> None:
     text = export_lp(lp)
-    again = parse_lp(text)
+    again = support.read_lp(text)
     assert again == lp
     assert export_lp(again) == text
 
@@ -611,7 +610,7 @@ def test_export_parse_ad_hoc_program() -> None:
     )
     text = export_lp(lp)
     assert "row - <= -5/7 2 0:1/2 1:1" in text
-    assert parse_lp(text) == lp
+    assert support.read_lp(text) == lp
 
 
 def test_export_header_and_shape() -> None:
@@ -628,55 +627,6 @@ def test_export_matches_golden_file(n: int) -> None:
     lp, _ = build_extremal_lp(n, "min")
     golden = (GOLDEN / f"extremal_n{n}_min.lp").read_text()
     assert export_lp(lp) == golden
-
-
-# Faults that Row itself finds, each named with its line in the file.
-ROW_FAULTS = {
-    "qclp 1 1 min\nvar 0 x\nrow D = 1 1 0:1\nobj 0": "^line 3: unsupported relation '='$",
-    "qclp 1 1 min\nvar 0 x\nrow D == 1 1 0:1\nobj 0": "^line 3: unsupported relation '=='$",
-    "qclp 1 1 min\nvar 0 x\nrow D <= 1 0\nobj 0": "^line 3: row references no variables$",
-    "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0:0\nobj 0": "^line 3: row references no variables$",
-    "qclp 1 1 min\nvar 0 x\nrow D <= 1 2 0:1 0:2\nobj 0": "^line 3: duplicate variable index 0 in row$",
-    "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 -1:1\nobj 0": "^line 3: negative variable index -1 in row$",
-}
-
-# Faults that parse_lp finds in a line's own fields.
-LINE_FAULTS = {
-    "qclp 1 1 min\nvar 0 x\nrow D <= 1 x 0:1\nobj 0": "^line 3: malformed term count$",
-    "qclp 1 1 min\nvar 0 x\nobj": "^line 3: malformed term count$",
-    "qclp 1 1 min\nvar x x\nobj 0": "^line 2: malformed var index$",
-    "qclp 1 1 min\nvar 0 x\nrow D <= 1\nobj 0": "^line 3: misplaced or malformed row line$",
-    "qclp 1 1 min\nvar 0 x\nobj 0\nrow D <= 1 1 0:1": "^line 4: misplaced or malformed row line$",
-}
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "qclp 2 8 min\nobj 0",
-        "qclp 1 min\nobj 0",
-        "qclp 1 x min\nobj 0",
-        "qclp 1 0 up\nvar 0 x\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nvar 0 y\nobj 0",
-        "qclp 1 1 min\nvar 1 x\nobj 0",
-        "qclp 1 1 min\nobj 0\nvar 0 x",
-        "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0:1",
-        "qclp 1 1 min\nvar 0 x\nrow D <= 1 2 0:1\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0;1\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 0:z\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nrow D <= bad 1 0:1\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nrow D <= 1 1 5:1\nobj 0",
-        "qclp 1 1 min\nvar 0 x\nobj 1 0:1\nobj 1 0:1",
-        "qclp 1 1 min\nvar 0 x\nnope 1\nobj 0",
-        "qclp 1 2 min\nvar 0 x\nobj 0",
-        *ROW_FAULTS,
-        *LINE_FAULTS,
-    ],
-)
-def test_parse_rejects(text: str) -> None:
-    with pytest.raises(LPError, match=(ROW_FAULTS | LINE_FAULTS).get(text)):
-        parse_lp(text)
 
 
 # --------------------------------------------------------------- validation
@@ -702,6 +652,8 @@ def test_program_validation() -> None:
         LinearProgram(2, ("x", "y"), "min", (), (Row("", (), "<=", F(1)),))
     with pytest.raises(LPError):
         Row("", ((0, F(1)),), "==", F(1))
+    with pytest.raises(LPError, match="unsupported relation '='"):
+        Row("", ((0, F(1)),), "=", F(1))
 
 
 def test_row_is_canonical_from_construction() -> None:
