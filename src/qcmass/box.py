@@ -45,10 +45,6 @@ class NBox:
     def dimension(self) -> int:
         return len(self.intervals)
 
-    def vertex(self, flags: tuple[bool, ...]) -> tuple[Fraction, ...]:
-        """The corner picking, per axis, the upper end where ``flags`` is True."""
-        return tuple(iv[1] if up else iv[0] for iv, up in zip(self.intervals, flags))
-
 
 def corner_sign(flags: tuple[bool, ...]) -> int:
     """+1 when the corner has an even number of lower ends (False flags), else -1.

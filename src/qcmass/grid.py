@@ -12,7 +12,6 @@ piecewise-uniform n-quasi-copulas, which may charge boxes with negative mass.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -49,30 +48,18 @@ class AxisPartition:
     def width(self, j: int) -> Fraction:
         return self.breakpoints[j + 1] - self.breakpoints[j]
 
-    def locate(self, u: Fraction) -> int:
-        """Index j of a slab with t_j <= u <= t_(j+1), for u in [0,1]."""
-        if not ZERO <= u <= ONE:
-            raise GridError(f"coordinate {u} outside [0,1]")
-        if u == ONE:
-            return self.num_cells - 1
-        return bisect_right(self.breakpoints, u) - 1
-
 
 def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) -> bool:
     """Whether each axis's least index is at least 0 and its greatest below the axis size.
 
-    The cells must all have ``len(shape)`` indices.  Each axis is read in its
-    own pass, so no column is built beside the cells.  False also when some
-    index does not compare with an int.
+    The cells must all be tuples of ``len(shape)`` ints.  Each axis is read
+    in its own pass, so no column is built beside the cells.
     """
-    try:
-        return all(
-            0 <= min(map(itemgetter(axis), cells), default=0)
-            and max(map(itemgetter(axis), cells), default=0) < size
-            for axis, size in enumerate(shape)
-        )
-    except TypeError:
-        return False
+    return all(
+        0 <= min(map(itemgetter(axis), cells), default=0)
+        and max(map(itemgetter(axis), cells), default=0) < size
+        for axis, size in enumerate(shape)
+    )
 
 
 def _least_den(den: int, scaled: dict) -> tuple[int, dict]:
@@ -92,14 +79,18 @@ def _checked_masses(
 ) -> dict[tuple[int, ...], Fraction]:
     """``masses`` with tuple cells and :class:`Fraction` masses, walking the cells in order.
 
-    Raises :class:`GridError` for the first cell of wrong arity or out of
-    range.  Zero masses are kept; :class:`MassGrid` drops them.
+    Raises :class:`GridError` for the first cell of wrong arity, with an
+    index that is not an int, or out of range.  ``type(i) is int``, as in
+    :func:`grid_from_json`: a bool or a float is no cell index.  Zero masses
+    are kept; :class:`MassGrid` drops them.
     """
     checked: dict[tuple[int, ...], Fraction] = {}
     for cell, mass in masses.items():
         cell = tuple(cell)
         if len(cell) != len(shape):
             raise GridError(f"cell {cell} has wrong arity")
+        if not all(type(i) is int for i in cell):
+            raise GridError(f"cell {cell} has an index that is not an int")
         if min(cell) < 0 or not all(map(lt, cell, shape)):
             i = next(i for i, c in enumerate(cell) if not 0 <= c < shape[i])
             raise GridError(f"cell {cell} out of range on axis {i}")
@@ -116,8 +107,11 @@ class _CellMasses(Mapping[tuple[int, ...], Fraction]):
     for no cells), so the form is unique for each grid.  Reading a cell
     builds its reduced :class:`Fraction`; the code in this module works on
     ``_ints`` directly, and :attr:`MassGrid.integer_form` hands out a
-    read-only view of it.  Nothing writes either attribute after
-    construction, so grids built from one another may share one.
+    read-only view of it.  Everything else, ``get``, ``in`` and ``==`` (to
+    any mapping of the same masses, a plain dict included), is
+    :class:`Mapping`'s, built on reading cells.  Nothing writes either
+    attribute after construction, so grids built from one another may share
+    one.
     """
 
     __slots__ = ("_den", "_ints")
@@ -129,25 +123,11 @@ class _CellMasses(Mapping[tuple[int, ...], Fraction]):
     def __getitem__(self, cell: tuple[int, ...]) -> Fraction:
         return Fraction(self._ints[cell], self._den)
 
-    def get(self, cell, default=None):
-        mass = self._ints.get(cell)
-        return default if mass is None else Fraction(mass, self._den)
-
-    def __contains__(self, cell: object) -> bool:
-        return cell in self._ints
-
     def __len__(self) -> int:
         return len(self._ints)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self._ints)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is _CellMasses:
-            return self._den == other._den and self._ints == other._ints
-        return super().__eq__(other)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -164,17 +144,18 @@ class MassGrid:
     lcm of their reduced denominators, so the form is unique for each grid
     (:attr:`integer_form`).  ``cell_masses`` is a read-only view of it that
     builds a reduced :class:`Fraction` for each cell read, and compares equal
-    to a plain dict of the same masses.  Given any other mapping of cells to
-    masses, construction copies and converts it once, so a grid, and every
-    function built from it, never changes.  :func:`grid_from_json` and
-    :func:`marginalize` hand over the integer form they built, and only its
-    cells are checked.
+    to a plain dict of the same masses.
 
-    Construction checks whole columns at once: every cell a tuple of the
-    grid's arity, the per-axis least and greatest index inside the shape,
-    every mass a :class:`Fraction`.  When any of these fails it walks the
-    cells in order, converting masses and raising :class:`GridError` for the
-    first cell of wrong arity or out of range.
+    Construction takes one of two routes.  A plain mapping of cells to
+    masses (in the package only :func:`builtin_grid` passes one) is walked in
+    order, cell by cell: :class:`GridError` names the first cell of wrong
+    arity, with an index that is not an int, or out of range, and each mass
+    becomes a :class:`Fraction`.  It is copied and converted once, so a grid,
+    and every function built from it, never changes.  The integer form that
+    :func:`grid_from_json` and :func:`marginalize` hand over has int cells
+    already, and only its cells are checked, a whole column at a time: every
+    cell of the grid's arity, the per-axis least and greatest index inside
+    the shape.  Only when that fails is it walked for the first bad cell.
     """
 
     partitions: tuple[AxisPartition, ...]
@@ -187,17 +168,14 @@ class MassGrid:
             raise GridError("grid needs at least one axis")
         shape = tuple(p.num_cells for p in parts)
         masses = self.cell_masses
-        made_here = type(masses) is _CellMasses
-        if not (
-            (made_here or set(map(type, masses)) <= {tuple})
-            and set(map(len, masses)) <= {len(shape)}
-            and _cells_in_range(masses, shape)
-            and (made_here or set(map(type, masses.values())) <= {Fraction})
-        ):
-            masses = _checked_masses(masses, shape)
         if type(masses) is not _CellMasses:
-            den, ints = _over_one_den(masses.values())
-            masses = _CellMasses(den, dict(zip(masses, ints)))
+            checked = _checked_masses(masses, shape)
+            den, ints = _over_one_den(checked.values())
+            masses = _CellMasses(den, dict(zip(checked, ints)))
+        elif not (
+            set(map(len, masses._ints)) <= {len(shape)} and _cells_in_range(masses._ints, shape)
+        ):
+            _checked_masses(masses, shape)  # raises for the first bad cell
         if not all(masses._ints.values()):
             masses = _CellMasses(masses._den, {c: m for c, m in masses._ints.items() if m})
         object.__setattr__(self, "cell_masses", masses)
@@ -220,19 +198,6 @@ class MassGrid:
         """The sum of the cell masses, one integer sum over their common denominator."""
         masses = self.cell_masses
         return Fraction(sum(masses._ints.values()), masses._den)
-
-    def cell_box(self, cell: tuple[int, ...]) -> NBox:
-        return NBox(
-            tuple(
-                (p.breakpoints[c], p.breakpoints[c + 1])
-                for p, c in zip(self.partitions, cell)
-            )
-        )
-
-    def iter_cells(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """Every cell with its mass (zeros included), in lexicographic order."""
-        for cell in product(*(range(s) for s in self.shape)):
-            yield cell, self.cell_masses.get(cell, ZERO)
 
     def box_volume(self, box: NBox) -> Fraction:
         """Signed mass on ``box``: the sum over cells of m_c * prod_i |B_i & slab_i| / width_i.
@@ -413,11 +378,13 @@ class GridQuasiCopula:
     """A mass grid together with the induced function's values at lattice nodes.
 
     ``node_values[v]`` is the total mass of the orthant below lattice node v,
-    so it equals Q at that node.  Between nodes Q is multilinear per cell.
-    The values are built from ``grid`` on construction, so they always agree
-    with it.  They are held as Python integers over one common denominator
-    in a flat row-major list, and every check and evaluation below runs on
-    those integers; a :class:`Fraction` is built only for a value handed out.
+    so it equals Q at that node.  The values are built from ``grid`` on
+    construction, so they always agree with it.  They are held as Python
+    integers over one common denominator in a flat row-major list, and the
+    axiom and envelope checks below run on those integers; a
+    :class:`Fraction` is built only for a value handed out.  Q anywhere else,
+    and the mass of a box, are read off the cells instead
+    (:meth:`evaluate`, :meth:`box_volume`).
     """
 
     grid: MassGrid
@@ -431,28 +398,15 @@ class GridQuasiCopula:
         return self.grid.dimension
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Q at an arbitrary point of [0,1]^n, by per-cell multilinear interpolation."""
+        """Q at a point of [0,1]^n: the mass of the orthant box [0, point].
+
+        That is Q's definition, so this is :meth:`MassGrid.box_volume` of the
+        box; the node values are not read.  :class:`GridError` for a point of
+        the wrong arity, or (from :class:`NBox`) a coordinate outside [0,1].
+        """
         if len(point) != self.dimension:
             raise GridError(f"point has arity {len(point)}, expected {self.dimension}")
-        lattice = self.node_values
-        # (flat offset, integer weight) of each surrounding node; the weights
-        # share the denominator `scale`.
-        terms = [(0, 1)]
-        scale = lattice.den
-        for part, u, stride in zip(self.grid.partitions, point, lattice.strides):
-            u = Fraction(u)
-            j = part.locate(u)
-            frac = (u - part.breakpoints[j]) / part.width(j)
-            p, q = frac.numerator, frac.denominator
-            scale *= q
-            axis_terms = [
-                (offset, w)
-                for offset, w in ((j * stride, q - p), ((j + 1) * stride, p))
-                if w
-            ]
-            terms = [(o + ao, w * aw) for o, w in terms for ao, aw in axis_terms]
-        ints = lattice.ints
-        return Fraction(sum(w * ints[o] for o, w in terms), scale)
+        return self.grid.box_volume(NBox(tuple((ZERO, u) for u in point)))
 
     def box_volume(self, box: NBox) -> Fraction:
         """Signed mass Q places on ``box``, the inclusion-exclusion sum over its corners.

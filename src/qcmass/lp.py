@@ -175,9 +175,6 @@ class LinearProgram:
             if row.terms[-1][0] >= self.num_vars:
                 raise LPError(f"variable index {row.terms[-1][0]} out of range in row {k}")
 
-    def evaluate_objective(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((coef * x[j] for j, coef in self.objective), ZERO)
-
 
 @dataclass(frozen=True)
 class ExtremalLayout:
@@ -216,13 +213,6 @@ class VertexAssignment:
     @property
     def dimension(self) -> int:
         return self.box.dimension
-
-    def objective(self) -> Fraction:
-        """The inclusion-exclusion sum these corner values give the box."""
-        total = ZERO
-        for flags, value in self.values.items():
-            total += corner_sign(flags) * value
-        return total
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,11 @@ by other routes (a file of unreduced, decimal and zero literals, a grid
 whose margin it is) with string and ``Fraction`` operations only, never with
 the integer parser or integer form of ``qcmass``.  ``read_lp`` reads
 well-formed ``export_lp`` text back, the round-trip oracle for the LP text
-format, which the package only writes.
+format, which the package only writes.  ``slab_index``, ``box_vertex``,
+``cell_box``, ``iter_cells``, ``corner_sum`` and ``ref_objective`` are the
+suite's own small helpers (a slab lookup, a box's corner, a cell's box,
+every cell in order, the mass corner values give a box, an objective
+value), so no oracle calls the package code it checks.
 """
 
 from __future__ import annotations
@@ -211,12 +215,46 @@ def ref_node_values(grid: MassGrid) -> dict[tuple[int, ...], Fraction]:
     return values
 
 
+def slab_index(part: AxisPartition, u: Fraction) -> int:
+    """Index j of a slab with t_j <= u <= t_(j+1): the last one that starts at or below u."""
+    assert ZERO <= u <= ONE, u
+    return max(j for j in range(part.num_cells) if part.breakpoints[j] <= u)
+
+
+def box_vertex(box: NBox, flags: tuple[bool, ...]) -> tuple[Fraction, ...]:
+    """The corner of ``box`` picking, per axis, the upper end where ``flags`` is True."""
+    return tuple(hi if up else lo for (lo, hi), up in zip(box.intervals, flags))
+
+
+def cell_box(grid: MassGrid, cell: tuple[int, ...]) -> NBox:
+    """The box a cell of ``grid`` covers."""
+    return NBox(
+        tuple((p.breakpoints[c], p.breakpoints[c + 1]) for p, c in zip(grid.partitions, cell))
+    )
+
+
+def iter_cells(grid: MassGrid):
+    """Every cell of ``grid`` with its mass (zeros included), in lexicographic order."""
+    for cell in product(*(range(s) for s in grid.shape)):
+        yield cell, grid.cell_masses.get(cell, ZERO)
+
+
+def corner_sum(values) -> Fraction:
+    """The inclusion-exclusion sum of corner values ``{flags: value}``: the mass they give a box."""
+    return sum((corner_sign(flags) * value for flags, value in values.items()), ZERO)
+
+
+def ref_objective(lp: LinearProgram, x) -> Fraction:
+    """``lp``'s objective at ``x``, one ``Fraction`` product per term."""
+    return sum((coef * x[j] for j, coef in lp.objective), ZERO)
+
+
 def ref_evaluate(grid: MassGrid, values, point) -> Fraction:
     """Q at ``point`` by multilinear interpolation with Fraction weights."""
     axis_weights = []
     for part, u in zip(grid.partitions, point):
         u = Fraction(u)
-        j = part.locate(u)
+        j = slab_index(part, u)
         frac = (u - part.breakpoints[j]) / part.width(j)
         weights = []
         if frac != ONE:
@@ -236,7 +274,7 @@ def ref_evaluate(grid: MassGrid, values, point) -> Fraction:
 def ref_box_volume(grid: MassGrid, values, box: NBox) -> Fraction:
     total = ZERO
     for flags in product((False, True), repeat=grid.dimension):
-        total += corner_sign(flags) * ref_evaluate(grid, values, box.vertex(flags))
+        total += corner_sign(flags) * ref_evaluate(grid, values, box_vertex(box, flags))
     return total
 
 
@@ -494,7 +532,7 @@ def ref_margin_csv(margin: MassGrid) -> str:
     """Reference for ``margin`` csv: every cell of ``iter_cells``, each field formatted afresh."""
     m = margin.dimension
     lines = [",".join(f"cell_lo_{i + 1},cell_hi_{i + 1}" for i in range(m)) + ",mass"]
-    for cell, mass in margin.iter_cells():
+    for cell, mass in iter_cells(margin):
         fields = []
         for part, c in zip(margin.partitions, cell):
             fields += [format_rational(part.breakpoints[c]), format_rational(part.breakpoints[c + 1])]
@@ -658,7 +696,7 @@ def dense_certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateRe
         ok = lhs <= row.rhs if row.relation == "<=" else lhs >= row.rhs
         if not ok:
             failures.append(f"row {k} violated: {lhs} {row.relation} {row.rhs}")
-    claimed = lp.evaluate_objective(x)
+    claimed = ref_objective(lp, x)
     if claimed != solution.objective:
         failures.append(
             f"objective mismatch: assignment gives {claimed}, "

@@ -1,6 +1,9 @@
 """Command line behavior: outputs, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import qcmass
 from qcmass import cli
 from qcmass.cli import main
 from qcmass.grid import (
@@ -27,7 +31,7 @@ from qcmass.lp import (
     export_lp,
     reference_witness,
 )
-from qcmass.simplex import CertificateReport
+from qcmass.simplex import CertificateReport, SimplexSolution
 
 F = Fraction
 Q1_BOX_TEXT = "3/7:6/7,3/7:6/7,3/7:6/7,3/7:6/7"
@@ -144,6 +148,23 @@ def test_extremize_failed_certificate_json(
     payload = json.loads(result.output)
     assert payload["certificate"] == "fail"
     assert payload["optimum"] == "-1/3"
+
+
+def not_optimal(status: str) -> SimplexSolution:
+    """What ``solve`` returns when the program has no optimum: ``status`` and no point."""
+    return SimplexSolution(status, None, {}, (), (), {}, 0, 0)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+def test_extremize_solver_not_optimal_exits_1(
+    runner: CliRunner, monkeypatch: pytest.MonkeyPatch, status: str, fmt: str
+) -> None:
+    monkeypatch.setattr(cli, "solve", lambda lp: not_optimal(status))
+    result = invoke(runner, "extremize", "-n", "2", "--direction", "min", "--format", fmt)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"solver returned {status}\n"
 
 
 def test_extremize_rejects_dimension_one(runner: CliRunner) -> None:
@@ -482,6 +503,20 @@ def readme_block(command: str) -> str:
     return text[start : text.index("```", start)]
 
 
+def test_readme_library_block_runs() -> None:
+    # In a fresh interpreter, so every name the block reads must still be exported.
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.partition("## Library\n\n```python\n")[2].partition("```")[0]
+    assert "from qcmass import" in block
+    src = str(Path(qcmass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_conjecture_matches_readme_byte_for_byte() -> None:
     table = readme_block("qcmass conjecture --max-dim 5")
     assert cli.run_conjecture(5).output == table
@@ -525,6 +560,21 @@ def test_conjecture_failed_certificate_exits_1(monkeypatch: pytest.MonkeyPatch) 
         "certificate failed at n=2: row 3 violated: 1 <= 0\n"
         "certificate failed at n=2: objective mismatch\n"
     )
+
+
+@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+def test_conjecture_solver_not_optimal_exits_1(
+    runner: CliRunner, monkeypatch: pytest.MonkeyPatch, status: str
+) -> None:
+    # n = 2 solves (its n + 3 = 5 variables), n = 3 does not: the n = 2 line is not printed.
+    real = cli.solve
+    monkeypatch.setattr(
+        cli, "solve", lambda lp: real(lp) if lp.num_vars == 5 else not_optimal(status)
+    )
+    result = invoke(runner, "conjecture", "--max-dim", "4")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"solver returned {status} at n=3\n"
 
 
 # ------------------------------------------------------------ check-witness

@@ -62,27 +62,12 @@ def test_partition_rejects(points: tuple) -> None:
         AxisPartition(points)
 
 
-def test_locate() -> None:
-    p = AxisPartition((F(0), F(3, 7), F(6, 7), F(1)))
-    assert p.locate(F(0)) == 0
-    assert p.locate(F(1, 7)) == 0
-    # an interior breakpoint belongs to the slab on its right
-    assert p.locate(F(3, 7)) == 1
-    assert p.locate(F(5, 7)) == 1
-    assert p.locate(F(1)) == 2
-    for bad in (F(-1, 7), F(8, 7)):
-        with pytest.raises(GridError):
-            p.locate(bad)
-
-
 # ------------------------------------------------------------------ boxes
 
 
 def test_box_basics() -> None:
     box = NBox(((F(3, 7), F(6, 7)), (HALF, HALF)))
     assert box.dimension == 2
-    assert box.vertex((False, True)) == (F(3, 7), HALF)
-    assert box.vertex((True, False)) == (F(6, 7), HALF)
 
 
 @pytest.mark.parametrize(
@@ -138,6 +123,15 @@ def test_mass_grid_rejects_bad_cells(masses: dict) -> None:
     part = unit_partition(2)
     with pytest.raises(GridError):
         MassGrid((part, part), masses)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 0.5, "a", None])
+def test_mass_grid_rejects_cell_indices_that_are_not_ints(index: object) -> None:
+    # As in a grid file, a bool or a float is no cell index, whatever it compares equal to.
+    part = unit_partition(2)
+    cell = (0, index)
+    with pytest.raises(GridError, match=re.escape(f"cell {cell} has an index that is not an int")):
+        MassGrid((part, part), {cell: F(1)})
 
 
 CELL_FAULTS = {
@@ -218,18 +212,6 @@ def test_mass_grid_masses_are_read_only(how: str) -> None:
 def test_mass_grid_needs_axes() -> None:
     with pytest.raises(GridError):
         MassGrid((), {})
-
-
-def test_cell_box() -> None:
-    grid = MassGrid((unit_partition(2), unit_partition(4)), {})
-    assert grid.cell_box((1, 2)).intervals == ((HALF, F(1)), (HALF, F(3, 4)))
-
-
-def test_iter_cells_order_includes_zeros() -> None:
-    grid = MassGrid((unit_partition(2), unit_partition(2)), {(1, 0): F(1)})
-    cells = list(grid.iter_cells())
-    assert [c for c, _ in cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert [m for _, m in cells] == [F(0), F(0), F(1), F(0)]
 
 
 # ---------------------------------------------------------- node values
@@ -378,14 +360,14 @@ def test_q1_corner_values() -> None:
     qc = builtin_example("q1")
     for flags in product((False, True), repeat=4):
         want = F(3, 7) if sum(flags) >= 3 else F(0)
-        assert qc.evaluate(Q1_BOX.vertex(flags)) == want, flags
+        assert qc.evaluate(support.box_vertex(Q1_BOX, flags)) == want, flags
 
 
 def test_q2_corner_values() -> None:
     qc = builtin_example("q2")
     for flags in product((False, True), repeat=4):
         want = {0: F(0), 1: F(0), 2: HALF, 3: HALF, 4: F(1)}[sum(flags)]
-        assert qc.evaluate(Q2_BOX.vertex(flags)) == want, flags
+        assert qc.evaluate(support.box_vertex(Q2_BOX, flags)) == want, flags
 
 
 def test_q1_margins_are_identity_on_top_edge() -> None:
@@ -411,8 +393,10 @@ def test_evaluate_rejects() -> None:
     qc = builtin_example("q1")
     with pytest.raises(GridError):
         qc.evaluate((HALF, HALF, HALF))
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=re.escape("interval [0, 9/7] not nested in [0,1]")):
         qc.evaluate((HALF, HALF, HALF, F(9, 7)))
+    with pytest.raises(GridError, match=re.escape("interval [0, -1/7] not nested in [0,1]")):
+        qc.evaluate((F(-1, 7), HALF, HALF, F(2)))
 
 
 def test_box_volume_extremes() -> None:
@@ -604,8 +588,8 @@ def test_margin_cells_match_cylinder_masses(name: str) -> None:
     qc = builtin_example(name)
     for axis in range(4):
         marg = marginalize(qc.grid, axis)
-        for cell, mass in marg.iter_cells():
-            intervals = [marg.cell_box(cell).intervals[i] for i in range(3)]
+        for cell, mass in support.iter_cells(marg):
+            intervals = [support.cell_box(marg, cell).intervals[i] for i in range(3)]
             intervals.insert(axis, (F(0), F(1)))
             cylinder = NBox(tuple(intervals))
             assert mass == support.box_mass_direct(qc.grid, cylinder), (axis, cell)

@@ -13,6 +13,7 @@ a fresh interpreter.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -41,6 +42,57 @@ PUBLIC = [
     "make_grid_qc", "marginalize", "parse_rational", "reference_witness",
     "solution_to_assignment", "solve", "symmetric_candidate",
 ]
+
+
+# The names a module imports only for others to read from it, as its comments say.
+REEXPORTS = {
+    "grid.py": {"NBox", "GridError", "corner_sign"},
+    "lp.py": {"LPError"},
+}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """The names ``path`` imports and never reads, quoted annotations counted as reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    # Arguments and assignments have an ``annotation``, functions ``returns``.
+    annotations = [
+        getattr(n, slot) for n in ast.walk(tree) for slot in ("annotation", "returns")
+        if getattr(n, slot, None) is not None
+    ]
+    quoted = [
+        ast.parse(n.value, mode="eval")
+        for a in annotations
+        for n in ast.walk(a) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    read = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_uses() -> None:
+    # A deleted routine takes its imports with it; only the documented re-exports stay unread.
+    modules = sorted((SRC / "qcmass").glob("*.py"))
+    assert {p.name for p in modules} >= {"__init__.py", "box.py", "cli.py", "grid.py", "lp.py"}
+    unused = {p.name: _unused_imports(p) - REEXPORTS.get(p.name, set()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_check_sees_a_stale_import(tmp_path: Path) -> None:
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from bisect import bisect_right\n"
+        "from typing import Mapping, Sequence as Seq\n"
+        "def f(x: 'Mapping[int, int]') -> Seq:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert _unused_imports(path) == {"bisect_right"}
 
 
 def _fresh(code: str, *args: str) -> str:

@@ -914,7 +914,7 @@ def test_solution_to_assignment_shapes() -> None:
     witness = solution_to_assignment(layout, solution)
     assert witness.box.dimension == 3
     assert len(witness.values) == 8
-    assert witness.objective() == F(1)
+    assert check_assignment(lp, layout, witness).objective_value == F(1)
 
 
 def test_solution_to_assignment_requires_optimal() -> None:
