@@ -25,20 +25,45 @@ from .box import ONE, ZERO, GridError, NBox, corner_sign
 from .rational import _over_one_den, _parse_ratio, format_rational, parse_rational
 
 
+def _breakpoint(value: object) -> Fraction:
+    """``value`` as a :class:`Fraction`, kept if it is one; a GridError names it if not rational."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GridError(f"breakpoint {value!r} is not a rational number") from exc
+
+
 @dataclass(frozen=True)
 class AxisPartition:
-    """Strictly increasing breakpoints 0 = t_0 < t_1 < ... < t_k = 1."""
+    """Strictly increasing breakpoints 0 = t_0 < t_1 < ... < t_k = 1.
+
+    ``breakpoints`` is the public :class:`Fraction` tuple, and partitions
+    compare and hash by it.  Each breakpoint may be given as anything
+    :class:`Fraction` accepts; a :class:`Fraction` is kept as given.  The
+    integer form is built once, on construction: ``den`` is the lcm of the
+    breakpoints' denominators and ``ints`` holds each breakpoint times
+    ``den``, so ``ints`` runs from 0 to ``den``.  The checks run on ``ints``,
+    and so does every reader in this module: a slab's width is
+    ``ints[j + 1] - ints[j]`` over ``den``.
+    """
 
     breakpoints: tuple[Fraction, ...]
+    den: int = field(init=False, repr=False, compare=False)
+    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(Fraction(p) for p in self.breakpoints)
+        pts = tuple(map(_breakpoint, self.breakpoints))
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise GridError("partition needs at least two breakpoints")
-        if pts[0] != ZERO or pts[-1] != ONE:
+        den, ints = _over_one_den(pts)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", tuple(ints))
+        if ints[0] != 0 or ints[-1] != den:
             raise GridError("partition must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
+        if not all(map(lt, ints, ints[1:])):
             raise GridError("breakpoints must be strictly increasing")
 
     @property
@@ -79,13 +104,16 @@ def _checked_masses(
 ) -> dict[tuple[int, ...], Fraction]:
     """``masses`` with tuple cells and :class:`Fraction` masses, walking the cells in order.
 
-    Raises :class:`GridError` for the first cell of wrong arity, with an
-    index that is not an int, or out of range.  ``type(i) is int``, as in
-    :func:`grid_from_json`: a bool or a float is no cell index.  Zero masses
-    are kept; :class:`MassGrid` drops them.
+    Raises :class:`GridError` for the first cell that is not a tuple, of
+    wrong arity, with an index that is not an int, or out of range.
+    ``type(i) is int``, as in :func:`grid_from_json`: a bool or a float is no
+    cell index, and a string such as ``"01"`` is no cell.  Zero masses are
+    kept; :class:`MassGrid` drops them.
     """
     checked: dict[tuple[int, ...], Fraction] = {}
     for cell, mass in masses.items():
+        if not isinstance(cell, tuple):
+            raise GridError(f"cell {cell!r} is not a tuple of indices")
         cell = tuple(cell)
         if len(cell) != len(shape):
             raise GridError(f"cell {cell} has wrong arity")
@@ -148,10 +176,11 @@ class MassGrid:
 
     Construction takes one of two routes.  A plain mapping of cells to
     masses (in the package only :func:`builtin_grid` passes one) is walked in
-    order, cell by cell: :class:`GridError` names the first cell of wrong
-    arity, with an index that is not an int, or out of range, and each mass
-    becomes a :class:`Fraction`.  It is copied and converted once, so a grid,
-    and every function built from it, never changes.  The integer form that
+    order, cell by cell: :class:`GridError` names the first cell that is not
+    a tuple, of wrong arity, with an index that is not an int, or out of
+    range, and each mass becomes a :class:`Fraction`.  It is copied and
+    converted once, so a grid, and every function built from it, never
+    changes.  The integer form that
     :func:`grid_from_json` and :func:`marginalize` hand over has int cells
     already, and only its cells are checked, a whole column at a time: every
     cell of the grid's arity, the per-axis least and greatest index inside
@@ -205,27 +234,38 @@ class MassGrid:
         Each cell spreads its mass uniformly, so the part inside the box is
         the product of the per-axis covered fractions of its slabs.  That is
         the inclusion-exclusion sum of the induced function over the box's
-        corners, read off the cells without building a node lattice.  The
-        fractions are integers over one denominator per axis, and the masses
-        are read in the grid's integer form, so the sum is one integer.  An
-        axis the box covers no part of (a zero-width interval) makes it 0 at
-        once.
+        corners, read off the cells without building a node lattice.  On
+        each axis the breakpoints (the partition's ``ints``) and the box's
+        two endpoints are put over the lcm of their denominators, so a
+        slab's covered part and its width are an integer pair; the axis's
+        weights are those shares over the lcm of the partly covered slabs'
+        widths.  The masses are read in the grid's integer form, so the sum
+        is one integer, and one :class:`Fraction` is built, for the result.
+        An axis the box covers no part of (a zero-width interval) makes it 0
+        at once.
         """
         if box.dimension != self.dimension:
             raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
         weights: list[list[int]] = []
         scale = 1
         for part, (lo, hi) in zip(self.partitions, box.intervals):
-            pts = part.breakpoints
-            covered = [
-                (min(hi, b) - max(lo, a)) / (b - a) if lo < b and a < hi else ZERO
+            unit = lcm(part.den, lo.denominator, hi.denominator)
+            lo = lo.numerator * (unit // lo.denominator)
+            hi = hi.numerator * (unit // hi.denominator)
+            step = unit // part.den
+            pts = [t * step for t in part.ints]
+            # (covered length, width) of each slab, in units of 1/unit
+            shares = [
+                (min(hi, b) - max(lo, a), b - a) if lo < b and a < hi else (0, 1)
                 for a, b in zip(pts, pts[1:])
             ]
-            if not any(covered):
+            if not any(c for c, _ in shares):
                 return ZERO
-            den, axis_weights = _over_one_den(covered)
+            # A whole slab's share is 1; the partly covered ones go over the
+            # lcm of their widths (an uncovered slab's 1 leaves it as it is).
+            den = lcm(*[w for c, w in shares if c != w])
             scale *= den
-            weights.append(axis_weights)
+            weights.append([den if c == w else c * (den // w) for c, w in shares])
         masses = self.cell_masses
         total = 0
         for cell, w in masses._ints.items():
@@ -455,6 +495,13 @@ class GridQuasiCopula:
         and tested against 0 and the slab's width with one ``min`` and one
         ``max``; only a slice that fails is walked for the failing edges.
 
+        Slab widths are read in the partitions' integer form
+        (:class:`AxisPartition` ``den`` and ``ints``), so every test compares
+        integers: a margin increment over the lattice's denominator against a
+        width over the partition's, cross-multiplied, and a rise against the
+        floor of its width times the lattice's denominator.  A
+        :class:`Fraction` is built only for a :class:`Violation`.
+
         Violations are listed margin, then per axis monotone and Lipschitz,
         each in lexicographic order of its location.  On one axis that is the
         flat order of the edges' lower nodes, by which each axis's failing
@@ -467,21 +514,24 @@ class GridQuasiCopula:
 
         for axis, (part, stride) in enumerate(zip(self.grid.partitions, lattice.strides)):
             line = ints[count - 1 - part.num_cells * stride : count : stride]
+            pts = part.ints
             for j, (lo, hi) in enumerate(zip(line, line[1:])):
-                width = part.width(j)
-                if (hi - lo) * width.denominator != width.numerator * den:
+                # (hi - lo) / den against the width (pts[j + 1] - pts[j]) / part.den
+                if (hi - lo) * part.den != (pts[j + 1] - pts[j]) * den:
                     margins_ok = False
-                    bad.append(Violation("margin", (axis, j), Fraction(hi - lo, den), width))
+                    mass = Fraction(hi - lo, den)
+                    bad.append(Violation("margin", (axis, j), mass, part.width(j)))
 
         for axis, part in enumerate(self.grid.partitions):
             # (flat position of the lower node, rise, slab) of each failing edge
             failing: list[tuple[int, int, int]] = []
+            pts = part.ints
             uppers = lattice.coordinate_slices(axis, 0)
             for j in range(part.num_cells):
                 lowers, uppers = uppers, lattice.coordinate_slices(axis, j + 1)
-                width = part.width(j)
-                # An integer rise exceeds width * den exactly when it exceeds the floor.
-                limit = width.numerator * den // width.denominator
+                # An integer rise exceeds width * den exactly when it exceeds
+                # the floor; the width is (pts[j + 1] - pts[j]) / part.den.
+                limit = (pts[j + 1] - pts[j]) * den // part.den
                 for lo, hi in zip(lowers, uppers):
                     rises = list(map(sub, ints[hi], ints[lo]))
                     if min(rises) >= 0 and max(rises) <= limit:
@@ -510,16 +560,22 @@ class GridQuasiCopula:
         convex combination of its node values, the upper envelope min(u) is
         concave, and the lower envelope is convex, so node inequalities push
         through the combination in both directions.
+
+        The nodes' coordinates are the partitions' ``ints``, put over
+        ``scale``, the lcm of their ``den``; each node value is compared with
+        its bounds cross-multiplied, and a :class:`Fraction` is built only
+        for a :class:`Violation`.
         """
         lattice = self.node_values
         ints, den = lattice.ints, lattice.den
         parts = self.grid.partitions
         # Coordinate sums and minima of every node, as integers over `scale`,
         # in flat node order.
-        scale = lcm(*(t.denominator for p in parts for t in p.breakpoints))
+        scale = lcm(*(p.den for p in parts))
         sums, mins = [0], [scale]
         for part in parts:
-            coords = [t.numerator * (scale // t.denominator) for t in part.breakpoints]
+            step = scale // part.den
+            coords = [t * step for t in part.ints]
             sums = [s + c for s in sums for c in coords]
             mins = [m if m < c else c for m in mins for c in coords]
         excess = (len(parts) - 1) * scale

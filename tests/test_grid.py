@@ -44,6 +44,20 @@ def test_partition_basics() -> None:
     assert p.num_cells == 3
     assert p.width(0) == F(3, 7)
     assert p.width(2) == F(1, 7)
+    assert (p.den, p.ints) == (7, (0, 3, 6, 7))
+    mixed = AxisPartition((F(0), F(1, 4), F(2, 3), F(1)))
+    assert (mixed.den, mixed.ints) == (12, (0, 3, 8, 12))
+    # Breakpoints may be given as anything Fraction reads; the partition, its
+    # hash and its integer form do not depend on the spelling.
+    spellings = [(F(0), F(1, 2), F(1)), (0, "0.5", 1), ("0", "2/4", "1")]
+    parts = [AxisPartition(points) for points in spellings]
+    assert all(p == parts[0] for p in parts)
+    assert len({hash(p) for p in parts}) == 1
+    assert all(type(t) is Fraction for p in parts for t in p.breakpoints)
+    assert all((p.den, p.ints) == (2, (0, 1, 2)) for p in parts)
+    # A Fraction breakpoint is kept as given.
+    third = F(1, 3)
+    assert AxisPartition((F(0), third, F(1))).breakpoints[1] is third
 
 
 @pytest.mark.parametrize(
@@ -55,11 +69,20 @@ def test_partition_basics() -> None:
         (F(0), HALF, HALF, F(1)),
         (F(0), F(2, 3), F(1, 3), F(1)),
         (F(0), F(1), F(2)),
+        (F(0), None, F(1)),
+        (F(0), "x", F(1)),
     ],
 )
 def test_partition_rejects(points: tuple) -> None:
     with pytest.raises(GridError):
         AxisPartition(points)
+
+
+@pytest.mark.parametrize("point", [None, "x", 1j, float("nan"), float("inf")])
+def test_partition_names_a_breakpoint_that_is_not_rational(point: object) -> None:
+    message = f"breakpoint {point!r} is not a rational number"
+    with pytest.raises(GridError, match=re.escape(message)):
+        AxisPartition((F(0), point, F(1)))
 
 
 # ------------------------------------------------------------------ boxes
@@ -131,6 +154,14 @@ def test_mass_grid_rejects_cell_indices_that_are_not_ints(index: object) -> None
     part = unit_partition(2)
     cell = (0, index)
     with pytest.raises(GridError, match=re.escape(f"cell {cell} has an index that is not an int")):
+        MassGrid((part, part), {cell: F(1)})
+
+
+@pytest.mark.parametrize("cell", [5, None, "01"])
+def test_mass_grid_rejects_cells_that_are_not_tuples(cell: object) -> None:
+    # A string is no cell either, although it iterates as two characters.
+    part = unit_partition(2)
+    with pytest.raises(GridError, match=re.escape(f"cell {cell!r} is not a tuple of indices")):
         MassGrid((part, part), {cell: F(1)})
 
 
@@ -420,7 +451,12 @@ def test_box_volume_arity_check() -> None:
 
 
 def _oracle_boxes(rng: random.Random, grid: MassGrid) -> list[tuple[str, NBox]]:
-    """One box of each kind: breakpoint-aligned, interior, degenerate, whole, edge-touching."""
+    """One box of each kind: aligned, interior, degenerate, whole, edge-touching and coprime.
+
+    A coprime box's endpoints are over 1009, a prime no breakpoint
+    denominator shares, so each axis's breakpoints and endpoints go over a
+    common denominator larger than either, as on the benchmark's boxes.
+    """
     parts = grid.partitions
 
     def random_interval() -> tuple[Fraction, Fraction]:
@@ -438,12 +474,14 @@ def _oracle_boxes(rng: random.Random, grid: MassGrid) -> list[tuple[str, NBox]]:
     for p in parts:
         t, v = rng.choice(p.breakpoints), F(rng.randint(0, 48), 48)
         touching.append((min(t, v), max(t, v)))
+    coprime = tuple(tuple(sorted(F(rng.randint(0, 1009), 1009) for _ in range(2))) for _ in parts)
     return [
         ("aligned", NBox(aligned)),
         ("interior", NBox(interior)),
         ("degenerate", NBox(tuple(degenerate))),
         ("whole", NBox(((F(0), F(1)),) * len(parts))),
         ("touching", NBox(tuple(touching))),
+        ("coprime", NBox(coprime)),
     ]
 
 
@@ -891,8 +929,8 @@ def test_loader_parses_each_mass_literal_once(monkeypatch: pytest.MonkeyPatch) -
 def test_each_grid_mass_is_converted_once(monkeypatch: pytest.MonkeyPatch) -> None:
     # A grid made from Fractions converts its masses to integers once; a
     # loaded or marginal grid is handed its integer form, and every consumer
-    # reads it.  box_volume converts one list per axis, the covered parts of
-    # the axis's slabs, and no masses.
+    # reads it.  A partition converts its breakpoints once, when it is made,
+    # and box_volume and the checks read that form: they convert nothing.
     calls: list[int] = []
     over_one_den = grid_module._over_one_den
 
@@ -911,16 +949,14 @@ def test_each_grid_mass_is_converted_once(monkeypatch: pytest.MonkeyPatch) -> No
         assert calls == [len(masses)] and len(masses) > 1
         calls.clear()
         assert grid_from_json(grid_to_json(grid)) == grid
-        assert not calls
-        axis_cells = [p.num_cells for p in grid.partitions]
+        # One call per partition read from the file, none for the masses.
+        assert calls == [len(p.breakpoints) for p in grid.partitions]
+        calls.clear()
         whole = NBox(((F(0), F(1)),) * n)
         assert grid.box_volume(whole) == grid.total_mass()
-        assert calls == axis_cells
         for _ in range(4):
-            calls.clear()
             grid.box_volume(support.random_box(rng, grid))
-            assert calls == axis_cells[: len(calls)]
-        calls.clear()
+        assert not calls
         qc = make_grid_qc(grid)
         qc.verify_axioms()
         qc.frechet_envelope_check()
