@@ -18,6 +18,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _fraction(value: object) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class GridError(ValueError):
     """Raised for malformed partitions, boxes, grids, or grid files."""
 
@@ -33,7 +37,7 @@ class NBox:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.intervals)
+        ivs = tuple((_fraction(lo), _fraction(hi)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         if not ivs:
             raise GridError("box needs at least one axis")

@@ -21,16 +21,14 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 # Re-exported: qcmass.grid.NBox, GridError and corner_sign are the box module's.
-from .box import ONE, ZERO, GridError, NBox, corner_sign
+from .box import ONE, ZERO, GridError, NBox, _fraction, corner_sign
 from .rational import _over_one_den, _parse_ratio, format_rational, parse_rational
 
 
 def _breakpoint(value: object) -> Fraction:
     """``value`` as a :class:`Fraction`, kept if it is one; a GridError names it if not rational."""
-    if type(value) is Fraction:
-        return value
     try:
-        return Fraction(value)
+        return _fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise GridError(f"breakpoint {value!r} is not a rational number") from exc
 
@@ -122,7 +120,7 @@ def _checked_masses(
         if min(cell) < 0 or not all(map(lt, cell, shape)):
             i = next(i for i, c in enumerate(cell) if not 0 <= c < shape[i])
             raise GridError(f"cell {cell} out of range on axis {i}")
-        checked[cell] = mass if type(mass) is Fraction else Fraction(mass)
+        checked[cell] = _fraction(mass)
     return checked
 
 
@@ -222,11 +220,6 @@ class MassGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(p.num_cells for p in self.partitions)
-
-    def total_mass(self) -> Fraction:
-        """The sum of the cell masses, one integer sum over their common denominator."""
-        masses = self.cell_masses
-        return Fraction(sum(masses._ints.values()), masses._den)
 
     def box_volume(self, box: NBox) -> Fraction:
         """Signed mass on ``box``: the sum over cells of m_c * prod_i |B_i & slab_i| / width_i.

@@ -18,8 +18,11 @@ with every a_i equal, every s_i equal, and q depending only on how many
 coordinates of a corner sit at the upper end.  :func:`build_symmetric_lp`
 poses the program on such points alone: n + 3 variables and 5n + 2 rows
 instead of 2n + 2^n and n + (2n+1) 2^n, with the same optimum (the argument
-is in its docstring).  :func:`lift_symmetric` turns a point of it back into
-corner values of the full program.
+is in its docstring).  Both builders write their rows with the same D, E and
+F formulas, ``_d_row``, ``_e_rows`` and ``_f_rows``, which read variable
+indices through maps a(i), s(i) and q(v): axis i's box corner and edge
+length, corner v's value.  :func:`lift_symmetric` turns a point of it back
+into corner values of the full program.
 
 A :class:`Row` holds its numbers once, as integers over one denominator,
 and is canonical from construction, so a :class:`LinearProgram` keeps the
@@ -37,16 +40,12 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .box import ONE, ZERO, LPError, NBox, corner_sign
+from .box import ONE, ZERO, LPError, NBox, _fraction, corner_sign
 from .rational import _over_one_den, format_rational
 
 _RELATIONS = ("<=", ">=")
-
-
-def _fraction(value: object) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
 
 
 def _exact(value: object) -> int | Fraction:
@@ -238,6 +237,36 @@ class FeasibilityReport:
 # many (dimension 16 and up) is refused before anything of size 2^n exists.
 MAX_PROGRAM_ROWS = 2**20
 
+_Index = Callable[..., int]  # a(i), s(i) or q(v); see the module docstring
+
+
+def _d_row(i: int, a: _Index, s: _Index) -> Row:
+    """Axis i's D row: a_i + s_i <= 1."""
+    return Row("D", ((a(i), 1), (s(i), 1)), "<=", 1)
+
+
+def _e_rows(i: int, v: tuple[bool, ...], s: _Index, q: _Index) -> tuple[Row, Row]:
+    """The E rows of the edge up axis i from corner v (v[i] is False): monotone, then Lipschitz."""
+    rise = ((q(v[:i] + (True,) + v[i + 1 :]), 1), (q(v), -1))  # q(upper) - q(lower)
+    return Row("E", rise, ">=", 0), Row("E", (*rise, (s(i), -1)), "<=", 0)
+
+
+def _f_rows(
+    v: tuple[bool, ...], axes: Iterable[int], a: _Index, s: _Index, q: _Index
+) -> list[Row]:
+    """Corner v's F rows: the lower envelope row, then the upper row of each axis in ``axes``."""
+    n, qv = len(v), q(v)
+    lower = {qv: 1}  # the one row whose terms can land on one index, so they are summed
+    for j in [a(i) for i in range(n)] + [s(i) for i in range(n) if v[i]]:
+        lower[j] = lower.get(j, 0) - 1
+    rows = [Row("F", lower.items(), ">=", 1 - n)]
+    for i in axes:
+        upper = [(qv, 1), (a(i), -1)]
+        if v[i]:
+            upper.append((s(i), -1))
+        rows.append(Row("F", upper, "<=", 0))
+    return rows
+
 
 def build_extremal_lp(
     n: int, sense: str
@@ -274,27 +303,14 @@ def build_extremal_lp(
         + ["q_" + "".join("u" if f else "l" for f in v) for v in flags_list]
     )
 
-    rows: list[Row] = []
-    for i in range(n):
-        rows.append(Row("D", ((i, 1), (n + i, 1)), "<=", 1))
+    a, s, q = corner_vars.__getitem__, length_vars.__getitem__, vertex_vars.__getitem__
+    rows = [_d_row(i, a, s) for i in range(n)]
     for i in range(n):
         for v in flags_list:
-            if v[i]:
-                continue
-            u = v[:i] + (True,) + v[i + 1 :]
-            qu, qv = vertex_vars[u], vertex_vars[v]
-            rows.append(Row("E", ((qu, 1), (qv, -1)), ">=", 0))
-            rows.append(Row("E", ((qu, 1), (qv, -1), (n + i, -1)), "<=", 0))
+            if not v[i]:
+                rows += _e_rows(i, v, s, q)
     for v in flags_list:
-        q = vertex_vars[v]
-        lower = [(q, 1)] + [(i, -1) for i in range(n)]
-        lower += [(n + i, -1) for i in range(n) if v[i]]
-        rows.append(Row("F", tuple(lower), ">=", 1 - n))
-        for i in range(n):
-            upper = [(q, 1), (i, -1)]
-            if v[i]:
-                upper.append((n + i, -1))
-            rows.append(Row("F", tuple(upper), "<=", 0))
+        rows += _f_rows(v, range(n), a, s, q)
 
     objective = tuple(
         (vertex_vars[v], Fraction(corner_sign(v))) for v in flags_list
@@ -308,47 +324,34 @@ def build_symmetric_lp(n: int, sense: str) -> LinearProgram:
 
     Variables, in order: the common box corner ``a``, the common edge length
     ``s``, and ``q_0 .. q_n``, where q_k stands for the value at every corner
-    with k upper ends; n + 3 in all.  Rows, in order:
+    with k upper ends; n + 3 in all.  Its rows are the full program's
+    representative rows, merged: for each orbit under the axis permutations,
+    the full row at the corner with its k upper ends last, read with every
+    a_i as a, s_i as s and q_v as q_k, terms on one variable summed.  In
+    order: D; E up axis 0 for k < n; then for each k the F lower row and
+    the F upper rows on axis 0 if k < n and on axis n-1 if k > 0; 5n + 2
+    rows.  The objective sum_k (-1)^(n-k) C(n,k) q_k gathers each level.
 
-      D  a + s <= 1
-      E  for k = 0 .. n-1:  q_{k+1} - q_k >= 0,  then  q_{k+1} - q_k - s <= 0
-      F  for k = 0 .. n:    q_k - n a - k s >= -(n-1),  then  q_k - a <= 0
-                            if k < n,  then  q_k - a - s <= 0  if k > 0
-
-    that is 5n + 2 rows.  The objective sum_k (-1)^(n-k) C(n,k) q_k is the
-    inclusion-exclusion sum with the C(n,k) corners of each level gathered.
-
-    Its optimum is that of ``build_extremal_lp(n, sense)``.  Call a full
-    point symmetric when every a_i is a, every s_i is s, and every corner
-    value with k upper ends is q_k.  At a symmetric point every full row
-    takes the value of one reduced row: an E row leaving a corner with k
-    upper ends is the E row for k, and an F row at such a corner is the F
-    row for k (its upper row by whether its axis sits at the lower or the
-    upper end); every reduced row is met this way.  So a reduced point is
-    feasible exactly when its lift (:func:`lift_symmetric`) is, with the
-    same objective.  Conversely, permuting the axes maps the full program
-    onto itself, so the average of the n! permuted copies of a full optimum
-    is feasible (the feasible set is convex), has the same objective, and is
-    symmetric: the lift of a feasible reduced point.  The two optima are
-    therefore equal (Bödi, Herr & Joswig, "Algorithms for highly symmetric
-    linear and integer programs", Math. Program. 2013).
+    Its optimum is that of ``build_extremal_lp(n, sense)``.  A full row at a
+    lift (:func:`lift_symmetric`) takes its orbit row's value, so a reduced
+    point is feasible exactly when its lift is, with the same objective.
+    Conversely, permuting the axes maps the full program onto itself, so the
+    average of the n! permuted copies of a full optimum is feasible (the
+    feasible set is convex), has the same objective, and is symmetric: the
+    lift of a feasible reduced point.  The two optima are therefore equal
+    (Bödi, Herr & Joswig, "Algorithms for highly symmetric linear and
+    integer programs", Math. Program. 2013).
     """
     if n < 2:
         raise LPError("extremal program needs dimension >= 2")
-    a, s = 0, 1
     names = ["a", "s"] + [f"q_{k}" for k in range(n + 1)]
-    rows = [Row("D", ((a, 1), (s, 1)), "<=", 1)]
-    for k in range(n):
-        lower, upper = k + 2, k + 3
-        rows.append(Row("E", ((upper, 1), (lower, -1)), ">=", 0))
-        rows.append(Row("E", ((s, -1), (upper, 1), (lower, -1)), "<=", 0))
-    for k in range(n + 1):
-        q = k + 2
-        rows.append(Row("F", ((a, -n), (s, -k), (q, 1)), ">=", 1 - n))
-        if k < n:
-            rows.append(Row("F", ((a, -1), (q, 1)), "<=", 0))
-        if k > 0:
-            rows.append(Row("F", ((a, -1), (s, -1), (q, 1)), "<=", 0))
+    a, s, q = (lambda i: 0), (lambda i: 1), (lambda v: 2 + sum(v))
+    corners = [(False,) * (n - k) + (True,) * k for k in range(n + 1)]
+    rows = [_d_row(0, a, s)]
+    for v in corners[:-1]:
+        rows += _e_rows(0, v, s, q)
+    for k, v in enumerate(corners):
+        rows += _f_rows(v, [0] * (k < n) + [n - 1] * (k > 0), a, s, q)
     objective = []
     binomial = 1  # C(n, k)
     for k in range(n + 1):
@@ -468,10 +471,9 @@ def symmetric_candidate(n: int) -> list[Fraction]:
     """The point conjectured to attain :func:`conjectured_bound`, as ``(a, s, q_0 .. q_n)``.
 
     a = s = (n-1)/(2n-1), so the box is [(n-1)/(2n-1), (2n-2)/(2n-1)]^n, and
-    q_k = a for k >= n-1, 0 below.  A point of :func:`build_symmetric_lp` is
-    feasible exactly when its lift (:func:`lift_symmetric`) is feasible in
-    the full program; this one is, for every n >= 2, and at n = 4 its lift is
-    the recorded minimizing witness.
+    q_k = a for k >= n-1, 0 below.  Its lift (:func:`lift_symmetric`) is
+    feasible in the full program for every n >= 2, and at n = 4 it is the
+    recorded minimizing witness.
     """
     if n < 2:
         raise LPError("box is defined for dimension >= 2")

@@ -25,13 +25,15 @@ and ``ref_internal_costs``, not from the solver.  ``mass_literal``,
 ``grid_text_in_other_forms`` and ``spread_over_new_axis`` make the same grid
 by other routes (a file of unreduced, decimal and zero literals, a grid
 whose margin it is) with string and ``Fraction`` operations only, never with
-the integer parser or integer form of ``qcmass``.  ``read_lp`` reads
-well-formed ``export_lp`` text back, the round-trip oracle for the LP text
-format, which the package only writes.  ``slab_index``, ``box_vertex``,
-``cell_box``, ``iter_cells``, ``corner_sum`` and ``ref_objective`` are the
-suite's own small helpers (a slab lookup, a box's corner, a cell's box,
-every cell in order, the mass corner values give a box, an objective
-value), so no oracle calls the package code it checks.
+the integer parser or integer form of ``qcmass``.  ``ref_symmetric_lp``
+writes the axis-symmetric program's rows by hand, the reference for
+``build_symmetric_lp``.  ``read_lp`` reads well-formed ``export_lp`` text
+back, the round-trip oracle for the LP text format, which the package only
+writes.  ``unit_cube``, ``slab_index``, ``box_vertex``, ``cell_box``,
+``iter_cells``, ``corner_sum`` and ``ref_objective`` are the suite's own
+small helpers (the whole cube as a box, a slab lookup, a box's corner, a
+cell's box, every cell in order, the mass corner values give a box, an
+objective value), so no oracle calls the package code it checks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from qcmass.grid import (
     AxiomReport,
@@ -93,6 +95,10 @@ def orthant_mass_direct(grid: MassGrid, point: tuple[Fraction, ...]) -> Fraction
             factor *= covered / (hi - lo)
         total += mass * factor
     return total
+
+
+def unit_cube(n: int) -> NBox:
+    return NBox(((ZERO, ONE),) * n)
 
 
 def box_mass_direct(grid: MassGrid, box: NBox) -> Fraction:
@@ -835,6 +841,31 @@ def random_small_lp(rng: random.Random) -> LinearProgram:
     return LinearProgram(
         nv, tuple(f"x{j}" for j in range(nv)), rng.choice(("min", "max")), objective, tuple(rows)
     )
+
+
+def ref_symmetric_lp(n: int, sense: str) -> LinearProgram:
+    """The axis-symmetric program with its rows written out by hand, per level k.
+
+    The reference for ``build_symmetric_lp``, which builds the same rows from
+    the full program's row formulas: variables ``a, s, q_0 .. q_n``, and
+    rows D, then E for k = 0 .. n-1, then F for k = 0 .. n, in that order.
+    """
+    a, s = 0, 1
+    names = ["a", "s"] + [f"q_{k}" for k in range(n + 1)]
+    rows = [Row("D", ((a, 1), (s, 1)), "<=", 1)]
+    for k in range(n):
+        lower, upper = k + 2, k + 3
+        rows.append(Row("E", ((upper, 1), (lower, -1)), ">=", 0))
+        rows.append(Row("E", ((s, -1), (upper, 1), (lower, -1)), "<=", 0))
+    for k in range(n + 1):
+        q = k + 2
+        rows.append(Row("F", ((a, -n), (s, -k), (q, 1)), ">=", 1 - n))
+        if k < n:
+            rows.append(Row("F", ((a, -1), (q, 1)), "<=", 0))
+        if k > 0:
+            rows.append(Row("F", ((a, -1), (s, -1), (q, 1)), "<=", 0))
+    objective = tuple((k + 2, Fraction((-1) ** (n - k) * comb(n, k))) for k in range(n + 1))
+    return LinearProgram(n + 3, tuple(names), sense, objective, tuple(rows))
 
 
 def _lp_terms(items: list[str]) -> tuple[tuple[int, Fraction], ...]:

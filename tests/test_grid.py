@@ -93,6 +93,14 @@ def test_box_basics() -> None:
     assert box.dimension == 2
 
 
+def test_box_keeps_fraction_endpoints_and_converts_others() -> None:
+    lo, hi = F(3, 7), F(6, 7)
+    box = NBox(((lo, hi), (0, "1/2"), (F(1, 2), 1)))
+    assert box.intervals[0][0] is lo and box.intervals[0][1] is hi
+    assert box.intervals == ((lo, hi), (F(0), HALF), (HALF, F(1)))
+    assert all(type(e) is Fraction for iv in box.intervals for e in iv)
+
+
 @pytest.mark.parametrize(
     "intervals",
     [
@@ -131,7 +139,7 @@ def test_mass_grid_drops_zeros_and_validates() -> None:
     assert grid.cell_masses == {(0, 0): F(1)}
     assert grid.shape == (2, 2)
     assert grid.dimension == 2
-    assert grid.total_mass() == F(1)
+    assert grid.box_volume(support.unit_cube(2)) == F(1)
 
 
 @pytest.mark.parametrize(
@@ -502,7 +510,7 @@ def test_cell_volume_matches_lattice_oracle() -> None:
             assert got == support.ref_box_volume(grid, values, box), (case, kind, box)
             assert got == support.box_mass_direct(grid, box), (case, kind, box)
             if kind == "whole":
-                assert got == grid.total_mass(), case
+                assert got == sum(grid.cell_masses.values(), F(0)), case
             elif kind == "degenerate":
                 assert got == 0, case
 
@@ -611,7 +619,7 @@ Q2_MARGIN = {
 def test_q1_margin_masses(axis: int) -> None:
     marg = marginalize(builtin_example("q1").grid, axis)
     assert marg.cell_masses == Q1_MARGIN
-    assert marg.total_mass() == F(1)
+    assert marg.box_volume(support.unit_cube(3)) == F(1)
 
 
 @pytest.mark.parametrize("axis", range(4))
@@ -727,8 +735,8 @@ def test_builtin_support_sizes() -> None:
     q2 = builtin_example("q2").grid
     assert len(q1.cell_masses) == 9
     assert len(q2.cell_masses) == 11
-    assert q1.total_mass() == F(1)
-    assert q2.total_mass() == F(1)
+    assert q1.box_volume(support.unit_cube(4)) == F(1)
+    assert q2.box_volume(support.unit_cube(4)) == F(1)
     assert q1.shape == (3, 3, 3, 3)
     assert q2.shape == (2, 2, 2, 2)
 
@@ -918,7 +926,7 @@ def test_loader_parses_each_mass_literal_once(monkeypatch: pytest.MonkeyPatch) -
         }
     )
     grid = grid_from_json(text)
-    assert len(grid.cell_masses) == 500 and grid.total_mass() == 1
+    assert len(grid.cell_masses) == 500 and grid.box_volume(support.unit_cube(3)) == 1
     assert sorted(calls["_parse_ratio"]) == sorted(literals)
     assert len(calls["parse_rational"]) <= 3 * len(axis)
     assert grid.integer_form[0] == 500
@@ -952,8 +960,7 @@ def test_each_grid_mass_is_converted_once(monkeypatch: pytest.MonkeyPatch) -> No
         # One call per partition read from the file, none for the masses.
         assert calls == [len(p.breakpoints) for p in grid.partitions]
         calls.clear()
-        whole = NBox(((F(0), F(1)),) * n)
-        assert grid.box_volume(whole) == grid.total_mass()
+        assert grid.box_volume(support.unit_cube(n)) == sum(masses.values(), F(0))
         for _ in range(4):
             grid.box_volume(support.random_box(rng, grid))
         assert not calls
@@ -1005,7 +1012,8 @@ def test_grids_made_three_ways_match_the_oracles() -> None:
             elif "/" in literal and math.gcd(*map(int, literal.split("/"))) > 1:
                 spellings["unreduced"] += 1
         grid = made[1]
-        assert grid.total_mass() == sum(masses.values(), F(0)), case
+        total = grid.box_volume(support.unit_cube(grid.dimension))
+        assert total == sum(masses.values(), F(0)), case
         values = support.ref_node_values(grid)
         for _ in range(3):
             box = support.random_box(rng, grid)

@@ -334,6 +334,13 @@ def test_symmetric_program_shape() -> None:
         build_symmetric_lp(1, "min")
 
 
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_symmetric_program_matches_hand_written_rows(sense: str) -> None:
+    # Rows in order, objective and names, to the largest dimension conjecture runs.
+    for n in range(2, 101):
+        assert build_symmetric_lp(n, sense) == support.ref_symmetric_lp(n, sense), n
+
+
 def row_gaps(lp: LinearProgram, x: list[Fraction]) -> set[tuple]:
     """The distinct ``(family, relation, lhs - rhs)`` of ``lp``'s rows at ``x``."""
     return {
@@ -622,11 +629,14 @@ def test_export_header_and_shape() -> None:
     assert lines[-1].startswith("obj 4 ")
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_export_matches_golden_file(n: int) -> None:
-    lp, _ = build_extremal_lp(n, "min")
-    golden = (GOLDEN / f"extremal_n{n}_min.lp").read_text()
-    assert export_lp(lp) == golden
+@pytest.mark.parametrize(
+    "name, lp",
+    [(f"extremal_n{n}_min", build_extremal_lp(n, "min")[0]) for n in (2, 3, 4)]
+    + [("symmetric_n5_min", build_symmetric_lp(5, "min"))],
+    ids=["2", "3", "4", "symmetric-5"],
+)
+def test_export_matches_golden_file(name: str, lp: LinearProgram) -> None:
+    assert export_lp(lp) == (GOLDEN / f"{name}.lp").read_text()
 
 
 # --------------------------------------------------------------- validation
