@@ -22,6 +22,14 @@ def _fraction(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _rational(value: object, what: str) -> Fraction:
+    """``value`` as a :class:`Fraction`, kept if it is one; a GridError names it if not rational."""
+    try:
+        return _fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GridError(f"{what} {value!r} is not a rational number") from exc
+
+
 class GridError(ValueError):
     """Raised for malformed partitions, boxes, grids, or grid files."""
 
@@ -32,17 +40,29 @@ class LPError(ValueError):
 
 @dataclass(frozen=True)
 class NBox:
-    """An axis-aligned box inside [0,1]^n, given by per-axis closed intervals."""
+    """An axis-aligned box inside [0,1]^n, given by per-axis closed intervals.
+
+    Each endpoint may be given as anything :class:`Fraction` accepts; a
+    :class:`Fraction` is kept as given, and :class:`GridError` names an
+    endpoint that is not rational (nan, inf, ``None``, ``"x"``).  The check
+    0 <= lo <= hi <= 1 runs on the endpoints' numerators and (positive)
+    denominators, cross-multiplied.
+    """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple((_fraction(lo), _fraction(hi)) for lo, hi in self.intervals)
+        ivs = tuple(
+            (_rational(lo, "box endpoint"), _rational(hi, "box endpoint"))
+            for lo, hi in self.intervals
+        )
         object.__setattr__(self, "intervals", ivs)
         if not ivs:
             raise GridError("box needs at least one axis")
         for lo, hi in ivs:
-            if not (ZERO <= lo <= hi <= ONE):
+            lo_n, lo_d = lo.numerator, lo.denominator
+            hi_n, hi_d = hi.numerator, hi.denominator
+            if not (0 <= lo_n and lo_n * hi_d <= hi_n * lo_d and hi_n <= hi_d):
                 raise GridError(f"interval [{lo}, {hi}] not nested in [0,1]")
 
     @property

@@ -21,16 +21,8 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 # Re-exported: qcmass.grid.NBox, GridError and corner_sign are the box module's.
-from .box import ONE, ZERO, GridError, NBox, _fraction, corner_sign
+from .box import ONE, ZERO, GridError, NBox, _fraction, _rational, corner_sign
 from .rational import _over_one_den, _parse_ratio, format_rational, parse_rational
-
-
-def _breakpoint(value: object) -> Fraction:
-    """``value`` as a :class:`Fraction`, kept if it is one; a GridError names it if not rational."""
-    try:
-        return _fraction(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GridError(f"breakpoint {value!r} is not a rational number") from exc
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,7 @@ class AxisPartition:
     ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(map(_breakpoint, self.breakpoints))
+        pts = tuple(_rational(t, "breakpoint") for t in self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise GridError("partition needs at least two breakpoints")
@@ -236,10 +228,19 @@ class MassGrid:
         is one integer, and one :class:`Fraction` is built, for the result.
         An axis the box covers no part of (a zero-width interval) makes it 0
         at once.
+
+        The one formula reads the cells in whichever of two orders reads
+        fewer.  When the covered slabs span fewer cells (the product over
+        the axes of the number of slabs with a nonzero weight) than the grid
+        stores, each of those cells is looked up in the integer map;
+        otherwise every stored cell is walked, as a cell outside the box
+        weighs 0.  So a box inside one slab per axis reads one cell, and the
+        whole cube reads each stored cell once.
         """
         if box.dimension != self.dimension:
             raise GridError(f"box has arity {box.dimension}, expected {self.dimension}")
         weights: list[list[int]] = []
+        slabs: list[list[int]] = []  # per axis, the slabs of nonzero weight
         scale = 1
         for part, (lo, hi) in zip(self.partitions, box.intervals):
             unit = lcm(part.den, lo.denominator, hi.denominator)
@@ -252,16 +253,24 @@ class MassGrid:
                 (min(hi, b) - max(lo, a), b - a) if lo < b and a < hi else (0, 1)
                 for a, b in zip(pts, pts[1:])
             ]
-            if not any(c for c, _ in shares):
+            covered = [j for j, (c, _) in enumerate(shares) if c]
+            if not covered:
                 return ZERO
             # A whole slab's share is 1; the partly covered ones go over the
             # lcm of their widths (an uncovered slab's 1 leaves it as it is).
             den = lcm(*[w for c, w in shares if c != w])
             scale *= den
             weights.append([den if c == w else c * (den // w) for c, w in shares])
+            slabs.append(covered)
         masses = self.cell_masses
+        ints = masses._ints
+        if prod(map(len, slabs)) < len(ints):
+            get = ints.get
+            cells = ((cell, get(cell, 0)) for cell in product(*slabs))
+        else:
+            cells = ints.items()
         total = 0
-        for cell, w in masses._ints.items():
+        for cell, w in cells:
             for axis_weights, c in zip(weights, cell):
                 w *= axis_weights[c]
                 if not w:
@@ -685,7 +694,10 @@ def grid_from_json(text: str | bytes) -> MassGrid:
 
     JSON types are tested with ``type(x) is ...``: ``true`` and ``false``
     load as bool, a subclass of int, and must not pass as cell indices or a
-    dimension.  The masses go straight to the grid's integer form
+    dimension.  Each distinct breakpoint list is parsed, through
+    :func:`parse_rational`, into one :class:`AxisPartition`, and every axis
+    that repeats the list gets that same object; the first malformed list
+    in file order raises.  The masses go straight to the grid's integer form
     (:attr:`MassGrid.integer_form`), with no :class:`Fraction` per cell: each
     distinct mass literal is parsed once into integers, however many cells
     share it, and scaled once to the lcm of the literals' reduced
@@ -718,10 +730,18 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     # A string or object would iterate as breakpoints ("01" as 0, 1).
     if not all(type(axis) is list for axis in parts_raw):
         raise GridError("each partition must be a list of breakpoints")
+    # One partition per distinct list: an axis that repeats a list shares
+    # the partition (immutable) built for its first occurrence.  Only a list
+    # of strings is ever built, so only such a list is looked up.
+    built: dict[tuple[str, ...], AxisPartition] = {}
+    partitions = []
     try:
-        partitions = tuple(
-            AxisPartition(tuple(parse_rational(t) for t in axis)) for axis in parts_raw
-        )
+        for axis in parts_raw:
+            key = tuple(axis)
+            part = built.get(key) if set(map(type, key)) <= {str} else None
+            if part is None:
+                part = built[key] = AxisPartition(tuple(map(parse_rational, key)))
+            partitions.append(part)
     except (TypeError, ValueError) as exc:
         raise GridError(f"malformed partition: {exc}") from exc
     entries = payload["masses"]

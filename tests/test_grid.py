@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from typing import Iterator, Mapping
 
 import pytest
 
@@ -113,6 +114,30 @@ def test_box_keeps_fraction_endpoints_and_converts_others() -> None:
 def test_box_rejects(intervals: tuple) -> None:
     with pytest.raises(GridError):
         NBox(intervals)
+
+
+@pytest.mark.parametrize("endpoint", [None, "x", 1j, float("nan"), float("inf")])
+def test_box_names_an_endpoint_that_is_not_rational(endpoint: object) -> None:
+    # In a box, and as a coordinate of a point Q is evaluated at.
+    message = f"box endpoint {endpoint!r} is not a rational number"
+    with pytest.raises(GridError, match=re.escape(message)):
+        NBox(((F(0), HALF), (F(0), endpoint)))
+    with pytest.raises(GridError, match=re.escape(message)):
+        NBox(((endpoint, F(1)),))
+    with pytest.raises(GridError, match=re.escape(message)):
+        builtin_example("q2").evaluate((HALF, endpoint, HALF, HALF))
+
+
+def test_box_nesting_check_matches_fraction_comparisons() -> None:
+    # Endpoints from -1 to 2 over denominators 1, 2, 3 and 7, every pair.
+    values = sorted({F(p, q) for q in (1, 2, 3, 7) for p in range(-q, 2 * q + 1)})
+    for lo, hi in product(values, repeat=2):
+        if F(0) <= lo <= hi <= F(1):
+            assert NBox(((HALF, HALF), (lo, hi))).intervals[1] == (lo, hi)
+        else:
+            message = f"interval [{lo}, {hi}] not nested in [0,1]"
+            with pytest.raises(GridError, match=re.escape(message)):
+                NBox(((HALF, HALF), (lo, hi)))
 
 
 def test_corner_sign() -> None:
@@ -458,8 +483,58 @@ def test_box_volume_arity_check() -> None:
             grid.box_volume(NBox(((F(0), F(1)),) * 3))
 
 
+class _CountedCells(dict):
+    """A grid's integer cell map that counts the cells read from it, looked up or walked."""
+
+    def __init__(self, ints: Mapping[tuple[int, ...], int]) -> None:
+        super().__init__(ints)
+        self.looked_up = self.walked = 0
+
+    def __getitem__(self, cell: tuple[int, ...]) -> int:
+        self.looked_up += 1
+        return super().__getitem__(cell)
+
+    def get(self, cell: tuple[int, ...], default: object = None) -> object:
+        self.looked_up += 1
+        return super().get(cell, default)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        for item in super().items():
+            self.walked += 1
+            yield item
+
+
+def _counted(grid: MassGrid) -> tuple[MassGrid, _CountedCells]:
+    """``grid`` again, its integer cell map a :class:`_CountedCells` whose counts start at 0."""
+    den, ints = grid.integer_form
+    cells = _CountedCells(ints)
+    counted = MassGrid(grid.partitions, grid_module._CellMasses(den, cells))
+    cells.looked_up = cells.walked = 0
+    return counted, cells
+
+
+def test_box_volume_reads_only_the_covered_cells() -> None:
+    # 20^3 cells, every one charged 1/8000.  A box inside one slab per axis
+    # reads one cell; the whole cube covers as many cells as are stored, so
+    # it walks them.
+    masses = dict.fromkeys(product(range(20), repeat=3), F(1, 8000))
+    grid, cells = _counted(MassGrid((unit_partition(20),) * 3, masses))
+    inside = NBox(((F(1, 40), F(1, 30)), (F(1, 20), F(1, 10)), (F(19, 20), F(1))))
+    assert grid.box_volume(inside) == F(1, 8000) * F(1, 6)
+    assert 1 <= cells.looked_up + cells.walked <= 8
+    # Two slabs on each axis, partly covered: 8 cells.
+    straddle = NBox(((F(1, 30), F(1, 15)),) * 3)
+    want = support.box_mass_direct(grid, straddle)
+    cells.looked_up = cells.walked = 0
+    assert grid.box_volume(straddle) == want
+    assert (cells.looked_up, cells.walked) == (8, 0)
+    cells.looked_up = cells.walked = 0
+    assert grid.box_volume(support.unit_cube(3)) == 1
+    assert (cells.looked_up, cells.walked) == (0, 8000)
+
+
 def _oracle_boxes(rng: random.Random, grid: MassGrid) -> list[tuple[str, NBox]]:
-    """One box of each kind: aligned, interior, degenerate, whole, edge-touching and coprime.
+    """One box of each kind: aligned, interior, degenerate, whole, edge-touching, coprime, one-slab.
 
     A coprime box's endpoints are over 1009, a prime no breakpoint
     denominator shares, so each axis's breakpoints and endpoints go over a
@@ -483,6 +558,13 @@ def _oracle_boxes(rng: random.Random, grid: MassGrid) -> list[tuple[str, NBox]]:
         t, v = rng.choice(p.breakpoints), F(rng.randint(0, 48), 48)
         touching.append((min(t, v), max(t, v)))
     coprime = tuple(tuple(sorted(F(rng.randint(0, 1009), 1009) for _ in range(2))) for _ in parts)
+    # Inside one slab per axis: the whole slab, or a random part of it.
+    one_slab = []
+    for p in parts:
+        j = rng.randrange(p.num_cells)
+        a, b = p.breakpoints[j : j + 2]
+        s, t = sorted(a + (b - a) * F(rng.randint(0, 12), 12) for _ in range(2))
+        one_slab.append((a, b) if s == t else (s, t))
     return [
         ("aligned", NBox(aligned)),
         ("interior", NBox(interior)),
@@ -490,29 +572,51 @@ def _oracle_boxes(rng: random.Random, grid: MassGrid) -> list[tuple[str, NBox]]:
         ("whole", NBox(((F(0), F(1)),) * len(parts))),
         ("touching", NBox(tuple(touching))),
         ("coprime", NBox(coprime)),
+        ("one-slab", NBox(tuple(one_slab))),
     ]
 
 
 def test_cell_volume_matches_lattice_oracle() -> None:
     """Cell-sum box_volume vs the node-lattice and direct-summation oracles, n = 1..5.
 
-    Seeded signed grids on mixed-denominator partitions, valid and not; replay
-    a failing case from the seed and the case number in the message.
+    Seeded signed grids on mixed-denominator partitions, valid and not, and
+    every third one again with most cells dropped; replay a failing case
+    from the seed and the case number in the message.  box_volume looks up
+    the covered slabs' cells or walks the stored ones, whichever are fewer:
+    a box inside one slab per axis on a grid of several cells takes the
+    first order, the whole cube on a sparse grid the second.
     """
     assert builtin_example("q1").grid.box_volume(Q1_BOX) == F(-9, 7)
     assert builtin_example("q2").grid.box_volume(Q2_BOX) == F(2)
     rng = random.Random(0xCE11B0)
+    orders = {"looked up": 0, "walked": 0}
     for case in range(300):
-        grid = support.random_signed_grid(rng, 1 + case % 5)
-        values = support.ref_node_values(grid)
-        for kind, box in _oracle_boxes(rng, grid):
-            got = grid.box_volume(box)
-            assert got == support.ref_box_volume(grid, values, box), (case, kind, box)
-            assert got == support.box_mass_direct(grid, box), (case, kind, box)
-            if kind == "whole":
-                assert got == sum(grid.cell_masses.values(), F(0)), case
-            elif kind == "degenerate":
-                assert got == 0, case
+        dense = support.random_signed_grid(rng, 1 + case % 5)
+        grids = [dense]
+        if case % 3 == 0:
+            kept = rng.sample(sorted(dense.cell_masses), len(dense.cell_masses) // 3)
+            grids.append(MassGrid(dense.partitions, {c: dense.cell_masses[c] for c in kept}))
+        for grid in grids:
+            values = support.ref_node_values(grid)
+            counted, cells = _counted(grid)
+            stored = len(grid.cell_masses)
+            for kind, box in _oracle_boxes(rng, grid):
+                cells.looked_up = cells.walked = 0
+                got = counted.box_volume(box)
+                assert got == support.ref_box_volume(grid, values, box), (case, kind, box)
+                assert got == support.box_mass_direct(grid, box), (case, kind, box)
+                assert not (cells.looked_up and cells.walked), (case, kind)
+                orders["looked up"] += bool(cells.looked_up)
+                orders["walked"] += bool(cells.walked)
+                if kind == "whole":
+                    assert got == sum(grid.cell_masses.values(), F(0)), case
+                    if stored < math.prod(grid.shape):
+                        assert cells.walked == stored, (case, kind)
+                elif kind == "degenerate":
+                    assert got == 0, case
+                elif kind == "one-slab" and stored > 1:
+                    assert (cells.looked_up, cells.walked) == (1, 0), (case, kind)
+    assert min(orders.values()) >= 300, orders
 
 
 # ----------------------------------------------------------- axiom checks
@@ -806,6 +910,23 @@ JSON_REJECTS = [
     '{"dimension": 1, "partitions": [{"0": 0, "1": 1}], '
     '"masses": [{"cell": [0], "mass": "1"}]}',
 ]
+# Malformed breakpoint lists: an element that is a list, an object or a JSON
+# number, a bad list on two axes, and two bad lists, of which the first in
+# file order is named.  None may surface as "unhashable type".
+JSON_REJECTS += [
+    json.dumps({"dimension": len(parts), "partitions": parts, "masses": []})
+    for parts in (
+        [["0", ["1/2"], "1"], ["0", "1"]],
+        [["0", "1"], ["0", {"t": "1/2"}, "1"]],
+        [["0", ["1"], "1"], ["0", ["1"], "1"]],
+        [["0", 0.5, "1"], ["0", "1"]],
+        [["0", "1"], ["0", "1/2", "1"], ["0", 1, "1"]],
+        [["0", "1"], ["0", "2/3", "1/3", "1"], ["0", "2/3", "1/3", "1"]],
+        [["0", "x", "1"], ["0", ["1"], "1"]],
+        [["0", ["1"], "1"], ["0", "x", "1"]],
+        [["0", "1/2", "1"], ["0", "1/2"], ["0", "1/2", "1"]],
+    )
+]
 
 
 @pytest.mark.parametrize("text", JSON_REJECTS)
@@ -901,6 +1022,29 @@ def test_loader_names_first_offender(first: str, second: str) -> None:
         assert both == alone_k
 
 
+def test_loader_builds_one_partition_per_distinct_list(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Each distinct list is parsed once, breakpoint by breakpoint, in file
+    # order, and every axis that repeats it gets the same partition.  "0.5"
+    # spells 1/2 otherwise: another list, so an equal but separate partition.
+    calls: list[str] = []
+    parse = grid_module.parse_rational
+
+    def counted(text: str) -> Fraction:
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(grid_module, "parse_rational", counted)
+    a, b, c = ["0", "1/3", "1"], ["0", "1/2", "3/4", "1"], ["0", "0.5", "3/4", "1"]
+    masses = [{"cell": [0] * 6, "mass": "1"}]
+    text = json.dumps({"dimension": 6, "partitions": [a, b, a, c, b, a], "masses": masses})
+    parts = grid_from_json(text).partitions
+    assert parts[0] is parts[2] is parts[5] and parts[1] is parts[4]
+    assert parts[3] == parts[1] and parts[3] is not parts[1] and parts[0] != parts[1]
+    assert calls == a + b + c
+    monkeypatch.undo()
+    assert support.ref_grid_from_json(text).partitions == parts
+
+
 def test_loader_parses_each_mass_literal_once(monkeypatch: pytest.MonkeyPatch) -> None:
     # Masses go through the integer parser, breakpoints through parse_rational.
     calls: dict[str, list[str]] = {}
@@ -957,8 +1101,10 @@ def test_each_grid_mass_is_converted_once(monkeypatch: pytest.MonkeyPatch) -> No
         assert calls == [len(masses)] and len(masses) > 1
         calls.clear()
         assert grid_from_json(grid_to_json(grid)) == grid
-        # One call per partition read from the file, none for the masses.
-        assert calls == [len(p.breakpoints) for p in grid.partitions]
+        # One call per distinct breakpoint list in the file, in file order,
+        # none for the masses.
+        lists = dict.fromkeys(p.breakpoints for p in grid.partitions)
+        assert calls == [len(pts) for pts in lists]
         calls.clear()
         assert grid.box_volume(support.unit_cube(n)) == sum(masses.values(), F(0))
         for _ in range(4):
