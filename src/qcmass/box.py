@@ -22,14 +22,6 @@ def _fraction(value: object) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _rational(value: object, what: str) -> Fraction:
-    """``value`` as a :class:`Fraction`, kept if it is one; a GridError names it if not rational."""
-    try:
-        return _fraction(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GridError(f"{what} {value!r} is not a rational number") from exc
-
-
 class GridError(ValueError):
     """Raised for malformed partitions, boxes, grids, or grid files."""
 
@@ -38,13 +30,22 @@ class LPError(ValueError):
     """Raised for malformed programs, layouts, assignments, or LP files."""
 
 
+def _rational(value: object, what: str, error: type[ValueError] = GridError) -> Fraction:
+    """``value`` as a :class:`Fraction`, kept if it is one; ``error`` names it if not rational."""
+    try:
+        return _fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} {value!r} is not a rational number") from exc
+
+
 @dataclass(frozen=True)
 class NBox:
     """An axis-aligned box inside [0,1]^n, given by per-axis closed intervals.
 
     Each endpoint may be given as anything :class:`Fraction` accepts; a
-    :class:`Fraction` is kept as given, and :class:`GridError` names an
-    endpoint that is not rational (nan, inf, ``None``, ``"x"``).  The check
+    :class:`Fraction` is kept as given.  :class:`GridError` names an
+    interval that is not a ``(lo, hi)`` pair and an endpoint that is not
+    rational (nan, inf, ``None``, ``"x"``).  The check
     0 <= lo <= hi <= 1 runs on the endpoints' numerators and (positive)
     denominators, cross-multiplied.
     """
@@ -52,11 +53,14 @@ class NBox:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple(
-            (_rational(lo, "box endpoint"), _rational(hi, "box endpoint"))
-            for lo, hi in self.intervals
-        )
-        object.__setattr__(self, "intervals", ivs)
+        ivs = []
+        for interval in self.intervals:
+            try:
+                lo, hi = interval
+            except (TypeError, ValueError) as exc:
+                raise GridError(f"box interval {interval!r} is not a (lo, hi) pair") from exc
+            ivs.append((_rational(lo, "box endpoint"), _rational(hi, "box endpoint")))
+        object.__setattr__(self, "intervals", tuple(ivs))
         if not ivs:
             raise GridError("box needs at least one axis")
         for lo, hi in ivs:

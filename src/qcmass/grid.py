@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 # Re-exported: qcmass.grid.NBox, GridError and corner_sign are the box module's.
-from .box import ONE, ZERO, GridError, NBox, _fraction, _rational, corner_sign
+from .box import ONE, ZERO, GridError, NBox, _rational, corner_sign
 from .rational import _over_one_den, _parse_ratio, format_rational, parse_rational
 
 
@@ -95,7 +95,8 @@ def _checked_masses(
     """``masses`` with tuple cells and :class:`Fraction` masses, walking the cells in order.
 
     Raises :class:`GridError` for the first cell that is not a tuple, of
-    wrong arity, with an index that is not an int, or out of range.
+    wrong arity, with an index that is not an int, or out of range, or whose
+    mass is not a rational number (``None``, ``"x"``, nan, ``1j``).
     ``type(i) is int``, as in :func:`grid_from_json`: a bool or a float is no
     cell index, and a string such as ``"01"`` is no cell.  Zero masses are
     kept; :class:`MassGrid` drops them.
@@ -112,7 +113,7 @@ def _checked_masses(
         if min(cell) < 0 or not all(map(lt, cell, shape)):
             i = next(i for i, c in enumerate(cell) if not 0 <= c < shape[i])
             raise GridError(f"cell {cell} out of range on axis {i}")
-        checked[cell] = _fraction(mass)
+        checked[cell] = _rational(mass, f"cell {cell} mass")
     return checked
 
 
@@ -168,7 +169,8 @@ class MassGrid:
     masses (in the package only :func:`builtin_grid` passes one) is walked in
     order, cell by cell: :class:`GridError` names the first cell that is not
     a tuple, of wrong arity, with an index that is not an int, or out of
-    range, and each mass becomes a :class:`Fraction`.  It is copied and
+    range, or whose mass is not rational, and each mass becomes a
+    :class:`Fraction`.  It is copied and
     converted once, so a grid, and every function built from it, never
     changes.  The integer form that
     :func:`grid_from_json` and :func:`marginalize` hand over has int cells
@@ -286,7 +288,8 @@ class Violation:
     ``location`` depends on ``kind``:
       grounded, frechet-lower, frechet-upper: the lattice node index tuple;
       margin: (axis, slab index), comparing slab mass against slab width;
-      monotone, lipschitz: (axis,) + the lower node index tuple of the edge.
+      monotone, lipschitz: (axis,) + the lower node index tuple of the edge;
+      total-mass (listed by ``qcmass verify``): the empty tuple.
     All indices are 0-based.  This module never reports ``grounded``: a
     grid's function is grounded by construction (see
     :meth:`GridQuasiCopula.verify_axioms`).  The kind stays for node-by-node
@@ -301,14 +304,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    uniform_margins_ok: bool
-    monotone_ok: bool
-    lipschitz_ok: bool
+    """The axiom violations :meth:`GridQuasiCopula.verify_axioms` found.
+
+    ``all_ok`` (no violation) is the quasi-copula predicate: a grid that
+    passes lies in the Fréchet envelope and has total mass 1 (the argument
+    is in :meth:`GridQuasiCopula.verify_axioms`).
+    """
+
     violations: tuple[Violation, ...]
 
     @property
     def all_ok(self) -> bool:
-        return self.uniform_margins_ok and self.monotone_ok and self.lipschitz_ok
+        return not self.violations
 
 
 # A grid file of a few lines can describe a lattice of 2^40 nodes; anything
@@ -444,10 +451,15 @@ class GridQuasiCopula:
 
         That is Q's definition, so this is :meth:`MassGrid.box_volume` of the
         box; the node values are not read.  :class:`GridError` for a point of
-        the wrong arity, or (from :class:`NBox`) a coordinate outside [0,1].
+        the wrong arity or that is not a sequence, or (from :class:`NBox`) a
+        coordinate outside [0,1] or not rational.
         """
-        if len(point) != self.dimension:
-            raise GridError(f"point has arity {len(point)}, expected {self.dimension}")
+        try:
+            arity = len(point)
+        except TypeError as exc:
+            raise GridError(f"point {point!r} is not a sequence of coordinates") from exc
+        if arity != self.dimension:
+            raise GridError(f"point has arity {arity}, expected {self.dimension}")
         return self.grid.box_volume(NBox(tuple((ZERO, u) for u in point)))
 
     def box_volume(self, box: NBox) -> Fraction:
@@ -491,6 +503,24 @@ class GridQuasiCopula:
           on axis i), which must equal the slab's width.  That line of nodes
           is one strided run of the lattice ending at its top node.
 
+        A grid that passes every check lies in the Fréchet envelope and has
+        total mass 1, as every n-quasi-copula does (Genest, Quesada-Molina,
+        Rodríguez-Lallena and Sempi 1999).  On the lattice it takes five lines;
+        let v be a node with coordinates u:
+
+        * Q(1,...,1) = 1: the axis-0 margin line starts at 0 and rises by
+          the slab widths, which sum to 1.
+        * Q(v) <= u_i: walking up every axis but i to 1 does not lower Q
+          (monotone), and there Q is the axis-i margin, u_i.
+        * Q(v) >= 0: walking down axis 0 to the face u_0 = 0 does not raise
+          Q (monotone), and Q is 0 there (grounded).
+        * Q(v) >= sum u - (n-1): walking up each axis i in turn to the top
+          node raises Q by at most 1 - u_i (Lipschitz), and Q is 1 there.
+
+        So when ``all_ok`` holds, :meth:`frechet_envelope_check` finds
+        nothing and the top node is 1; ``qcmass verify`` runs that check and
+        reads that node only for a grid that fails an axiom.
+
         The edges of axis i run from the nodes with coordinate j to those
         with j+1.  For each j the rises are taken one slice pair of
         :meth:`_NodeLattice.coordinate_slices` at a time, by ``map(sub, ...)``,
@@ -512,7 +542,6 @@ class GridQuasiCopula:
         lattice = self.node_values
         ints, den, count = lattice.ints, lattice.den, len(lattice.ints)
         bad: list[Violation] = []
-        margins_ok = monotone_ok = lipschitz_ok = True
 
         for axis, (part, stride) in enumerate(zip(self.grid.partitions, lattice.strides)):
             line = ints[count - 1 - part.num_cells * stride : count : stride]
@@ -520,7 +549,6 @@ class GridQuasiCopula:
             for j, (lo, hi) in enumerate(zip(line, line[1:])):
                 # (hi - lo) / den against the width (pts[j + 1] - pts[j]) / part.den
                 if (hi - lo) * part.den != (pts[j + 1] - pts[j]) * den:
-                    margins_ok = False
                     mass = Fraction(hi - lo, den)
                     bad.append(Violation("margin", (axis, j), mass, part.width(j)))
 
@@ -547,13 +575,11 @@ class GridQuasiCopula:
             for k, rise, j in failing:
                 location = (axis,) + lattice.node(k)
                 if rise < 0:
-                    monotone_ok = False
                     bad.append(Violation("monotone", location, Fraction(rise, den), ZERO))
                 else:
-                    lipschitz_ok = False
                     bad.append(Violation("lipschitz", location, Fraction(rise, den), part.width(j)))
 
-        return AxiomReport(margins_ok, monotone_ok, lipschitz_ok, tuple(bad))
+        return AxiomReport(tuple(bad))
 
     def frechet_envelope_check(self) -> tuple[Violation, ...]:
         """Where Q leaves the pointwise envelope max(sum u - n + 1, 0) <= Q <= min(u).
@@ -562,6 +588,10 @@ class GridQuasiCopula:
         convex combination of its node values, the upper envelope min(u) is
         concave, and the lower envelope is convex, so node inequalities push
         through the combination in both directions.
+
+        A grid whose :meth:`verify_axioms` report is ``all_ok`` passes this
+        check by the argument given there, so it adds information only for a
+        grid that fails an axiom.
 
         The nodes' coordinates are the partitions' ``ints``, put over
         ``scale``, the lcm of their ``den``; each node value is compared with

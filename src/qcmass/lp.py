@@ -10,8 +10,37 @@ linear conditions every quasi-copula satisfies on those corners:
   F  per corner:  sum of coords - (n-1) <= q <= coord_i (pointwise envelope)
 
 Extremizing the inclusion-exclusion objective over this polytope bounds
-V_Q(B) over all quasi-copulas and boxes at once; the bounds are tight for
-n = 4 (-9/7 and 2), with witnesses reproduced by :func:`reference_witness`.
+V_Q(B) over all quasi-copulas and boxes at once, and the bounds are attained
+at every n (the theorem below), so each optimum is the least or greatest
+mass an n-quasi-copula puts on a box.  The n = 4 optima, -9/7 and 2, have
+recorded witnesses, reproduced by :func:`reference_witness`.
+
+Theorem (the relaxation is exact).  Fix the box B, and let the corner
+values q satisfy the E and F rows and q >= 0.  Write
+d(t, u) = sum_i (u_i - t_i)^+ and M(u) = min_i u_i.  Then
+
+  Q*(u) = min( M(u), min over corners t of B of q_t + d(t, u) )
+
+is an n-quasi-copula, and Q*(t) = q_t at every corner t of B.
+
+Proof sketch.
+  * Monotone and 1-Lipschitz: each term is nondecreasing and 1-Lipschitz
+    in every coordinate, so their minimum is too.
+  * Grounded: where some u_i = 0, Q* <= M = 0, and every term is >= 0
+    because q >= 0.
+  * Uniform margins: take every coordinate but i at 1.  By the F lower row,
+    q_t + d(t, u) >= sum t - (n-1) + (u_i - t_i)^+ + sum_{j != i} (1 - t_j)
+    >= u_i, so Q*(u) = M(u) = u_i.
+  * Corners kept: q_s <= M(s) by the F upper rows, and the E rows, chained
+    along box edges, give q_s - q_t <= d(t, s); the term t = s is q_s.
+  * Grounded, uniform margins, and nondecreasing and 1-Lipschitz in each
+    coordinate are the n-quasi-copulas (Genest, Quesada-Molina,
+    Rodríguez-Lallena and Sempi, J. Multivariate Anal. 1999; Cuculescu and
+    Theodorescu, Fuzzy Sets Syst. 2001).
+So every optimum of :func:`build_extremal_lp` is attained by a
+quasi-copula, and ``qcmass conjecture``'s ``lp_min`` is the least box mass
+at each n: a ``below`` verdict refutes the conjectured -(n-1)^2/(2n-1) at
+that n (first at n = 5, where -32/13 < -16/9).
 
 The program is unchanged when the axes are permuted, so it has an optimum
 with every a_i equal, every s_i equal, and q depending only on how many
@@ -42,15 +71,15 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .box import ONE, ZERO, LPError, NBox, _fraction, corner_sign
+from .box import ONE, ZERO, LPError, NBox, _fraction, _rational, corner_sign
 from .rational import _over_one_den, format_rational
 
 _RELATIONS = ("<=", ">=")
 
 
 def _exact(value: object) -> int | Fraction:
-    """``value`` as is if it is an int, else as a :class:`Fraction`."""
-    return value if type(value) is int else _fraction(value)
+    """``value`` as is if it is an int, else as a :class:`Fraction`; LPError names it if not rational."""
+    return value if type(value) is int else _rational(value, "value", LPError)
 
 
 def _canonical_terms(
@@ -76,7 +105,8 @@ class Row:
     ``Row(family, coeffs, relation, rhs)`` takes ``(index, coefficient)``
     terms in any order; a coefficient or ``rhs`` may be an int, a
     :class:`Fraction` or anything :class:`Fraction` accepts.  A negative or
-    repeated index, or no nonzero term, raises :class:`LPError`.
+    repeated index, no nonzero term, or a number that is not rational
+    raises :class:`LPError`.
     ``family`` is a short tag carried for reporting ("D", "E", "F" for the
     extremal program; anything, including "", for ad hoc programs).
 
@@ -196,7 +226,12 @@ class ExtremalLayout:
 
 @dataclass(frozen=True)
 class VertexAssignment:
-    """A box together with a claimed quasi-copula value at each of its corners."""
+    """A box together with a claimed quasi-copula value at each of its corners.
+
+    Each value may be given as anything :class:`Fraction` accepts, and
+    becomes a :class:`Fraction`; :class:`LPError` names one that is not
+    rational.
+    """
 
     box: NBox
     values: Mapping[tuple[bool, ...], Fraction]
@@ -204,7 +239,7 @@ class VertexAssignment:
     def __post_init__(self) -> None:
         n = self.box.dimension
         expected = set(product((False, True), repeat=n))
-        cleaned = {tuple(k): Fraction(v) for k, v in self.values.items()}
+        cleaned = {tuple(k): _rational(v, "corner value", LPError) for k, v in self.values.items()}
         if set(cleaned) != expected:
             raise LPError(f"values must cover all {2**n} corner patterns")
         object.__setattr__(self, "values", cleaned)

@@ -128,6 +128,36 @@ def test_box_names_an_endpoint_that_is_not_rational(endpoint: object) -> None:
         builtin_example("q2").evaluate((HALF, endpoint, HALF, HALF))
 
 
+@pytest.mark.parametrize(
+    "intervals, bad",
+    [
+        (((F(0),),), (F(0),)),
+        ((F(0), F(1)), F(0)),
+        (((F(0), HALF), (F(0), HALF, F(1))), (F(0), HALF, F(1))),
+        (((F(0), HALF), None), None),
+    ],
+    ids=["one-endpoint", "bare-endpoints", "three-endpoints", "none"],
+)
+def test_box_names_an_interval_that_is_not_a_pair(intervals: tuple, bad: object) -> None:
+    message = f"box interval {bad!r} is not a (lo, hi) pair"
+    with pytest.raises(GridError, match=re.escape(message)):
+        NBox(intervals)
+
+
+@pytest.mark.parametrize("point", [5, None, HALF], ids=repr)
+def test_evaluate_names_a_point_that_is_not_a_sequence(point: object) -> None:
+    message = f"point {point!r} is not a sequence of coordinates"
+    with pytest.raises(GridError, match=re.escape(message)):
+        builtin_example("q2").evaluate(point)
+
+
+@pytest.mark.parametrize("mass", [None, "x", float("nan"), 1j], ids=repr)
+def test_grid_names_a_mass_that_is_not_rational(mass: object) -> None:
+    message = f"cell (1,) mass {mass!r} is not a rational number"
+    with pytest.raises(GridError, match=re.escape(message)):
+        MassGrid((unit_partition(2),), {(0,): HALF, (1,): mass})
+
+
 def test_box_nesting_check_matches_fraction_comparisons() -> None:
     # Endpoints from -1 to 2 over denominators 1, 2, 3 and 7, every pair.
     values = sorted({F(p, q) for q in (1, 2, 3, 7) for p in range(-q, 2 * q + 1)})
@@ -640,9 +670,8 @@ def broken_q1_center() -> MassGrid:
 
 def test_broken_center_fails_margins() -> None:
     report = make_grid_qc(broken_q1_center()).verify_axioms()
-    assert not report.uniform_margins_ok
     assert not report.all_ok
-    assert report.lipschitz_ok
+    assert {v.kind for v in report.violations} == {"margin", "monotone"}
     margin = [v for v in report.violations if v.kind == "margin"]
     # the middle slab of every axis is short by 1/7
     assert margin == [
@@ -656,8 +685,7 @@ def test_broken_center_fails_margins() -> None:
 def test_single_cell_overweight_fails_lipschitz() -> None:
     qc = make_grid_qc(MassGrid((unit_partition(1),), {(0,): F(2)}))
     report = qc.verify_axioms()
-    assert not report.lipschitz_ok
-    assert not report.uniform_margins_ok
+    assert {v.kind for v in report.violations} == {"margin", "lipschitz"}
     assert Violation("lipschitz", (0, 0), F(2), F(1)) in report.violations
     assert Violation("margin", (0, 0), F(2), F(1)) in report.violations
     assert qc.frechet_envelope_check() == (
@@ -678,9 +706,7 @@ def test_lipschitz_excess_below_one_lattice_unit() -> None:
 def test_monotone_violation_detected() -> None:
     masses = {(0, 0): F(1), (0, 1): -HALF, (1, 0): -HALF, (1, 1): F(1)}
     report = make_grid_qc(MassGrid((unit_partition(2),) * 2, masses)).verify_axioms()
-    assert report.uniform_margins_ok
-    assert not report.monotone_ok
-    assert not report.lipschitz_ok
+    assert {v.kind for v in report.violations} == {"monotone", "lipschitz"}
     assert set(report.violations) == {
         Violation("monotone", (0, 1, 1), -HALF, F(0)),
         Violation("monotone", (1, 1, 1), -HALF, F(0)),
@@ -694,6 +720,96 @@ def test_negative_single_cell_breaks_lower_envelope() -> None:
     assert qc.frechet_envelope_check() == (
         Violation("frechet-lower", (1, 1), F(-1), F(1)),
     )
+
+
+def _lipschitz_only_grid(rng: random.Random, n: int) -> MassGrid:
+    """A grid inside the envelope that fails the Lipschitz axiom and no other.
+
+    On axes 0 and 1, breakpoints 0 < a < b <= 1 - a, and Q is 0 at the
+    interior nodes but (b, b), where it is b: it rises by b over the slab
+    [a, b] from (a, b) and from (b, a), while every margin, every monotone
+    edge and the envelope hold.
+    It is multiplied by the product function on n - 2 more axes.
+    """
+    k = rng.randint(1, 4)
+    a, b = F(k, 10), F(k + rng.randint(1, 10 - 2 * k), 10)
+    pts = (F(0), a, b, F(1))
+    q = {(i, j): F(0) for i in range(4) for j in range(4)}
+    q.update({(3, 1): a, (1, 3): a, (3, 2): b, (2, 3): b, (2, 2): b, (3, 3): F(1)})
+    parts = (AxisPartition(pts),) * 2 + tuple(
+        support.random_mixed_partition(rng, 2) for _ in range(n - 2)
+    )
+    masses = {}
+    for cell in product(*(range(p.num_cells) for p in parts)):
+        i, j = cell[:2]
+        mass = q[i + 1, j + 1] - q[i, j + 1] - q[i + 1, j] + q[i, j]
+        masses[cell] = mass * math.prod(p.width(c) for p, c in zip(parts[2:], cell[2:]))
+    return MassGrid(parts, masses)
+
+
+def _envelope_cases() -> list[MassGrid]:
+    """Seeded grids, valid and not, for the envelope argument of ``verify_axioms``.
+
+    Valid mixtures of W, M and Pi; pure W and pure M, whose node values sit
+    on the envelope's two sides; W-M mixtures; signed grids, some of which
+    fail by a hair; the slice-layout grids of n = 5 and 6; and grids that
+    fail the Lipschitz axiom alone.
+    """
+    rng = random.Random("envelope")
+    grids = [support.random_valid_qc(rng, 1, 4).grid for _ in range(60)]
+    for case in range(60):
+        n = 1 + case % 5
+        parts = tuple(support.random_mixed_partition(rng, 3) for _ in range(n))
+        w = (F(1), F(0), F(rng.randint(1, 6), 7))[case % 3]
+        grids.append(MassGrid(parts, support.mixture_masses(parts, [w, 1 - w, F(0)])))
+    grids += [support.random_signed_grid(rng, 1 + case % 5) for case in range(60)]
+    grids += [grid for _ in range(2) for grid, _ in support.slice_layout_grids(rng)]
+    grids += [_lipschitz_only_grid(rng, 2 + case % 4) for case in range(20)]
+    return grids
+
+
+def test_axioms_imply_envelope_and_total_mass(tmp_path) -> None:
+    # The argument in verify_axioms' docstring: a grid that passes every axiom
+    # lies in the Frechet envelope and has total mass 1, so verify's verdict
+    # and exit code are the axioms' alone.
+    grids = _envelope_cases()
+    path = tmp_path / "grid.json"
+    passing = 0
+    for case, grid in enumerate(grids):
+        qc = make_grid_qc(grid)
+        all_ok = qc.verify_axioms().all_ok
+        if all_ok:
+            assert qc.frechet_envelope_check() == (), case
+            assert qc.node_values[grid.shape] == 1, case
+        path.write_text(grid_to_json(grid))
+        result = run_verify(None, str(path))
+        assert result.exit_code == (0 if all_ok else 1), case
+        # and the verdict agrees with the check lines
+        failed = [line for line in result.output.splitlines() if line.endswith(" fail")]
+        if all_ok:
+            assert failed == [], case
+        else:
+            assert len(failed) >= 2 and failed[-1] == "verdict fail", case
+        passing += all_ok
+    assert len(grids) >= 200
+    assert passing >= 100 and len(grids) - passing >= 50, passing
+
+
+def test_verify_checks_the_envelope_only_on_failing_grids(tmp_path, monkeypatch) -> None:
+    check = GridQuasiCopula.frechet_envelope_check
+    checked: list[MassGrid] = []
+
+    def spy(qc: GridQuasiCopula) -> tuple[Violation, ...]:
+        checked.append(qc.grid)
+        return check(qc)
+
+    monkeypatch.setattr(GridQuasiCopula, "frechet_envelope_check", spy)
+    path = tmp_path / "grid.json"
+    for case, grid in enumerate(_envelope_cases()):
+        path.write_text(grid_to_json(grid))
+        checked.clear()
+        failing = run_verify(None, str(path)).exit_code == 1
+        assert checked == ([grid] if failing else []), case
 
 
 # ---------------------------------------------------------------- margins

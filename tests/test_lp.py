@@ -1,6 +1,7 @@
 """Construction and checking of the extremal programs."""
 
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -664,6 +665,32 @@ def test_program_validation() -> None:
         Row("", ((0, F(1)),), "==", F(1))
     with pytest.raises(LPError, match="unsupported relation '='"):
         Row("", ((0, F(1)),), "=", F(1))
+
+
+_NOT_RATIONAL = [None, "z", float("nan")]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: Row("", ((0, 1), (1, v)), "<=", 1),
+        lambda v: Row("", ((0, 1),), "<=", v),
+        lambda v: LinearProgram(2, ("x", "y"), "min", ((0, 1), (1, v)), ()),
+    ],
+    ids=["row-coefficient", "row-rhs", "objective-coefficient"],
+)
+@pytest.mark.parametrize("value", _NOT_RATIONAL, ids=repr)
+def test_program_names_a_number_that_is_not_rational(build, value: object) -> None:
+    with pytest.raises(LPError, match=re.escape(f"value {value!r} is not a rational number")):
+        build(value)
+
+
+@pytest.mark.parametrize("value", _NOT_RATIONAL, ids=repr)
+def test_vertex_assignment_names_a_value_that_is_not_rational(value: object) -> None:
+    values = {(False,): F(0), (True,): value}
+    message = f"corner value {value!r} is not a rational number"
+    with pytest.raises(LPError, match=re.escape(message)):
+        VertexAssignment(NBox(((F(0), F(1)),)), values)
 
 
 def test_row_is_canonical_from_construction() -> None:
