@@ -53,8 +53,12 @@ class NBox:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
+        try:
+            intervals = iter(self.intervals)
+        except TypeError as exc:
+            raise GridError(f"box intervals {self.intervals!r} are not (lo, hi) pairs") from exc
         ivs = []
-        for interval in self.intervals:
+        for interval in intervals:
             try:
                 lo, hi = interval
             except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm, prod
-from operator import add, gt, itemgetter, lt, mul, sub
+from operator import add, itemgetter, lt, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -330,17 +330,15 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
     ``ints`` is flat and row-major (last axis fastest), so flat order is the
     lexicographic node order, and node ``v`` sits at ``sum(v_i * strides[i])``.
     Reading a node builds its :class:`Fraction`; the checks in this module
-    work on ``ints`` directly.
+    work on ``ints`` directly, and pair a node with its neighbour along an
+    axis by one walk, :meth:`edges`.
     """
 
     __slots__ = ("sizes", "strides", "den", "ints")
 
     def __init__(self, sizes: tuple[int, ...], den: int, ints: list[int]) -> None:
         self.sizes = sizes
-        strides = [1] * len(sizes)
-        for i in range(len(sizes) - 1, 0, -1):
-            strides[i - 1] = strides[i] * sizes[i]
-        self.strides = tuple(strides)
+        self.strides = tuple(prod(sizes[i + 1 :]) for i in range(len(sizes)))
         self.den = den
         self.ints = ints
 
@@ -352,11 +350,10 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
         :attr:`MassGrid.integer_form`, whose scaled masses are read as they
         are.  Each cell's scaled mass is placed on its upper node c+1, at
         flat position ``sum(strides) + sum(c_i * strides[i])``, and one
-        prefix-sum pass per axis turns those into orthant sums: for each
-        coordinate j >= 1 of the axis, in increasing order, every node with
-        coordinate j adds its neighbour at j-1, one ``map(add, ...)`` per
-        slice of :meth:`coordinate_slices`.  GridError when the lattice has
-        more than ``MAX_LATTICE_NODES`` nodes.
+        prefix-sum pass per axis turns those into orthant sums: one walk of
+        :meth:`edges`, in increasing j, in which every node with coordinate
+        j+1 adds its neighbour at j, one ``map(add, ...)`` per slice pair.
+        GridError when the lattice has more than ``MAX_LATTICE_NODES`` nodes.
         """
         sizes = tuple(s + 1 for s in grid.shape)
         count = prod(sizes)
@@ -370,40 +367,37 @@ class _NodeLattice(Mapping[tuple[int, ...], Fraction]):
         base = sum(strides)
         for cell, mass in masses._ints.items():
             ints[base + sum(map(mul, cell, strides))] = mass
-        for axis, size in enumerate(sizes):
-            lowers = lattice.coordinate_slices(axis, 0)
-            for j in range(1, size):
-                uppers = lattice.coordinate_slices(axis, j)
-                for lo, hi in zip(lowers, uppers):
-                    ints[hi] = map(add, ints[lo], ints[hi])
-                lowers = uppers
+        for axis in range(len(sizes)):
+            for _, lo, hi in lattice.edges(axis):
+                ints[hi] = map(add, ints[lo], ints[hi])
         return lattice
 
-    def coordinate_slices(self, axis: int, j: int) -> list[slice]:
-        """Slices of ``ints`` that together hold the nodes with coordinate j on ``axis``.
+    def edges(self, axis: int) -> Iterator[tuple[int, slice, slice]]:
+        """Axis ``axis``'s edges, as ``(j, lower, upper)`` slices of ``ints``, in increasing j.
 
-        A block is the ``stride * size`` consecutive nodes over which the
-        axis runs once; its nodes with coordinate j are one contiguous run of
-        ``stride``.  With no more blocks than ``stride`` the slices are those
-        runs, one per block; otherwise they are ``stride`` extended slices of
-        step ``block``, one per offset within a run.  Either way there are
-        min(blocks, stride) of them, and the slices of coordinates j and j+1
-        pair up in order, node for node, along the axis's edges.
+        ``lower`` holds nodes with coordinate j and ``upper`` their neighbours
+        at j+1, ``stride`` positions on; each edge is in exactly one pair.  A
+        block, the ``stride * size`` nodes over which the axis runs once,
+        holds its nodes of coordinate j in one run of ``stride``.  With no
+        more blocks than ``stride`` the slices are those runs; otherwise they
+        are ``stride`` slices of step ``block``, one per offset in a run.  A
+        differencing pass walks the same pairs in decreasing j.
         """
         count, stride = len(self.ints), self.strides[axis]
         block = stride * self.sizes[axis]
-        start = j * stride
+        # Lower slices start `gap` apart within `span`; each covers `length` at `step`.
         if count // block <= stride:
-            return [slice(b, b + stride) for b in range(start, count, block)]
-        return [slice(r, count, block) for r in range(start, start + stride)]
+            span, gap, length, step = count, block, stride, 1
+        else:
+            span, gap, length, step = stride, 1, count, block
+        for j in range(self.sizes[axis] - 1):
+            for lo in range(j * stride, j * stride + span, gap):
+                hi = lo + stride
+                yield j, slice(lo, lo + length, step), slice(hi, hi + length, step)
 
     def node(self, k: int) -> tuple[int, ...]:
         """The node index tuple at flat position ``k``."""
-        coords = []
-        for size in reversed(self.sizes):
-            k, c = divmod(k, size)
-            coords.append(c)
-        return tuple(reversed(coords))
+        return tuple(k // stride % size for stride, size in zip(self.strides, self.sizes))
 
     def __getitem__(self, node: tuple[int, ...]) -> Fraction:
         if (
@@ -522,10 +516,10 @@ class GridQuasiCopula:
         reads that node only for a grid that fails an axiom.
 
         The edges of axis i run from the nodes with coordinate j to those
-        with j+1.  For each j the rises are taken one slice pair of
-        :meth:`_NodeLattice.coordinate_slices` at a time, by ``map(sub, ...)``,
-        and tested against 0 and the slab's width with one ``min`` and one
-        ``max``; only a slice that fails is walked for the failing edges.
+        with j+1.  One walk of :meth:`_NodeLattice.edges` takes their rises a
+        slice pair at a time, by ``map(sub, ...)``, and tests them against 0
+        and slab j's width with one ``min`` and one ``max``; only a pair that
+        fails is walked for the failing edges.
 
         Slab widths are read in the partitions' integer form
         (:class:`AxisPartition` ``den`` and ``ints``), so every test compares
@@ -555,22 +549,19 @@ class GridQuasiCopula:
         for axis, part in enumerate(self.grid.partitions):
             # (flat position of the lower node, rise, slab) of each failing edge
             failing: list[tuple[int, int, int]] = []
-            pts = part.ints
-            uppers = lattice.coordinate_slices(axis, 0)
-            for j in range(part.num_cells):
-                lowers, uppers = uppers, lattice.coordinate_slices(axis, j + 1)
-                # An integer rise exceeds width * den exactly when it exceeds
-                # the floor; the width is (pts[j + 1] - pts[j]) / part.den.
-                limit = (pts[j + 1] - pts[j]) * den // part.den
-                for lo, hi in zip(lowers, uppers):
-                    rises = list(map(sub, ints[hi], ints[lo]))
-                    if min(rises) >= 0 and max(rises) <= limit:
-                        continue
-                    failing.extend(
-                        (k, rise, j)
-                        for k, rise in zip(range(count)[lo], rises)
-                        if rise < 0 or rise > limit
-                    )
+            # An integer rise exceeds width * den exactly when it exceeds the
+            # floor; a slab's width is the gap of its `part.ints` over `part.den`.
+            limits = [(b - a) * den // part.den for a, b in zip(part.ints, part.ints[1:])]
+            for j, lo, hi in lattice.edges(axis):
+                rises = list(map(sub, ints[hi], ints[lo]))
+                limit = limits[j]
+                if min(rises) >= 0 and max(rises) <= limit:
+                    continue
+                failing.extend(
+                    (k, rise, j)
+                    for k, rise in zip(range(count)[lo], rises)
+                    if rise < 0 or rise > limit
+                )
             failing.sort()
             for k, rise, j in failing:
                 location = (axis,) + lattice.node(k)
@@ -593,40 +584,33 @@ class GridQuasiCopula:
         check by the argument given there, so it adds information only for a
         grid that fails an axiom.
 
-        The nodes' coordinates are the partitions' ``ints``, put over
-        ``scale``, the lcm of their ``den``; each node value is compared with
-        its bounds cross-multiplied, and a :class:`Fraction` is built only
-        for a :class:`Violation`.
+        One pass in flat order compares each node's value with its lower
+        bound and then its upper, read off its coordinate sum and minimum, in
+        integers cross-multiplied; a node tuple and :class:`Fraction` values
+        are built only for a :class:`Violation`.
         """
         lattice = self.node_values
         ints, den = lattice.ints, lattice.den
         parts = self.grid.partitions
-        # Coordinate sums and minima of every node, as integers over `scale`,
-        # in flat node order.
+        # Each node's coordinate sum less n - 1 and its minimum, over `over`.
         scale = lcm(*(p.den for p in parts))
-        sums, mins = [0], [scale]
+        over = scale * den
+        sums, mins = [(1 - len(parts)) * over], [over]
         for part in parts:
-            step = scale // part.den
+            step = scale // part.den * den
             coords = [t * step for t in part.ints]
             sums = [s + c for s in sums for c in coords]
             mins = [m if m < c else c for m in mins for c in coords]
-        excess = (len(parts) - 1) * scale
-        lowers = [s - excess if s > excess else 0 for s in sums]
-        # v/den against x/scale, cross-multiplied.
-        values = [v * scale for v in ints]
-        low_bounds = [x * den for x in lowers]
-        up_bounds = [x * den for x in mins]
-        if not any(map(lt, values, low_bounds)) and not any(map(gt, values, up_bounds)):
-            return ()
         bad: list[Violation] = []
-        for k, node in enumerate(lattice):
-            if values[k] < low_bounds[k]:
-                bound, kind = lowers[k], "frechet-lower"
-            elif values[k] > up_bounds[k]:
-                bound, kind = mins[k], "frechet-upper"
+        for k, (v, low, up) in enumerate(zip(ints, sums, mins)):
+            scaled = v * scale  # v / den as an integer over `over`
+            if scaled < 0 or scaled < low:
+                kind, bound = "frechet-lower", max(low, 0)
+            elif scaled > up:
+                kind, bound = "frechet-upper", up
             else:
                 continue
-            bad.append(Violation(kind, node, Fraction(ints[k], den), Fraction(bound, scale)))
+            bad.append(Violation(kind, lattice.node(k), Fraction(v, den), Fraction(bound, over)))
         return tuple(bad)
 
 

@@ -402,9 +402,13 @@ def lift_symmetric(n: int, x: Sequence[Fraction]) -> VertexAssignment:
     assignment; the box is [a, a + s]^n and every corner with k upper ends
     takes q_k.  It has 2^n corner values, so it is meant for small n.
     """
-    if len(x) != n + 3:
-        raise LPError(f"symmetric point at dimension {n} needs {n + 3} values, got {len(x)}")
-    a, s = Fraction(x[0]), Fraction(x[1])
+    try:
+        size = len(x)
+    except TypeError as exc:
+        raise LPError(f"symmetric point {x!r} is not a sequence of values") from exc
+    if size != n + 3:
+        raise LPError(f"symmetric point at dimension {n} needs {n + 3} values, got {size}")
+    a, s = _rational(x[0], "box corner", LPError), _rational(x[1], "box side", LPError)
     values = {flags: x[2 + sum(flags)] for flags in product((False, True), repeat=n)}
     return VertexAssignment(NBox(((a, a + s),) * n), values)
 
@@ -457,9 +461,13 @@ def _point_slacks(
     ``rows[k].den * den``: ``lhs - rhs`` for ">=" and ``rhs - lhs`` for
     "<=", so it is >= 0 exactly when the row holds.
     """
-    if len(x) != lp.num_vars:
-        raise LPError(f"point has {len(x)} values, program has {lp.num_vars} variables")
-    den, xs = _over_one_den(x)
+    try:
+        size = len(x)
+        den, xs = _over_one_den(x)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise LPError(f"point {x!r} is not a sequence of rational numbers") from exc
+    if size != lp.num_vars:
+        raise LPError(f"point has {size} values, program has {lp.num_vars} variables")
     violations = [RowViolation(j, "N", x[j], ">=", ZERO) for j, v in enumerate(xs) if v < 0]
     slacks = []
     for k, row in enumerate(lp.rows):

@@ -600,7 +600,10 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     nv = lp.num_vars
     if set(solution.assignment) != set(range(nv)):
         return CertificateReport(False, ("assignment must cover every variable",))
-    x = [_fraction(solution.assignment[j]) for j in range(nv)]
+    try:
+        x = [_fraction(solution.assignment[j]) for j in range(nv)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LPError(f"assignment {solution.assignment!r} has a non-rational value") from exc
     report, den, xs, slacks = _point_slacks(lp, x)
     failures = [
         f"variable {lp.var_names[v.index]} is negative: {v.lhs}"

@@ -144,6 +144,13 @@ def test_box_names_an_interval_that_is_not_a_pair(intervals: tuple, bad: object)
         NBox(intervals)
 
 
+@pytest.mark.parametrize("intervals", [5, None, HALF], ids=repr)
+def test_box_names_intervals_that_are_not_iterable(intervals: object) -> None:
+    message = f"box intervals {intervals!r} are not (lo, hi) pairs"
+    with pytest.raises(GridError, match=re.escape(message)):
+        NBox(intervals)
+
+
 @pytest.mark.parametrize("point", [5, None, HALF], ids=repr)
 def test_evaluate_names_a_point_that_is_not_a_sequence(point: object) -> None:
     message = f"point {point!r} is not a sequence of coordinates"
@@ -384,6 +391,34 @@ def test_lattice_node_limit(monkeypatch: pytest.MonkeyPatch) -> None:
         GridQuasiCopula(too_big)
 
 
+@pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 5), (4, 2, 3, 2), (6,)], ids=repr)
+def test_edges_list_each_edge_once_in_increasing_j(sizes: tuple[int, ...]) -> None:
+    """``edges(axis)`` pairs each node v with v + e_axis exactly once, j never decreasing.
+
+    The lattice's integers are the flat positions themselves, so slicing
+    them reads the positions a slice covers.
+    """
+    count = math.prod(sizes)
+    lattice = grid_module._NodeLattice(sizes, 1, list(range(count)))
+    steps = set()
+    for axis, size in enumerate(sizes):
+        stride = lattice.strides[axis]
+        last_j = 0
+        lowers: list[int] = []
+        for j, lo, hi in lattice.edges(axis):
+            assert last_j <= j < size - 1, (axis, j)
+            last_j = j
+            steps.add(1 if lo.step == 1 else "block")
+            below, above = lattice.ints[lo], lattice.ints[hi]
+            assert below and above == [k + stride for k in below], (axis, j)
+            assert all(lattice.node(k)[axis] == j for k in below), (axis, j)
+            lowers += below
+        expected = [k for k in range(count) if lattice.node(k)[axis] < size - 1]
+        assert sorted(lowers) == expected and len(lowers) == len(set(lowers)), axis
+    if len(sizes) > 1:
+        assert steps == {1, "block"}, steps
+
+
 ALL_KINDS = {"grounded", "margin", "monotone", "lipschitz", "frechet-lower", "frechet-upper"}
 
 
@@ -442,6 +477,19 @@ def test_lattice_matches_fraction_reference_on_every_slice_layout() -> None:
             axes = range(grid.dimension)
             assert failed >= {(k, a) for k in ("monotone", "lipschitz") for a in axes}, case
     assert kinds == ALL_KINDS - {"grounded"}
+
+
+def test_envelope_lists_upper_and_lower_in_flat_order() -> None:
+    # One axis on {0, 1/2, 1}: Q(1/2) = 2 is above min(u) = 1/2, and then
+    # Q(1) = 1/2 is below sum(u) - (n - 1) = 1.
+    grid = MassGrid((AxisPartition((F(0), HALF, F(1))),), {(0,): F(2), (1,): F(-3, 2)})
+    qc = make_grid_qc(grid)
+    kinds = _compare_with_reference(qc, support.ref_node_values(grid), random.Random(0), "1-axis")
+    assert {"frechet-upper", "frechet-lower"} <= kinds
+    assert qc.frechet_envelope_check() == (
+        Violation("frechet-upper", (1,), F(2), HALF),
+        Violation("frechet-lower", (2,), HALF, F(1)),
+    )
 
 
 # ------------------------------------------------------------ evaluation

@@ -577,6 +577,28 @@ def test_lift_and_check_point_reject_wrong_length() -> None:
         check_point(build_symmetric_lp(3, "min"), [F(0)] * 5)
 
 
+@pytest.mark.parametrize("value", [None, float("nan"), "x", 1j], ids=repr)
+def test_lift_and_check_point_name_a_value_that_is_not_rational(value: object) -> None:
+    point = (value,) * 6
+    message = f"point {point!r} is not a sequence of rational numbers"
+    with pytest.raises(LPError, match=re.escape(message)):
+        check_point(build_symmetric_lp(3, "min"), point)
+    with pytest.raises(LPError, match=re.escape(f"box corner {value!r} is not a rational number")):
+        lift_symmetric(3, point)
+    # the side s, with a good corner a
+    with pytest.raises(LPError, match=re.escape(f"box side {value!r} is not a rational number")):
+        lift_symmetric(3, (F(0),) + point[1:])
+
+
+@pytest.mark.parametrize("point", [5, None], ids=repr)
+def test_lift_and_check_point_name_a_point_that_is_not_a_sequence(point: object) -> None:
+    message = f"point {point!r} is not a sequence of rational numbers"
+    with pytest.raises(LPError, match=re.escape(message)):
+        check_point(build_symmetric_lp(3, "min"), point)
+    with pytest.raises(LPError, match=re.escape(f"symmetric point {point!r} is not a sequence")):
+        lift_symmetric(3, point)
+
+
 # -------------------------------------------------------------- text format
 
 

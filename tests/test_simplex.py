@@ -1,6 +1,7 @@
 """Exact simplex: small programs, the extremal family, and certificates."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -751,6 +752,17 @@ def test_certify_rejects_incomplete_assignment() -> None:
     report = certify(lp, replace(solution, assignment=assignment))
     assert not report.ok
     assert "assignment must cover every variable" in report.failures
+
+
+@pytest.mark.parametrize("value", [None, "x", float("nan")], ids=repr)
+def test_certify_refuses_an_assignment_value_that_is_not_rational(value: object) -> None:
+    lp, _ = build_extremal_lp(2, "min")
+    solution = solve(lp)
+    assignment = dict(solution.assignment)
+    assignment[1] = value
+    message = f"assignment {assignment!r} has a non-rational value"
+    with pytest.raises(LPError, match=re.escape(message)):
+        certify(lp, replace(solution, assignment=assignment))
 
 
 def test_certify_rejects_incomplete_reduced_costs() -> None:
