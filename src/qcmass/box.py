@@ -18,10 +18,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _fraction(value: object) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
-
-
 class GridError(ValueError):
     """Raised for malformed partitions, boxes, grids, or grid files."""
 
@@ -31,9 +27,13 @@ class LPError(ValueError):
 
 
 def _rational(value: object, what: str, error: type[ValueError] = GridError) -> Fraction:
-    """``value`` as a :class:`Fraction`, kept if it is one; ``error`` names it if not rational."""
+    """``value`` as a :class:`Fraction`, kept if it is one; ``error`` names it if not rational.
+
+    This is the package's one rational converter, for both halves; the
+    rest read integer ratios or parse literals (:mod:`qcmass.rational`).
+    """
     try:
-        return _fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} {value!r} is not a rational number") from exc
 

@@ -71,7 +71,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .box import ONE, ZERO, LPError, NBox, _fraction, _rational, corner_sign
+from .box import ONE, ZERO, LPError, NBox, _rational, corner_sign
 from .rational import _over_one_den, format_rational
 
 _RELATIONS = ("<=", ">=")
@@ -82,13 +82,29 @@ def _exact(value: object) -> int | Fraction:
     return value if type(value) is int else _rational(value, "value", LPError)
 
 
+def _tuple(value: object, what: str) -> tuple:
+    """``value`` as a tuple; :class:`LPError` names it if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError as exc:
+        raise LPError(f"{what} {value!r} is not a sequence") from exc
+
+
 def _canonical_terms(
     terms: Iterable[tuple[int, object]], where: str
 ) -> list[tuple[int, int | Fraction]]:
     """Sort sparse terms by variable index, reject negative or repeated indices, drop zeros.
 
-    Each coefficient is made exact (:func:`_exact`) before it is tested for zero.
+    :class:`LPError` names ``terms`` if they are not a sequence, and a term
+    that is not an ``(index, coefficient)`` tuple whose index is an int
+    (``type(j) is int``, as for a grid's cell indices: a bool or a float is
+    no index).  Each coefficient is made exact (:func:`_exact`) before it is
+    tested for zero.
     """
+    terms = _tuple(terms, f"{where} terms")
+    for term in terms:
+        if type(term) is not tuple or len(term) != 2 or type(term[0]) is not int:
+            raise LPError(f"term {term!r} in {where} is not an (int index, coefficient) pair")
     terms = sorted(terms, key=itemgetter(0))
     if terms and terms[0][0] < 0:
         raise LPError(f"negative variable index {terms[0][0]} in {where}")
@@ -104,9 +120,9 @@ class Row:
 
     ``Row(family, coeffs, relation, rhs)`` takes ``(index, coefficient)``
     terms in any order; a coefficient or ``rhs`` may be an int, a
-    :class:`Fraction` or anything :class:`Fraction` accepts.  A negative or
-    repeated index, no nonzero term, or a number that is not rational
-    raises :class:`LPError`.
+    :class:`Fraction` or anything :class:`Fraction` accepts.  A term that
+    is not an ``(int, coefficient)`` tuple, a negative or repeated index, no
+    nonzero term, or a number that is not rational raises :class:`LPError`.
     ``family`` is a short tag carried for reporting ("D", "E", "F" for the
     extremal program; anything, including "", for ad hoc programs).
 
@@ -114,8 +130,9 @@ class Row:
     ``den`` is the lcm of the reduced denominators of the right-hand side
     and every coefficient, ``terms`` the ``(index, coefficient * den)``
     pairs sorted by index with no zero coefficient, and ``num`` is
-    ``rhs * den``.  An int has denominator 1, so only the other values enter
-    the lcm, and a row of ints has ``den == 1`` with its ints kept as given.
+    ``rhs * den``.  Every value ``v`` goes over ``den`` by one formula,
+    ``v.numerator * (den // v.denominator)``: an int has a numerator and a
+    denominator (1) too, so a row of ints has ``den == 1``.
     The form is unique for each row, so two rows of the same family and
     relation are equal, and hash alike, exactly when their coefficients and
     right-hand sides are equal as rationals.  ``coeffs`` and ``rhs`` are
@@ -137,13 +154,9 @@ class Row:
         if not terms:
             raise LPError("row references no variables")
         rhs = _exact(rhs)
-        # An int is over every denominator already, so only Fractions enter the lcm.
-        den = lcm(*[v.denominator for v in (rhs, *map(itemgetter(1), terms)) if type(v) is not int])
-        terms = [
-            (j, a * den if type(a) is int else a.numerator * (den // a.denominator))
-            for j, a in terms
-        ]
-        num = rhs * den if type(rhs) is int else rhs.numerator * (den // rhs.denominator)
+        den = lcm(rhs.denominator, *[a.denominator for _, a in terms])
+        terms = [(j, a.numerator * (den // a.denominator)) for j, a in terms]
+        num = rhs.numerator * (den // rhs.denominator)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "den", den)
@@ -165,6 +178,9 @@ class LinearProgram:
     """``integer_objective`` is the objective over one denominator, ``(den, terms)``, as in a Row.
 
     ``terms`` is the ``(index, coefficient * den)`` pairs, in ``objective``'s order.
+    Each field is tested once, and each row with one type test:
+    :class:`LPError` names a field of the wrong type (``num_vars`` must be
+    an int, ``var_names`` strings, ``rows`` :class:`Row` objects).
     """
 
     num_vars: int
@@ -177,30 +193,32 @@ class LinearProgram:
     )
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise LPError("program needs at least one variable")
-        names = tuple(self.var_names)
+        if type(self.num_vars) is not int or self.num_vars < 1:
+            raise LPError(f"num_vars must be a positive int, got {self.num_vars!r}")
+        names = _tuple(self.var_names, "var_names")
         object.__setattr__(self, "var_names", names)
         if len(names) != self.num_vars:
             raise LPError("var_names length must equal num_vars")
-        if len(set(names)) != len(names) or any(
-            (not n) or any(ch.isspace() for ch in n) for n in names
+        if any(type(n) is not str or n.split() != [n] for n in names) or (
+            len(set(names)) != len(names)
         ):
-            raise LPError("variable names must be unique, nonempty, whitespace-free")
+            raise LPError("var_names must be unique, nonempty, whitespace-free strings")
         if self.sense not in ("min", "max"):
             raise LPError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        objective = tuple(
-            (j, _fraction(coef)) for j, coef in _canonical_terms(self.objective, "objective")
-        )
-        den, ints = _over_one_den(map(itemgetter(1), objective))
+        terms = _canonical_terms(self.objective, "objective")
+        objective = tuple((j, _rational(c, "value", LPError)) for j, c in terms)
+        den, ints = _over_one_den(c for _, c in terms)
+        integer = tuple((j, a) for (j, _), a in zip(terms, ints))
         object.__setattr__(self, "objective", objective)
-        terms = tuple((j, a) for (j, _), a in zip(objective, ints))
-        object.__setattr__(self, "integer_objective", (den, terms))
-        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "integer_objective", (den, integer))
+        rows = _tuple(self.rows, "rows")
+        object.__setattr__(self, "rows", rows)
         # Terms are sorted, so the last index is the largest.
         if objective and objective[-1][0] >= self.num_vars:
             raise LPError(f"variable index {objective[-1][0]} out of range in objective")
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(rows):
+            if type(row) is not Row:
+                raise LPError(f"row {k} {row!r} is not a Row")
             if row.terms[-1][0] >= self.num_vars:
                 raise LPError(f"variable index {row.terms[-1][0]} out of range in row {k}")
 
@@ -347,9 +365,7 @@ def build_extremal_lp(
     for v in flags_list:
         rows += _f_rows(v, range(n), a, s, q)
 
-    objective = tuple(
-        (vertex_vars[v], Fraction(corner_sign(v))) for v in flags_list
-    )
+    objective = [(vertex_vars[v], corner_sign(v)) for v in flags_list]
     lp = LinearProgram(2 * n + len(flags_list), tuple(names), sense, objective, tuple(rows))
     return lp, ExtremalLayout(n, corner_vars, length_vars, vertex_vars)
 
@@ -387,10 +403,9 @@ def build_symmetric_lp(n: int, sense: str) -> LinearProgram:
         rows += _e_rows(0, v, s, q)
     for k, v in enumerate(corners):
         rows += _f_rows(v, [0] * (k < n) + [n - 1] * (k > 0), a, s, q)
-    objective = []
-    binomial = 1  # C(n, k)
-    for k in range(n + 1):
-        objective.append((k + 2, Fraction((-1) ** (n - k) * binomial)))
+    objective, binomial = [], 1  # binomial is C(n, k)
+    for k, v in enumerate(corners):
+        objective.append((q(v), corner_sign(v) * binomial))
         binomial = binomial * (n - k) // (k + 1)
     return LinearProgram(n + 3, tuple(names), sense, tuple(objective), tuple(rows))
 

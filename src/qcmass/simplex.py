@@ -96,14 +96,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping
 
-from .box import ZERO, LPError, NBox
-from .lp import (
-    ExtremalLayout,
-    LinearProgram,
-    VertexAssignment,
-    _fraction,
-    _point_slacks,
-)
+from .box import ZERO, LPError, NBox, _rational
+from .lp import ExtremalLayout, LinearProgram, VertexAssignment, _point_slacks
 
 
 @dataclass(frozen=True)
@@ -601,8 +595,8 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     if set(solution.assignment) != set(range(nv)):
         return CertificateReport(False, ("assignment must cover every variable",))
     try:
-        x = [_fraction(solution.assignment[j]) for j in range(nv)]
-    except (TypeError, ValueError, OverflowError) as exc:
+        x = [_rational(solution.assignment[j], "value", LPError) for j in range(nv)]
+    except LPError as exc:
         raise LPError(f"assignment {solution.assignment!r} has a non-rational value") from exc
     report, den, xs, slacks = _point_slacks(lp, x)
     failures = [
@@ -627,7 +621,7 @@ def certify(lp: LinearProgram, solution: SimplexSolution) -> CertificateReport:
     for i, row in enumerate(lp.rows):
         reduced = solution.reduced_costs[nv + i]
         if reduced:
-            p, q = _fraction(reduced).as_integer_ratio()
+            p, q = _rational(reduced, "slack reduced cost", LPError).as_integer_ratio()
             sigma = 1 if row.relation == "<=" else -1
             duals.append((i, row, sigma, -sigma * flip * p, q))
     # Each reduced cost is held times ``big``, a multiple of every denominator met.

@@ -27,9 +27,11 @@ by other routes (a file of unreduced, decimal and zero literals, a grid
 whose margin it is) with string and ``Fraction`` operations only, never with
 the integer parser or integer form of ``qcmass``.  ``ref_symmetric_lp``
 writes the axis-symmetric program's rows by hand, the reference for
-``build_symmetric_lp``.  ``read_lp`` reads well-formed ``export_lp`` text
-back, the round-trip oracle for the LP text format, which the package only
-writes.  ``unit_cube``, ``slab_index``, ``box_vertex``, ``cell_box``,
+``build_symmetric_lp``.  ``theorem_witness`` builds the quasi-copula of
+``qcmass.lp``'s exactness theorem on a grid, node by node, the witness that
+an optimum of the relaxation is a box mass.  ``read_lp`` reads well-formed
+``export_lp`` text back, the round-trip oracle for the LP text format, which
+the package only writes.  ``unit_cube``, ``slab_index``, ``box_vertex``, ``cell_box``,
 ``iter_cells``, ``corner_sum`` and ``ref_objective`` are the suite's own
 small helpers (the whole cube as a box, a slab lookup, a box's corner, a
 cell's box, every cell in order, the mass corner values give a box, an
@@ -862,6 +864,42 @@ def ref_symmetric_lp(n: int, sense: str) -> LinearProgram:
             rows.append(Row("F", ((a, -1), (s, -1), (q, 1)), "<=", 0))
     objective = tuple((k + 2, Fraction((-1) ** (n - k) * comb(n, k))) for k in range(n + 1))
     return LinearProgram(n + 3, tuple(names), sense, objective, tuple(rows))
+
+
+def theorem_witness(
+    assignment, bump: Fraction = ZERO
+) -> tuple[MassGrid, dict[tuple[Fraction, ...], Fraction]]:
+    """The quasi-copula of ``qcmass.lp``'s theorem for a feasible corner assignment, as a grid.
+
+    Written plainly, for small n: Q*(u) = min(M(u), min over box corners t
+    of q_t + sum_i (u_i - t_i)^+), M(u) = min_i u_i, at every node of the
+    levels {0, a_i, a_i + s_i, 1} of each axis, with ``bump`` added at the
+    box's top corner; each cell's mass is the inclusion-exclusion of those
+    node values over the cell's 2^n corners.  Returns the grid, built through
+    ``MassGrid``'s mapping route, and the node values by coordinates.
+    """
+    box = assignment.box
+    levels = [sorted({ZERO, lo, hi, ONE}) for lo, hi in box.intervals]
+    corners = [(box_vertex(box, flags), q) for flags, q in assignment.values.items()]
+
+    def q_star(u: tuple[Fraction, ...]) -> Fraction:
+        return min(
+            [min(u)]
+            + [q + sum(max(x - y, ZERO) for x, y in zip(u, t)) for t, q in corners]
+        )
+
+    values = {u: q_star(u) for u in product(*levels)}
+    values[box_vertex(box, (True,) * box.dimension)] += bump
+    flag_sets = list(product((False, True), repeat=box.dimension))
+    masses = {
+        cell: sum(
+            corner_sign(flags)
+            * values[tuple(axis[c + up] for axis, c, up in zip(levels, cell, flags))]
+            for flags in flag_sets
+        )
+        for cell in product(*(range(len(axis) - 1) for axis in levels))
+    }
+    return MassGrid(tuple(AxisPartition(tuple(axis)) for axis in levels), masses), values
 
 
 def _lp_terms(items: list[str]) -> tuple[tuple[int, Fraction], ...]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import support
-from qcmass.grid import NBox
+from qcmass.grid import NBox, make_grid_qc
 from qcmass.lp import (
     LinearProgram,
     LPError,
@@ -30,7 +30,7 @@ from qcmass.lp import (
     reference_witness,
     symmetric_candidate,
 )
-from qcmass.simplex import certify, solve
+from qcmass.simplex import certify, solution_to_assignment, solve
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -542,6 +542,44 @@ def test_symmetric_candidate_decides_candidate_pattern(n: int) -> None:
     assert not check_point(reduced, point[:-1] + [F(1)]).feasible
 
 
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theorem_witness_attains_the_optimum(n: int, sense: str) -> None:
+    # The module docstring's theorem, on the full simplex optimum: Q* is a
+    # quasi-copula, keeps every corner value, and so puts the optimum on the box.
+    lp, layout = build_extremal_lp(n, sense)
+    solution = solve(lp)
+    assignment = solution_to_assignment(layout, solution)
+    box = assignment.box
+    grid, values = support.theorem_witness(assignment)
+    assert make_grid_qc(grid).verify_axioms().all_ok
+    assert grid.box_volume(box) == solution.objective
+    for flags, q in assignment.values.items():
+        assert values[support.box_vertex(box, flags)] == q
+    bumped, _ = support.theorem_witness(assignment, F(1, 1000))
+    assert bumped.box_volume(box) != solution.objective
+
+
+@cache
+def full_program_n9() -> tuple[LinearProgram, object]:
+    with pytest.warns(UserWarning, match="expect it to be slow"):
+        return build_extremal_lp(9, "min")
+
+
+@pytest.mark.parametrize("sense,optimum", [("min", F(-37)), ("max", F(71, 2))])
+def test_symmetric_optimum_at_n9_certifies_and_lifts(sense: str, optimum: Fraction) -> None:
+    # The full n = 9 max, solved once outside the suite (14 to 15 minutes,
+    # 170504 pivots), gave 71/2; the lifts here reach each optimum in the
+    # full program, whose rows and objective do not depend on the sense.
+    reduced = build_symmetric_lp(9, sense)
+    solution = solve(reduced)
+    assert solution.objective == optimum
+    assert certify(reduced, solution).ok
+    lp, layout = full_program_n9()
+    report = check_assignment(lp, layout, lift_symmetric(9, solution.assignment))
+    assert report.feasible and report.objective_value == optimum
+
+
 def test_check_point_matches_fraction_reference() -> None:
     rng = random.Random("check_point")
     feasible = infeasible = 0
@@ -713,6 +751,54 @@ def test_vertex_assignment_names_a_value_that_is_not_rational(value: object) -> 
     message = f"corner value {value!r} is not a rational number"
     with pytest.raises(LPError, match=re.escape(message)):
         VertexAssignment(NBox(((F(0), F(1)),)), values)
+
+
+_PAIR = "in {} is not an (int index, coefficient) pair"
+_BAD_TERMS = [
+    ([(0.5, 1)], "term (0.5, 1) " + _PAIR),
+    ([(True, 1)], "term (True, 1) " + _PAIR),
+    ([("0", 1)], "term ('0', 1) " + _PAIR),
+    ([(None, 1)], "term (None, 1) " + _PAIR),
+    ([(1, 1), ("0", 1)], "term ('0', 1) " + _PAIR),
+    ([5], "term 5 " + _PAIR),
+    ([(0, 1, 2)], "term (0, 1, 2) " + _PAIR),
+    ([[0, 1]], "term [0, 1] " + _PAIR),
+    (None, "{} terms None is not a sequence"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,where",
+    [
+        (lambda terms: Row("", terms, "<=", 1), "row"),
+        (lambda terms: LinearProgram(2, ("x", "y"), "max", terms, ()), "objective"),
+    ],
+    ids=["row", "objective"],
+)
+@pytest.mark.parametrize("terms,message", _BAD_TERMS, ids=[repr(t) for t, _ in _BAD_TERMS])
+def test_terms_are_pairs_with_int_indices(build, where: str, terms, message: str) -> None:
+    with pytest.raises(LPError, match=re.escape(message.format(where))):
+        build(terms)
+
+
+_LP_FIELDS = dict(num_vars=2, var_names=("x", "y"), sense="min", objective=(), rows=())
+_BAD_FIELDS = [
+    ("num_vars", "2", "num_vars must be a positive int, got '2'"),
+    ("num_vars", 2.0, "num_vars must be a positive int, got 2.0"),
+    ("var_names", None, "var_names None is not a sequence"),
+    ("var_names", (1, 2), "var_names must be unique, nonempty, whitespace-free strings"),
+    ("objective", None, "objective terms None is not a sequence"),
+    ("rows", None, "rows None is not a sequence"),
+    ("rows", (None,), "row 0 None is not a Row"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,message", _BAD_FIELDS, ids=[f"{f}={v!r}" for f, v, _ in _BAD_FIELDS]
+)
+def test_program_names_a_field_of_the_wrong_type(field: str, value: object, message: str) -> None:
+    with pytest.raises(LPError, match=re.escape(message)):
+        LinearProgram(**{**_LP_FIELDS, field: value})
 
 
 def test_row_is_canonical_from_construction() -> None:

@@ -765,6 +765,17 @@ def test_certify_refuses_an_assignment_value_that_is_not_rational(value: object)
         certify(lp, replace(solution, assignment=assignment))
 
 
+@pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), 1j], ids=repr)
+def test_certify_names_a_slack_reduced_cost_that_is_not_rational(value: object) -> None:
+    lp, _ = build_extremal_lp(2, "min")
+    solution = solve(lp)
+    reduced = dict(solution.reduced_costs)
+    reduced[lp.num_vars] = value
+    message = f"slack reduced cost {value!r} is not a rational number"
+    with pytest.raises(LPError, match=re.escape(message)):
+        certify(lp, replace(solution, reduced_costs=reduced))
+
+
 def test_certify_rejects_incomplete_reduced_costs() -> None:
     lp, _ = build_extremal_lp(2, "min")
     solution = solve(lp)
