@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 from operator import add, itemgetter, lt, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 # Re-exported: qcmass.grid.NBox, GridError and corner_sign are the box module's.
 from .box import ONE, ZERO, GridError, NBox, _rational, corner_sign
@@ -62,19 +62,6 @@ class AxisPartition:
 
     def width(self, j: int) -> Fraction:
         return self.breakpoints[j + 1] - self.breakpoints[j]
-
-
-def _cells_in_range(cells: Iterable[tuple[int, ...]], shape: tuple[int, ...]) -> bool:
-    """Whether each axis's least index is at least 0 and its greatest below the axis size.
-
-    The cells must all be tuples of ``len(shape)`` ints.  Each axis is read
-    in its own pass, so no column is built beside the cells.
-    """
-    return all(
-        0 <= min(map(itemgetter(axis), cells), default=0)
-        and max(map(itemgetter(axis), cells), default=0) < size
-        for axis, size in enumerate(shape)
-    )
 
 
 def _least_den(den: int, scaled: dict) -> tuple[int, dict]:
@@ -121,23 +108,25 @@ class _CellMasses(Mapping[tuple[int, ...], Fraction]):
     """Cell masses as Python integers over one common denominator ``_den``.
 
     ``_ints`` maps each cell to its mass times ``_den``, in the order the
-    cells were given.  Once a :class:`MassGrid` holds it, every mass is
+    cells were given; each is a tuple of ints inside ``_shape``, the shape
+    it was checked for.  Once a :class:`MassGrid` holds it, every mass is
     nonzero and ``_den`` is the lcm of the masses' reduced denominators (1
     for no cells), so the form is unique for each grid.  Reading a cell
     builds its reduced :class:`Fraction`; the code in this module works on
     ``_ints`` directly, and :attr:`MassGrid.integer_form` hands out a
     read-only view of it.  Everything else, ``get``, ``in`` and ``==`` (to
     any mapping of the same masses, a plain dict included), is
-    :class:`Mapping`'s, built on reading cells.  Nothing writes either
+    :class:`Mapping`'s, built on reading cells.  Nothing writes an
     attribute after construction, so grids built from one another may share
     one.
     """
 
-    __slots__ = ("_den", "_ints")
+    __slots__ = ("_den", "_ints", "_shape")
 
-    def __init__(self, den: int, ints: dict[tuple[int, ...], int]) -> None:
+    def __init__(self, den: int, ints: dict[tuple[int, ...], int], shape: tuple[int, ...]) -> None:
         self._den = den
         self._ints = ints
+        self._shape = shape
 
     def __getitem__(self, cell: tuple[int, ...]) -> Fraction:
         return Fraction(self._ints[cell], self._den)
@@ -166,17 +155,17 @@ class MassGrid:
     to a plain dict of the same masses.
 
     Construction takes one of two routes.  A plain mapping of cells to
-    masses (in the package only :func:`builtin_grid` passes one) is walked in
-    order, cell by cell: :class:`GridError` names the first cell that is not
+    masses (in the package, :func:`builtin_grid`'s, and the loader's when a
+    cell is bad) is walked in order, cell by cell: :class:`GridError` names the first cell that is not
     a tuple, of wrong arity, with an index that is not an int, or out of
     range, or whose mass is not rational, and each mass becomes a
     :class:`Fraction`.  It is copied and
     converted once, so a grid, and every function built from it, never
-    changes.  The integer form that
-    :func:`grid_from_json` and :func:`marginalize` hand over has int cells
-    already, and only its cells are checked, a whole column at a time: every
-    cell of the grid's arity, the per-axis least and greatest index inside
-    the shape.  Only when that fails is it walked for the first bad cell.
+    changes.  An integer form made for the grid's shape is taken as given,
+    only its zero masses dropped: its makers, :func:`grid_from_json` and
+    :func:`marginalize`, check its cells or take them from a checked grid.
+    One made for another shape (a grid's ``cell_masses`` given with other
+    partitions) takes the first route.
     """
 
     partitions: tuple[AxisPartition, ...]
@@ -189,16 +178,12 @@ class MassGrid:
             raise GridError("grid needs at least one axis")
         shape = tuple(p.num_cells for p in parts)
         masses = self.cell_masses
-        if type(masses) is not _CellMasses:
+        if type(masses) is not _CellMasses or masses._shape != shape:
             checked = _checked_masses(masses, shape)
             den, ints = _over_one_den(checked.values())
-            masses = _CellMasses(den, dict(zip(checked, ints)))
-        elif not (
-            set(map(len, masses._ints)) <= {len(shape)} and _cells_in_range(masses._ints, shape)
-        ):
-            _checked_masses(masses, shape)  # raises for the first bad cell
+            masses = _CellMasses(den, dict(zip(checked, ints)), shape)
         if not all(masses._ints.values()):
-            masses = _CellMasses(masses._den, {c: m for c, m in masses._ints.items() if m})
+            masses = _CellMasses(masses._den, {c: m for c, m in masses._ints.items() if m}, shape)
         object.__setattr__(self, "cell_masses", masses)
 
     @property
@@ -639,7 +624,8 @@ def marginalize(grid: MassGrid, axis: int) -> MassGrid:
     for cell, mass in masses._ints.items():
         reduced = cell[:axis] + cell[axis + 1 :]
         sums[reduced] = sums.get(reduced, 0) + mass
-    return MassGrid(parts, _CellMasses(*_least_den(masses._den, sums)))
+    shape = grid.shape[:axis] + grid.shape[axis + 1 :]
+    return MassGrid(parts, _CellMasses(*_least_den(masses._den, sums), shape))
 
 
 def builtin_example(name: str) -> GridQuasiCopula:
@@ -715,12 +701,13 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     (:attr:`MassGrid.integer_form`), with no :class:`Fraction` per cell: each
     distinct mass literal is parsed once into integers, however many cells
     share it, and scaled once to the lcm of the literals' reduced
-    denominators.  Cell arity and range are left to :class:`MassGrid`, which
-    also drops explicit zeros ("0", "0/7", "-0.0") once their cells pass.
+    denominators.  Cell arity and range are checked here too, so
+    :class:`MassGrid` takes that form as given and only drops explicit
+    zeros ("0", "0/7", "-0.0").
 
     The mass entries are checked a column at a time (every entry, every
-    cell, every index, every literal) with builtins.  Only when one of those
-    checks fails are the entries walked one by one, and the
+    cell, every literal, each axis's indices) with builtins.  Only when one
+    of those checks fails are the entries walked one by one, and the
     :class:`GridError` names the first offending entry in file order.
     """
     try:
@@ -761,21 +748,22 @@ def grid_from_json(text: str | bytes) -> MassGrid:
     entries = payload["masses"]
     if type(entries) is not list:
         raise GridError("masses must be a list")
-    masses = _bulk_masses(entries)
+    masses = _bulk_masses(entries, tuple(p.num_cells for p in partitions))
     if masses is None:
-        _raise_first_fault(entries)
+        _raise_first_fault(entries, partitions)
     return MassGrid(partitions, masses)
 
 
-def _bulk_masses(entries: list) -> _CellMasses | None:
+def _bulk_masses(entries: list, shape: tuple[int, ...]) -> _CellMasses | None:
     """The masses of ``entries`` in integer form, checked by columns; None if any entry is bad.
 
-    Every entry must be a two-key dict with a ``cell`` list of exact ints and
-    a ``mass`` string, every distinct literal must parse, and no cell may
-    repeat: the masses dict is shorter than ``entries`` exactly when one does.
-    Zero masses stay in, over the lcm of the nonzero literals' reduced
-    denominators.  The column lists die with this call, before the grid is
-    built.
+    Every entry must be a two-key dict with a ``cell`` list of ``len(shape)``
+    indices and a ``mass`` string; each axis's indices, one column of
+    ``zip(*cells)`` at a time, must be exact ints inside the axis.  Every
+    distinct literal must parse, and no cell may repeat: the masses dict is
+    shorter than ``entries`` exactly when one does.  Zero masses stay in,
+    over the lcm of the nonzero literals' reduced denominators.  The column
+    lists die with this call, before the grid is built.
     """
     if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}):
         return None
@@ -786,10 +774,13 @@ def _bulk_masses(entries: list) -> _CellMasses | None:
         return None
     if not (
         set(map(type, cells)) <= {list}
-        and set(map(type, chain.from_iterable(cells))) <= {int}
+        and set(map(len, cells)) <= {len(shape)}
         and set(map(type, literals)) <= {str}
     ):
         return None
+    for column, size in zip(zip(*cells), shape):
+        if not (set(map(type, column)) <= {int} and min(column) >= 0 and max(column) < size):
+            return None
     try:
         ratios = [(literal, *_parse_ratio(literal)) for literal in set(literals)]
     except ValueError:
@@ -797,16 +788,19 @@ def _bulk_masses(entries: list) -> _CellMasses | None:
     den = lcm(*[q for _, _, q in ratios])
     den, scaled = _least_den(den, {literal: p * (den // q) for literal, p, q in ratios})
     ints = dict(zip(map(tuple, cells), map(scaled.__getitem__, literals)))
-    return _CellMasses(den, ints) if len(ints) == len(entries) else None
+    return _CellMasses(den, ints, shape) if len(ints) == len(entries) else None
 
 
-def _raise_first_fault(entries: list) -> NoReturn:
+def _raise_first_fault(entries: list, partitions: Sequence[AxisPartition]) -> NoReturn:
     """Raise the :class:`GridError` that names the first bad entry, in file order.
 
     Called only when :func:`_bulk_masses` refused ``entries``, so some entry
-    is malformed, has a malformed cell index or mass, or repeats a cell.
+    is malformed, has a malformed cell index or mass, or repeats a cell, or
+    some cell has the wrong arity or is out of range.  The last two come
+    last: only when every entry passes do its cells, in file order, go to
+    :class:`MassGrid`'s plain-mapping route, which names the first bad one.
     """
-    seen: set[tuple[int, ...]] = set()
+    seen: dict[tuple[int, ...], Fraction] = {}  # each cell, with a stand-in mass
     parsed: set[str] = set()
     for entry in entries:
         # Two keys, both of them present: exactly "cell" and "mass".
@@ -823,7 +817,7 @@ def _raise_first_fault(entries: list) -> NoReturn:
         cell = tuple(cell_raw)
         if cell in seen:
             raise GridError(f"duplicate cell {cell}")
-        seen.add(cell)
+        seen[cell] = ZERO
         literal = entry["mass"]
         if type(literal) is not str or literal not in parsed:
             try:
@@ -831,4 +825,5 @@ def _raise_first_fault(entries: list) -> NoReturn:
             except ValueError as exc:
                 raise GridError(f"malformed mass for cell {cell}: {exc}") from exc
             parsed.add(literal)
+    MassGrid(partitions, seen)
     raise AssertionError("the column checks refused entries that pass one by one")

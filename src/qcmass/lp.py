@@ -124,7 +124,10 @@ class Row:
     is not an ``(int, coefficient)`` tuple, a negative or repeated index, no
     nonzero term, or a number that is not rational raises :class:`LPError`.
     ``family`` is a short tag carried for reporting ("D", "E", "F" for the
-    extremal program; anything, including "", for ad hoc programs).
+    extremal program; any string with no whitespace, including "", for ad
+    hoc programs).  :func:`export_lp` writes it as one field, ``-`` for "",
+    so a tag that is not a string, holds whitespace or is ``-`` raises
+    :class:`LPError`.
 
     The row holds its numbers once, as integers over one denominator:
     ``den`` is the lcm of the reduced denominators of the right-hand side
@@ -148,6 +151,8 @@ class Row:
     def __init__(
         self, family: str, coeffs: Iterable[tuple[int, object]], relation: str, rhs: object
     ) -> None:
+        if type(family) is not str or family == "-" or any(map(str.isspace, family)):
+            raise LPError(f"row family {family!r} is not a whitespace-free tag other than '-'")
         if relation not in _RELATIONS:
             raise LPError(f"unsupported relation {relation!r}")
         terms = _canonical_terms(coeffs, "row")
@@ -248,16 +253,24 @@ class VertexAssignment:
 
     Each value may be given as anything :class:`Fraction` accepts, and
     becomes a :class:`Fraction`; :class:`LPError` names one that is not
-    rational.
+    rational, a ``box`` that is not an :class:`NBox`, ``values`` that are
+    not a mapping, and a corner key that is not a sequence.
     """
 
     box: NBox
     values: Mapping[tuple[bool, ...], Fraction]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.box, NBox):
+            raise LPError(f"box {self.box!r} is not an NBox")
+        if not isinstance(self.values, Mapping):
+            raise LPError(f"corner values {self.values!r} are not a mapping")
         n = self.box.dimension
         expected = set(product((False, True), repeat=n))
-        cleaned = {tuple(k): _rational(v, "corner value", LPError) for k, v in self.values.items()}
+        cleaned = {
+            _tuple(k, "corner"): _rational(v, "corner value", LPError)
+            for k, v in self.values.items()
+        }
         if set(cleaned) != expected:
             raise LPError(f"values must cover all {2**n} corner patterns")
         object.__setattr__(self, "values", cleaned)

@@ -586,7 +586,7 @@ def _counted(grid: MassGrid) -> tuple[MassGrid, _CountedCells]:
     """``grid`` again, its integer cell map a :class:`_CountedCells` whose counts start at 0."""
     den, ints = grid.integer_form
     cells = _CountedCells(ints)
-    counted = MassGrid(grid.partitions, grid_module._CellMasses(den, cells))
+    counted = MassGrid(grid.partitions, grid_module._CellMasses(den, cells, grid.shape))
     cells.looked_up = cells.walked = 0
     return counted, cells
 
@@ -1074,6 +1074,18 @@ JSON_REJECTS = [
     '{"dimension": 1, "partitions": [{"0": 0, "1": 1}], '
     '"masses": [{"cell": [0], "mass": "1"}]}',
 ]
+# Axes of sizes 1, 3 and 2, a valid cell with each axis's greatest index
+# first: each axis's indices must be read against that axis's own size.
+JSON_REJECTS += [
+    json.dumps(
+        {
+            "dimension": 3,
+            "partitions": [["0", "1"], ["0", "1/3", "2/3", "1"], ["0", "1/2", "1"]],
+            "masses": [{"cell": [0, 2, 1], "mass": "1/2"}, {"cell": bad, "mass": "1/2"}],
+        }
+    )
+    for bad in ([0, 1, 2], [0, -1, 0], [0, 2])
+]
 # Malformed breakpoint lists: an element that is a list, an object or a JSON
 # number, a bad list on two axes, and two bad lists, of which the first in
 # file order is named.  None may surface as "unhashable type".
@@ -1356,6 +1368,66 @@ def test_zero_mass_cells_are_checked_before_they_are_dropped(zero: str) -> None:
         assert support.assert_loaders_agree(broken) is None
         with pytest.raises(GridError, match=re.escape(str(tuple(bad)))):
             grid_from_json(broken)
+
+
+def test_loader_walks_cells_only_for_a_bad_one(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The loader checks every cell's arity and range by columns, and a
+    # marginal's cells come from a checked grid: neither walks the cells
+    # one by one unless one of them is bad, and then once, to name it.
+    rng = random.Random("cell-walks")
+    grids = [support.random_signed_grid(rng, n) for n in (1, 2, 3, 4) for _ in range(3)]
+    texts = [grid_to_json(grid) for grid in grids]
+    walks: list[tuple[int, ...]] = []
+    checked = grid_module._checked_masses
+
+    def spied(masses: Mapping, shape: tuple[int, ...]) -> dict:
+        walks.append(shape)
+        return checked(masses, shape)
+
+    monkeypatch.setattr(grid_module, "_checked_masses", spied)
+    assert [grid_from_json(text) for text in texts] == grids
+    for grid in grids[3:]:
+        for axis in range(grid.dimension):
+            marginalize(grid, axis)
+    assert walks == []
+    faults = (
+        ([0, 0], "has wrong arity"),
+        ([0, 0, 0, 0, 0], "has wrong arity"),
+        ([0, 0, 0, -1], "out of range on axis 3"),
+        ([0, 0, 0, 2], "out of range on axis 3"),
+    )
+    for fault, message in faults:
+        payload = {
+            "dimension": 4,
+            "partitions": [["0", "1/2", "1"]] * 4,
+            "masses": [{"cell": [1, 1, 1, 1], "mass": "1"}, {"cell": fault, "mass": "0"}],
+        }
+        walks.clear()
+        with pytest.raises(GridError, match=re.escape(f"cell {tuple(fault)} {message}")):
+            grid_from_json(json.dumps(payload))
+        assert walks == [(2, 2, 2, 2)]
+
+
+def test_loader_reads_a_file_with_no_masses() -> None:
+    text = json.dumps({"dimension": 3, "partitions": [["0", "1/2", "1"]] * 3, "masses": []})
+    grid = grid_from_json(text)
+    assert grid.dimension == 3 and grid.shape == (2, 2, 2)
+    assert grid.integer_form[0] == 1 and not grid.cell_masses
+
+
+def test_integer_form_of_another_shape_is_checked() -> None:
+    # A grid's integer form is taken as given only with partitions of its
+    # own shape; with any other shape its cells are checked, cell by cell.
+    grid = grid_from_json(grid_to_json(builtin_example("q1").grid))
+    thirds = AxisPartition((F(0), F(1, 3), F(2, 3), F(1)))
+    same = MassGrid((thirds,) * 4, grid.cell_masses)
+    assert same.cell_masses is grid.cell_masses
+    with pytest.raises(GridError, match=re.escape("out of range on axis 0")):
+        MassGrid((unit_partition(2),) + (thirds,) * 3, grid.cell_masses)
+    with pytest.raises(GridError, match=re.escape("has wrong arity")):
+        MassGrid((thirds,) * 3, grid.cell_masses)
+    wider = MassGrid((unit_partition(4),) * 4, grid.cell_masses)
+    assert wider.cell_masses == grid.cell_masses and wider.shape == (4, 4, 4, 4)
 
 
 def test_json_rejects_integer_too_long_to_convert() -> None:

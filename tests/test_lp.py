@@ -681,6 +681,20 @@ def test_export_parse_ad_hoc_program() -> None:
     assert support.read_lp(text) == lp
 
 
+@pytest.mark.parametrize(
+    "family", ["a b", "a\tb", " ", "\n", "a\u2028b", "-", None, 5, b"D"], ids=repr
+)
+def test_row_refuses_a_family_export_cannot_write(family: object) -> None:
+    # export_lp writes the tag as one whitespace-separated field, "-" for "".
+    with pytest.raises(LPError, match=re.escape(f"row family {family!r} is not")):
+        Row(family, ((0, 1),), "<=", 1)
+
+
+@pytest.mark.parametrize("family", ["N", "x-y", "--", "é"], ids=repr)
+def test_export_parse_roundtrip_family(family: str) -> None:
+    assert_roundtrips(LinearProgram(1, ("x",), "min", (), (Row(family, ((0, 1),), "<=", 1),)))
+
+
 def test_export_header_and_shape() -> None:
     lp, _ = build_extremal_lp(2, "min")
     lines = export_lp(lp).splitlines()
@@ -751,6 +765,20 @@ def test_vertex_assignment_names_a_value_that_is_not_rational(value: object) -> 
     message = f"corner value {value!r} is not a rational number"
     with pytest.raises(LPError, match=re.escape(message)):
         VertexAssignment(NBox(((F(0), F(1)),)), values)
+
+
+@pytest.mark.parametrize(
+    "box, values, message",
+    [
+        (None, {}, "box None is not an NBox"),
+        (NBox(((F(0), F(1)),)), None, "corner values None are not a mapping"),
+        (NBox(((F(0), F(1)),)), {5: 0}, "corner 5 is not a sequence"),
+    ],
+    ids=["box", "values", "corner"],
+)
+def test_vertex_assignment_names_malformed_input(box: object, values: object, message: str) -> None:
+    with pytest.raises(LPError, match=re.escape(message)):
+        VertexAssignment(box, values)
 
 
 _PAIR = "in {} is not an (int index, coefficient) pair"
